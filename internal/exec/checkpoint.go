@@ -358,8 +358,5 @@ func (r *concRun) restoreOp(name string, op interface{}) {
 }
 
 func (r *concRun) restoreFailed(err error) {
-	r.g.failMu.Lock()
-	r.g.failed = append(r.g.failed, NodeFailure{Node: -1, Op: "checkpoint-restore", Panic: err})
-	r.g.failMu.Unlock()
-	r.g.halted.Store(true)
+	r.g.failRun("checkpoint-restore", err)
 }

@@ -437,6 +437,18 @@ func (g *Graph) RunWith(maxElements int64, opts RunOptions) {
 // NodeStats.RowFallbacks.
 type colFallbacker interface{ ColFallbacks() int64 }
 
+// sourceFailed records a source's panic as a run failure.
+func (r *concRun) sourceFailed(idx int, src stream.Source, rec interface{}) {
+	name := fmt.Sprintf("source %d", idx)
+	if sch := src.Schema(); sch != nil {
+		name += " (" + sch.Name + ")"
+	}
+	r.g.failRun(name, rec)
+	if r.g.failHook != nil {
+		r.g.failHook()
+	}
+}
+
 // sendTo delivers one batch to a node's input channel, sampling the
 // queue depth (in elements) for MaxQueue.
 func (r *concRun) sendTo(to NodeID, port int, b []stream.Element) {
@@ -1787,6 +1799,29 @@ func (r *concRun) runSource(idx int, s *sourceNode, maxElements int64, wg *sync.
 		w.add(stream.Punct(stream.BarrierPunct(epoch))) // punctuation: flushes the batch
 		r.ctl.wait(epoch)
 	}
+	defer func() {
+		// A source that panics (in its own Next, or by handing over a
+		// tuple that does not fit its schema when transposed) fails the run
+		// the way a panicking operator does, instead of taking the process
+		// down; the pipeline still drains and closes.
+		if rec := recover(); rec != nil {
+			if cw != nil && cw.cur != nil {
+				cw.cur.Release() // possibly ragged: never forwarded
+				cw.cur = nil
+			}
+			r.sourceFailed(idx, s.src, rec)
+		}
+		if r.ctl != nil {
+			// This source is done: a pending epoch can no longer receive its
+			// barrier, and future epochs would wait on it forever.
+			r.ctl.shutdown(fmt.Errorf("exec: source %d exhausted mid-epoch", idx))
+		}
+		if cw != nil {
+			cw.flushCol()
+		}
+		w.flush()
+		r.closeDownstream(s.out)
+	}()
 	for maxElements < 0 || sent < maxElements {
 		if r.g.halted.Load() {
 			break // fail-fast: stop feeding, let the pipeline drain
@@ -1870,14 +1905,4 @@ func (r *concRun) runSource(idx int, s *sourceNode, maxElements int64, wg *sync.
 			}
 		}
 	}
-	if r.ctl != nil {
-		// This source is done: a pending epoch can no longer receive its
-		// barrier, and future epochs would wait on it forever.
-		r.ctl.shutdown(fmt.Errorf("exec: source %d exhausted mid-epoch", idx))
-	}
-	if cw != nil {
-		cw.flushCol()
-	}
-	w.flush()
-	r.closeDownstream(s.out)
 }

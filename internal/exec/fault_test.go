@@ -263,3 +263,37 @@ func TestRunConcurrentDegradeCompletesHealthyBranch(t *testing.T) {
 		t.Errorf("healthy branch delivered %d, want %d", st.Out, n)
 	}
 }
+
+// A source that panics — here by handing the columnar transpose a tuple
+// shorter than its schema — is a run failure like an operator panic:
+// Err reports it, the run returns, the process survives.
+func TestRunWithSourcePanicIsFailure(t *testing.T) {
+	in := elems(100)
+	in[40] = stream.Tup(tuple.New(40, tuple.Time(40))) // arity 1, schema says 2
+	var got int64
+	g := NewGraph(func(stream.Element) { got++ })
+	src := g.AddSource(stream.FromElements(sch, in...))
+	n := g.AddOp(&panicOp{name: "pass", after: 1 << 30})
+	if err := g.ConnectSource(src, n, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.ConnectOut(n); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.RunWith(-1, RunOptions{Columnar: true, BatchSize: 16})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return")
+	}
+	if g.Err() == nil {
+		t.Error("short tuple transposed without a failure")
+	}
+	if got != 32 {
+		t.Errorf("sink saw %d elements, want the 32 of the two batches before the ragged one", got)
+	}
+}

@@ -35,6 +35,12 @@ type node struct {
 	out      []edge
 	stats    NodeStats
 	detached bool // true after a panic: the node no longer processes input
+	// emit is the serial loop's output callback for this node, built once
+	// in AddOp: it counts the output and queues it on every out edge.
+	emit ops.Emit
+	// memNext is the stats.In count at which the serial loop polls
+	// MemSize next (see memStrideFor).
+	memNext int64
 }
 
 // NodeStats is per-operator introspection (Aurora-style, slide 47).
@@ -147,11 +153,12 @@ func (f *NodeFailure) Error() string {
 }
 
 type sourceNode struct {
-	src    stream.Source
-	out    []edge
-	peeked *stream.Element
-	done   bool
-	count  int64
+	src       stream.Source
+	out       []edge
+	peeked    stream.Element // valid while hasPeeked
+	hasPeeked bool
+	done      bool
+	count     int64
 }
 
 // Graph is a dataflow of sources and operators.
@@ -164,6 +171,10 @@ type Graph struct {
 	// dropped (tail-drop under overload) and counted.
 	workCap int
 	dropped int64
+	// queue is the serial loop's pending work, consumed FIFO from qhead
+	// and reset once drained, so a steady run reuses one backing array.
+	queue []work
+	qhead int
 
 	// Panic isolation: operator panics become recorded node failures
 	// instead of crashing (or deadlocking) the whole run.
@@ -233,6 +244,16 @@ func (g *Graph) recordPanic(id NodeID, n *node, r interface{}) {
 	}
 }
 
+// failRun records a failure that belongs to no operator node (a source,
+// a checkpoint restore) and halts the run under either failure policy:
+// there is no node to detach.
+func (g *Graph) failRun(op string, cause interface{}) {
+	g.failMu.Lock()
+	g.failed = append(g.failed, NodeFailure{Node: -1, Op: op, Panic: cause, Stack: string(debug.Stack())})
+	g.failMu.Unlock()
+	g.halted.Store(true)
+}
+
 // AddSource registers a stream source; connect it with ConnectSource.
 func (g *Graph) AddSource(src stream.Source) int {
 	g.sources = append(g.sources, &sourceNode{src: src})
@@ -241,7 +262,14 @@ func (g *Graph) AddSource(src stream.Source) int {
 
 // AddOp registers an operator and returns its node ID.
 func (g *Graph) AddOp(op ops.Operator) NodeID {
-	g.nodes = append(g.nodes, &node{op: op})
+	n := &node{op: op}
+	n.emit = func(out stream.Element) {
+		n.stats.Out++
+		for _, ed := range n.out {
+			g.queue = append(g.queue, work{to: ed.to, port: ed.port, e: out})
+		}
+	}
+	g.nodes = append(g.nodes, n)
 	return NodeID(len(g.nodes) - 1)
 }
 
@@ -311,7 +339,7 @@ func (s *sourceNode) peek() (stream.Element, bool) {
 	if s.done {
 		return stream.Element{}, false
 	}
-	if s.peeked == nil {
+	if !s.hasPeeked {
 		e, ok := s.src.Next()
 		if !ok {
 			if r, resumable := s.src.(stream.Resumable); !resumable || !r.Resumable() {
@@ -319,14 +347,14 @@ func (s *sourceNode) peek() (stream.Element, bool) {
 			}
 			return stream.Element{}, false
 		}
-		s.peeked = &e
+		s.peeked, s.hasPeeked = e, true
 	}
-	return *s.peeked, true
+	return s.peeked, true
 }
 
 func (s *sourceNode) take() stream.Element {
-	e := *s.peeked
-	s.peeked = nil
+	e := s.peeked
+	s.peeked, s.hasPeeked = stream.Element{}, false
 	s.count++
 	return e
 }
@@ -355,7 +383,6 @@ func (g *Graph) Run(maxElements int64) int64 {
 // mechanism behind persistent/continuous queries (slide 19).
 func (g *Graph) Pump(maxElements int64) int64 {
 	var consumed int64
-	var queue []work
 	for maxElements < 0 || consumed < maxElements {
 		if g.halted.Load() {
 			break
@@ -379,40 +406,52 @@ func (g *Graph) Pump(maxElements int64) int64 {
 		e := src.take()
 		consumed++
 		for _, ed := range src.out {
-			queue = append(queue, work{to: ed.to, port: ed.port, e: e})
+			g.queue = append(g.queue, work{to: ed.to, port: ed.port, e: e})
 		}
-		g.drain(&queue)
+		g.drain()
 	}
 	return consumed
 }
 
-// Finish flushes every operator (end-of-stream).
-func (g *Graph) Finish() {
-	var queue []work
-	g.flush(&queue)
-}
-
 // drain processes pending work FIFO until empty.
-func (g *Graph) drain(queue *[]work) {
-	for len(*queue) > 0 {
+func (g *Graph) drain() {
+	for g.qhead < len(g.queue) {
 		if g.halted.Load() {
-			// Fail-fast: abandon pending work; Err carries the cause.
-			*queue = (*queue)[:0]
-			return
+			break // fail-fast: abandon pending work; Err carries the cause
 		}
-		if g.workCap > 0 && len(*queue) > g.workCap {
-			// Overload: tail-drop the oldest pending tuple.
-			*queue = (*queue)[1:]
-			g.dropped++
+		w := g.queue[g.qhead]
+		overload := g.workCap > 0 && len(g.queue)-g.qhead > g.workCap
+		g.queue[g.qhead] = work{} // a consumed slot must not pin its tuple
+		g.qhead++
+		if overload {
+			g.dropped++ // tail-drop the oldest pending tuple
 			continue
 		}
-		w := (*queue)[0]
-		*queue = (*queue)[1:]
-		g.dispatch(w, queue)
+		g.dispatch(w)
 	}
+	clear(g.queue[g.qhead:]) // non-empty only after a fail-fast break
+	g.queue, g.qhead = g.queue[:0], 0
 }
 
-func (g *Graph) dispatch(w work, queue *[]work) {
+// memStrideFor is how many inputs the serial loop lets pass before it
+// polls an operator's MemSize again, given the size it last reported.
+// MemSize can be O(live state) — GroupBy walks every group of every
+// open pane — so a fixed stride puts state-proportional work on every
+// arrival. An entry MemSize visits accounts for at least memPollBytes
+// of the total, so one poll per size/memPollBytes inputs keeps the walk
+// to about one entry per input however large the state grows.
+func memStrideFor(size int) int64 {
+	const (
+		minStride    = 64
+		memPollBytes = 64
+	)
+	if s := int64(size / memPollBytes); s > minStride {
+		return s
+	}
+	return minStride
+}
+
+func (g *Graph) dispatch(w work) {
 	if w.to < 0 {
 		g.sink(w.e)
 		return
@@ -422,39 +461,35 @@ func (g *Graph) dispatch(w work, queue *[]work) {
 		return // degraded node: input is discarded
 	}
 	n.stats.In++
-	if l := len(*queue); l > n.stats.MaxQueue {
+	if l := len(g.queue) - g.qhead; l > n.stats.MaxQueue {
 		n.stats.MaxQueue = l
 	}
-	g.safePush(w.to, n, w.port, w.e, queue)
-	// MemSize can be O(live state), so the high-water mark is sampled on
-	// a stride, not per element; Run takes an exact final sample after
-	// every operator's Flush.
-	if !n.detached && n.stats.In%64 == 1 {
-		if m := n.op.MemSize(); m > n.stats.MaxMemory {
+	g.safePush(w.to, n, w.port, w.e)
+	// The high-water mark is sampled on a stride (memStrideFor), not per
+	// element; Finish takes an exact sample after every operator's Flush.
+	if !n.detached && n.stats.In >= n.memNext {
+		m := n.op.MemSize()
+		if m > n.stats.MaxMemory {
 			n.stats.MaxMemory = m
 		}
+		n.memNext = n.stats.In + memStrideFor(m)
 	}
 }
 
 // safePush is the panic-isolation boundary around one operator push.
-func (g *Graph) safePush(id NodeID, n *node, port int, e stream.Element, queue *[]work) {
+func (g *Graph) safePush(id NodeID, n *node, port int, e stream.Element) {
 	defer func() {
 		if r := recover(); r != nil {
 			g.recordPanic(id, n, r)
 		}
 	}()
-	n.op.Push(port, e, func(out stream.Element) {
-		n.stats.Out++
-		for _, ed := range n.out {
-			*queue = append(*queue, work{to: ed.to, port: ed.port, e: out})
-		}
-	})
+	n.op.Push(port, e, n.emit)
 }
 
-// flush finalizes operators in insertion order (sources feed nodes in
-// the order they were added, so insertion order is a valid topological
-// order for graphs built front-to-back).
-func (g *Graph) flush(queue *[]work) {
+// Finish flushes every operator (end-of-stream), in insertion order
+// (sources feed nodes in the order they were added, so insertion order
+// is a valid topological order for graphs built front-to-back).
+func (g *Graph) Finish() {
 	for id := range g.nodes {
 		if g.halted.Load() {
 			return
@@ -463,8 +498,8 @@ func (g *Graph) flush(queue *[]work) {
 		if n.detached {
 			continue
 		}
-		g.safeFlush(NodeID(id), n, queue)
-		g.drain(queue)
+		g.safeFlush(NodeID(id), n)
+		g.drain()
 		// Exact post-flush sample: state peaks here, and the strided
 		// dispatch-time sampling may have skipped the true maximum.
 		if m := n.op.MemSize(); m > n.stats.MaxMemory {
@@ -474,18 +509,13 @@ func (g *Graph) flush(queue *[]work) {
 }
 
 // safeFlush is the panic-isolation boundary around one operator flush.
-func (g *Graph) safeFlush(id NodeID, n *node, queue *[]work) {
+func (g *Graph) safeFlush(id NodeID, n *node) {
 	defer func() {
 		if r := recover(); r != nil {
 			g.recordPanic(id, n, r)
 		}
 	}()
-	n.op.Flush(func(out stream.Element) {
-		n.stats.Out++
-		for _, ed := range n.out {
-			*queue = append(*queue, work{to: ed.to, port: ed.port, e: out})
-		}
-	})
+	n.op.Flush(n.emit)
 }
 
 // RunConcurrent executes the graph with one goroutine per operator and

@@ -284,3 +284,74 @@ func TestRunConcurrentJoinCompleteness(t *testing.T) {
 		t.Errorf("join results = %d, want 4000", n)
 	}
 }
+
+// sizedOp forwards its input and reports a fixed MemSize, counting how
+// often the engine asks.
+type sizedOp struct {
+	size  int
+	polls int
+}
+
+func (s *sizedOp) Name() string                                { return "sized" }
+func (s *sizedOp) OutSchema() *tuple.Schema                    { return sch }
+func (s *sizedOp) NumInputs() int                              { return 1 }
+func (s *sizedOp) MemSize() int                                { s.polls++; return s.size }
+func (s *sizedOp) Push(_ int, e stream.Element, emit ops.Emit) { emit(e) }
+func (s *sizedOp) Flush(ops.Emit)                              {}
+
+func serialChain(t *testing.T, op ops.Operator, src stream.Source, sink Sink) *Graph {
+	t.Helper()
+	g := NewGraph(sink)
+	n := g.AddOp(op)
+	if err := g.ConnectSource(g.AddSource(src), n, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.ConnectOut(n); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// The serial loop's MemSize poll must cost O(1) per input however large
+// the state: the stride grows with the size last reported, and the
+// high-water mark is still recorded (exactly, after Flush).
+func TestSerialLoopMemPollAmortised(t *testing.T) {
+	const n = 100000
+	small, big := &sizedOp{size: 100}, &sizedOp{size: 64 << 20}
+	for _, op := range []*sizedOp{small, big} {
+		g := serialChain(t, op, stream.FromElements(sch, elems(n)...), nil)
+		g.Run(-1)
+		if got := g.Stats(0).MaxMemory; got != op.size {
+			t.Errorf("size %d: MaxMemory = %d", op.size, got)
+		}
+	}
+	if small.polls < n/128 {
+		t.Errorf("small state polled %d times over %d inputs: the high-water mark is undersampled", small.polls, n)
+	}
+	if big.polls > 3 {
+		t.Errorf("64 MiB state polled %d times over %d inputs, want the first input and the post-flush sample only", big.polls, n)
+	}
+}
+
+// A steady serial run allocates nothing per arrival: the peeked element
+// is held by value, each node's emit is built once, and the work queue
+// is reused.
+func TestSerialLoopNoAllocPerArrival(t *testing.T) {
+	const n = 4096
+	in := elems(n)
+	src := stream.FromElements(sch, in...)
+	var out int
+	g := serialChain(t, mustSelect(t, -1), src, func(stream.Element) { out++ })
+	g.Pump(-1) // grow the queue once
+	allocs := testing.AllocsPerRun(5, func() {
+		src.Reset()
+		g.sources[0].done = false
+		g.Pump(-1)
+	})
+	if out != 7*n {
+		t.Fatalf("sink saw %d elements, want %d", out, 7*n)
+	}
+	if allocs > 8 {
+		t.Errorf("%v allocations per %d-element pump, want none per arrival", allocs, n)
+	}
+}

@@ -168,6 +168,12 @@ func (p *PacketTrace) Next() (stream.Element, bool) {
 	return stream.Tup(t), true
 }
 
+// NextBatch implements stream.BulkSource: the trace is generated, never
+// waited for.
+func (p *PacketTrace) NextBatch(dst []stream.Element, max int) ([]stream.Element, bool) {
+	return stream.FillBatch(p, dst, max)
+}
+
 var httpPayloads = []string{
 	"GET /index.html HTTP/1.1\r\nHost: example.com",
 	"HTTP/1.1 200 OK\r\nContent-Type: text/html",

@@ -25,6 +25,11 @@ type Plan struct {
 	IsAgg      bool
 	steps      []string
 	build      func(g *exec.Graph, sources map[string]stream.Source) error
+	// partitionable: the plan's join (if any) can run behind the
+	// key-partition router, the only concurrent lane that reproduces the
+	// serial loop's cross-port arrival order.
+	partitionable bool
+	stats         []exec.NamedStats
 }
 
 // Explain renders the physical plan.
@@ -44,6 +49,86 @@ func (p *Plan) Build(g *exec.Graph, sources map[string]stream.Source) error {
 	return p.build(g, sources)
 }
 
+// executeBatch is the edge batch size of Execute's batch lane. A batch
+// never waits to fill (see Execute), so the size only bounds how much
+// one bulk read takes; 256 is what the wire path and the benchmark's
+// engine-lane rungs run at.
+const executeBatch = 256
+
+// Execute is the one way a compiled plan runs to completion: it wires
+// the plan into a fresh graph over sources, runs it until the sources
+// end or maxElements source elements have been consumed (< 0 = no
+// budget; with several sources the budget counts across all of them in
+// arrival order), flushes, and returns the first operator failure.
+// Every result tuple goes to sink; the tuples are heap rows the caller
+// may keep.
+//
+// The engine lane follows from what the bound sources can do. When
+// every FROM source is a stream.BulkSource — "hand over what is
+// available now; a short read means momentarily idle" — the plan runs
+// on the batched columnar engine (exec.RunWith, width 1): bulk reads
+// never wait for a batch to fill, so no result is held back. sink is
+// then called from an engine goroutine: calls are serial and the last
+// one happens before Execute returns. A plain stream.Source may block
+// in Next with elements already handed over, so such plans run on the
+// per-arrival serial loop (Graph.Run), which pushes each element to
+// completion before asking for the next; sink then runs on the calling
+// goroutine. Both lanes produce the same rows in the same order.
+func (p *Plan) Execute(sources map[string]stream.Source, sink func(*tuple.Tuple), maxElements int64) error {
+	g := exec.NewGraph(func(e stream.Element) {
+		if !e.IsPunct() {
+			sink(e.Tuple)
+		}
+	})
+	if err := p.Build(g, sources); err != nil {
+		return err
+	}
+	if p.batchLane(sources, maxElements) {
+		g.RunWith(maxElements, exec.RunOptions{
+			Columnar:  true,
+			BatchSize: executeBatch,
+			// Two sources feed two goroutines; the partition router's
+			// timestamp merge restores the serial cross-port order.
+			PartitionJoins: len(p.Q.From) > 1,
+		})
+	} else {
+		g.Run(maxElements)
+	}
+	p.stats = g.AllStats()
+	return g.Err()
+}
+
+// batchLane reports whether Execute may run the plan on the batched
+// engine and still produce exactly the serial loop's output.
+func (p *Plan) batchLane(sources map[string]stream.Source, maxElements int64) bool {
+	from := p.Q.From
+	if len(from) > 1 {
+		switch {
+		case maxElements >= 0:
+			// RunWith budgets each source separately; the serial loop
+			// counts one budget over the timestamp merge of all of them.
+			return false
+		case !p.partitionable:
+			// Only the key-partitioned lane re-derives that merge order.
+			return false
+		case from[0].Stream == from[1].Stream:
+			// A self-join binds one source to both ports, which two source
+			// goroutines must not share.
+			return false
+		}
+	}
+	for _, fi := range from {
+		if _, ok := sources[fi.Stream].(stream.BulkSource); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// Stats returns the per-operator counters of the last Execute, in
+// graph order: Batches > 0 on a node means the batched lane ran it.
+func (p *Plan) Stats() []exec.NamedStats { return p.stats }
+
 // Run compiles and executes a query over the given sources, returning
 // up to limit result tuples (limit < 0 = all, sources must be finite).
 func Run(text string, cat *Catalog, sources map[string]stream.Source, limit int) ([]*tuple.Tuple, *Plan, error) {
@@ -56,15 +141,14 @@ func Run(text string, cat *Catalog, sources map[string]stream.Source, limit int)
 		return nil, nil, err
 	}
 	var out []*tuple.Tuple
-	g := exec.NewGraph(func(e stream.Element) {
-		if !e.IsPunct() && (limit < 0 || len(out) < limit) {
-			out = append(out, e.Tuple)
+	err = plan.Execute(sources, func(t *tuple.Tuple) {
+		if limit < 0 || len(out) < limit {
+			out = append(out, t)
 		}
-	})
-	if err := plan.Build(g, sources); err != nil {
+	}, -1)
+	if err != nil {
 		return nil, nil, err
 	}
-	g.Run(-1)
 	return out, plan, nil
 }
 
@@ -579,9 +663,10 @@ func compileJoin(q *Query, streams []*boundStream) (*Plan, error) {
 	}
 
 	plan := &Plan{
-		Q:         q,
-		OutSchema: outSchema,
-		IsJoin:    true,
+		Q:             q,
+		OutSchema:     outSchema,
+		IsJoin:        true,
+		partitionable: join.CanPartition(),
 		Bounded: BoundedMemory{
 			OK: left.item.HasWindow && right.item.HasWindow,
 			Reasons: []string{

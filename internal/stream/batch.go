@@ -91,3 +91,17 @@ func (s *SliceSource) NextBatch(dst []Element, max int) ([]Element, bool) {
 	s.pos += n
 	return dst, s.pos < len(s.elems)
 }
+
+// FillBatch implements BulkSource.NextBatch for a source whose Next
+// never blocks (a generator): it appends up to max elements to dst, and
+// reports false once the source ends.
+func FillBatch(src Source, dst []Element, max int) ([]Element, bool) {
+	for ; max > 0; max-- {
+		e, ok := src.Next()
+		if !ok {
+			return dst, false
+		}
+		dst = append(dst, e)
+	}
+	return dst, true
+}

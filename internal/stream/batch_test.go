@@ -103,3 +103,36 @@ func TestSliceSourceNextBatchInterleaved(t *testing.T) {
 		t.Fatalf("Next after NextBatch: ts=%d ok=%v, want 4 true", e.Ts(), ok)
 	}
 }
+
+// Limit must not hide that its source can hand over elements in bulk,
+// and its cap stays exact when a bulk read straddles it.
+func TestLimitForwardsNextBatch(t *testing.T) {
+	bulk, ok := Limit(NewTrafficStream(1, 1000, 10), 7).(BulkSource)
+	if !ok {
+		t.Fatal("Limit over a BulkSource must be a BulkSource")
+	}
+	got, more := bulk.NextBatch(nil, 4)
+	if len(got) != 4 || !more {
+		t.Fatalf("first chunk: len=%d more=%v, want 4 true", len(got), more)
+	}
+	if e, ok := bulk.Next(); !ok || e.Ts() <= got[3].Ts() {
+		t.Fatalf("Next between bulk reads: ts=%d ok=%v", e.Ts(), ok)
+	}
+	got, more = bulk.NextBatch(got, 4)
+	if len(got) != 6 || more {
+		t.Fatalf("chunk across the cap: len=%d more=%v, want 6 false", len(got), more)
+	}
+	if got, more = bulk.NextBatch(got, 4); len(got) != 6 || more {
+		t.Fatalf("read past the cap: len=%d more=%v", len(got), more)
+	}
+	// Same seed, element at a time: the bulk reads skipped nothing.
+	want := Drain(Limit(NewTrafficStream(1, 1000, 10), 7), -1)
+	if got[0].Ts() != want[0].Ts() || got[5].Ts() != want[6].Ts() {
+		t.Errorf("bulk reads saw ts %d..%d, element reads %d..%d", got[0].Ts(), got[5].Ts(), want[0].Ts(), want[6].Ts())
+	}
+
+	blocking := &FuncSource{Sch: TrafficSchema("T"), Fn: func() (Element, bool) { return Element{}, false }}
+	if _, ok := Limit(blocking, 7).(BulkSource); ok {
+		t.Error("Limit over a plain Source must stay a plain Source: its Next may block")
+	}
+}

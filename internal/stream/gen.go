@@ -158,6 +158,12 @@ func (g *Generator) Next() (Element, bool) {
 	return Tup(tuple.New(g.now, vals...)), true
 }
 
+// NextBatch implements BulkSource: the generator computes its elements
+// and never waits for them.
+func (g *Generator) NextBatch(dst []Element, max int) ([]Element, bool) {
+	return FillBatch(g, dst, max)
+}
+
 // MeasurementSchema is the generic sensor/measurement stream schema
 // (slide 3: "measurement data streams monitor evolution of entity
 // states").

@@ -69,16 +69,49 @@ func (f *FuncSource) Schema() *tuple.Schema { return f.Sch }
 // Next implements Source.
 func (f *FuncSource) Next() (Element, bool) { return f.Fn() }
 
-// Limit caps a source at n elements.
+// Limit caps a source at n elements. The result is a BulkSource exactly
+// when src is one: capping a source must not hide from the engine that
+// it can hand over many elements per call.
 func Limit(src Source, n int) Source {
-	remaining := n
-	return &FuncSource{Sch: src.Schema(), Fn: func() (Element, bool) {
-		if remaining <= 0 {
-			return Element{}, false
-		}
-		remaining--
-		return src.Next()
-	}}
+	l := &limited{src: src, remaining: n}
+	if bulk, ok := src.(BulkSource); ok {
+		return &limitedBulk{limited: l, bulk: bulk}
+	}
+	return l
+}
+
+type limited struct {
+	src       Source
+	remaining int
+}
+
+func (l *limited) Schema() *tuple.Schema { return l.src.Schema() }
+
+func (l *limited) Next() (Element, bool) {
+	if l.remaining <= 0 {
+		return Element{}, false
+	}
+	l.remaining--
+	return l.src.Next()
+}
+
+type limitedBulk struct {
+	*limited
+	bulk BulkSource
+}
+
+// NextBatch implements BulkSource; the cap is exact whatever max is.
+func (l *limitedBulk) NextBatch(dst []Element, max int) ([]Element, bool) {
+	if l.remaining <= 0 {
+		return dst, false
+	}
+	if max > l.remaining {
+		max = l.remaining
+	}
+	before := len(dst)
+	dst, more := l.bulk.NextBatch(dst, max)
+	l.remaining -= len(dst) - before
+	return dst, more && l.remaining > 0
 }
 
 // Skip discards the first n elements of src: the recovery-side replay

@@ -42,7 +42,6 @@ package streamdb
 import (
 	"fmt"
 
-	"streamdb/internal/exec"
 	"streamdb/internal/query"
 	"streamdb/internal/stream"
 	"streamdb/internal/tuple"
@@ -161,7 +160,8 @@ type Result struct {
 }
 
 // Query compiles and runs a query to completion over the bound
-// (finite) sources, returning all result rows.
+// (finite) sources, returning all result rows; an operator failure is
+// returned as the error, never as a short result.
 func (e *Engine) Query(sql string) (*Result, error) {
 	rows, plan, err := query.Run(sql, e.cat, e.sources, -1)
 	if err != nil {
@@ -172,24 +172,19 @@ func (e *Engine) Query(sql string) (*Result, error) {
 
 // QueryInto compiles the query and streams results to sink instead of
 // collecting them; it returns the plan. Use for unbounded sources with
-// a tuple budget.
+// a tuple budget. When every bound source can hand over elements in
+// bulk (stream.BulkSource: slices, generators, transports) the query
+// runs on the batched engine and sink is called from an engine
+// goroutine; calls are always serial, and the last one happens before
+// QueryInto returns. A failing operator stops the run and is returned
+// as the error.
 func (e *Engine) QueryInto(sql string, maxElements int64, sink func(*Tuple)) (*Plan, error) {
-	q, err := query.Parse(sql)
+	plan, err := e.Compile(sql)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := query.Compile(q, e.cat)
-	if err != nil {
+	if err := plan.Execute(e.sources, sink, maxElements); err != nil {
 		return nil, err
 	}
-	g := exec.NewGraph(func(el Element) {
-		if !el.IsPunct() {
-			sink(el.Tuple)
-		}
-	})
-	if err := plan.Build(g, e.sources); err != nil {
-		return nil, err
-	}
-	g.Run(maxElements)
 	return plan, nil
 }
