@@ -34,9 +34,13 @@ type ReconnectConfig struct {
 	MaxBackoff  time.Duration
 	// Timeout is the per-operation write/read deadline. 0 = default 5s.
 	Timeout time.Duration
-	// AckEvery is the sync cadence: after this many tuples the writer
-	// flushes, heartbeats, and waits for a cumulative ack — which makes
-	// it the bound on the in-memory replay buffer. 0 = default 64.
+	// AckEvery is the heartbeat cadence: after this many tuples the
+	// writer asks for a cumulative ack. It does not wait for the answer —
+	// a per-connection reader trims the replay buffer as acks arrive —
+	// until ackWindow heartbeats are unanswered, so the in-memory replay
+	// buffer holds at most ackWindow × AckEvery tuples plus one frame
+	// (a server acking only up to a DurableSeq floor keeps more: see
+	// SessionConfig.DurableSeq). 0 = default 64.
 	AckEvery int
 	// Seed drives the backoff jitter (deterministic tests). 0 = 1.
 	Seed int64
@@ -92,7 +96,7 @@ type ReconnectStats struct {
 	Sent        int64 // distinct tuples accepted by Send/SendBatch
 	Resent      int64 // replayed tuples after reconnects
 	Reconnects  int64 // successful re-dials after a failure
-	Syncs       int64 // heartbeat/ack round trips
+	Syncs       int64 // heartbeats answered by a cumulative ack
 	Bytes       int64 // frame bytes written (including replays)
 	MaxBuffered int   // high-water mark of the replay buffer, in tuples
 	// RecoveryNanos accumulates time from a detected connection
@@ -100,6 +104,16 @@ type ReconnectStats struct {
 	// for mean recovery latency.
 	RecoveryNanos int64
 }
+
+// ackWindow is how many heartbeats may be unanswered before Send blocks.
+// It counts heartbeats, not tuples: a server that acknowledges only up
+// to a durable floor still answers every heartbeat, so the sender keeps
+// going while the floor stands still.
+const ackWindow = 16
+
+// maxFreePayloads bounds the freelist of trimmed frame payload buffers:
+// a window of AckEvery-sized frames in flight plus the one being framed.
+const maxFreePayloads = ackWindow + 1
 
 // pendingFrame is one unacknowledged wire frame. count == 0 marks a v2
 // per-tuple DATA frame carrying sequence seq; count > 0 marks a v3
@@ -125,23 +139,38 @@ func (f *pendingFrame) span() int {
 // bounded replay buffer keyed by sequence number so that after the
 // resume handshake the server sees each tuple exactly once.
 //
+// Acks are pipelined: every frame goes to the socket as soon as it is
+// framed, a heartbeat follows every AckEvery tuples, and a reader
+// goroutine per connection consumes the answers. The sender waits only
+// while ackWindow heartbeats are unanswered; a connection that answers
+// none of them within Timeout is dropped and the unacknowledged tail
+// replayed on the next one.
+//
 // It is safe for concurrent use; sequence numbers are assigned under
 // the writer's lock in Send order.
 type ReconnectWriter struct {
 	cfg ReconnectConfig
 
 	mu            sync.Mutex
+	cond          *sync.Cond // signalled on every ack and every connection loss
 	rng           *rand.Rand
 	conn          net.Conn
 	bw            *bufio.Writer
-	br            *bufio.Reader
 	nextSeq       uint64
 	buffer        []pendingFrame // unacked frames, ascending seq
-	sinceSync     int
+	buffered      int            // tuples in buffer
+	free          [][]byte       // payload buffers of trimmed frames
+	sinceSync     int            // tuples written to conn since the last heartbeat
+	inflight      int            // heartbeats unanswered on conn
+	eosSent       bool           // EOS written on conn
+	eosAcked      bool           // and answered
 	closed        bool
+	finished      bool // Close has returned: no further dials
 	everConnected bool
 	failedAt      time.Time // when the current outage began (zero = healthy)
+	linkErr       error     // why the last connection was dropped
 	stats         ReconnectStats
+	readers       sync.WaitGroup // ack readers, one per connection ever opened
 
 	// v3 negotiation state.
 	wire    int  // version of the current connection (0 = none yet)
@@ -164,7 +193,9 @@ func NewReconnectWriter(cfg ReconnectConfig) (*ReconnectWriter, error) {
 		return nil, errors.New("dsms: ReconnectConfig.Dial required")
 	}
 	f := cfg.fill()
-	return &ReconnectWriter{cfg: f, rng: rand.New(rand.NewSource(f.Seed))}, nil
+	w := &ReconnectWriter{cfg: f, rng: rand.New(rand.NewSource(f.Seed))}
+	w.cond = sync.NewCond(&w.mu)
+	return w, nil
 }
 
 // Stats returns a snapshot of the client counters.
@@ -179,15 +210,7 @@ func (w *ReconnectWriter) Stats() ReconnectStats {
 func (w *ReconnectWriter) Buffered() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.bufferedTuplesLocked()
-}
-
-func (w *ReconnectWriter) bufferedTuplesLocked() int {
-	n := 0
-	for i := range w.buffer {
-		n += w.buffer[i].span()
-	}
-	return n
+	return w.buffered
 }
 
 // NegotiatedWire reports the wire version of the current connection
@@ -267,50 +290,102 @@ func (w *ReconnectWriter) SendBatch(tuples []*tuple.Tuple) error {
 	return w.enqueueLocked(tuples)
 }
 
+// payloadBufLocked returns an empty buffer to encode a frame into,
+// reusing a trimmed frame's when one is free.
+func (w *ReconnectWriter) payloadBufLocked() []byte {
+	if n := len(w.free); n > 0 {
+		buf := w.free[n-1]
+		w.free[n-1] = nil
+		w.free = w.free[:n-1]
+		return buf[:0]
+	}
+	return nil
+}
+
 // enqueueLocked assigns sequence numbers, frames the tuples (one batch
 // frame on v3, per-tuple frames otherwise), appends them to the replay
-// buffer, writes them out, and runs the ack cadence.
+// buffer, puts them on the wire — followed by a heartbeat when the
+// AckEvery cadence is due — and waits only while the ack window is full.
 func (w *ReconnectWriter) enqueueLocked(tuples []*tuple.Tuple) error {
 	first := w.nextSeq + 1
 	start := len(w.buffer)
-	if w.useV3Locked() && w.cfg.Schema != nil {
-		payload, err := tuple.AppendEncodeBatch(nil, w.cfg.Schema, tuples)
+	if w.useV3Locked() {
+		payload, err := tuple.AppendEncodeBatch(w.payloadBufLocked(), w.cfg.Schema, tuples)
 		if err != nil {
 			return err
 		}
 		w.buffer = append(w.buffer, pendingFrame{seq: first, count: len(tuples), payload: payload})
 	} else {
 		for i, t := range tuples {
-			w.buffer = append(w.buffer, pendingFrame{seq: first + uint64(i), payload: tuple.AppendEncode(nil, t)})
+			w.buffer = append(w.buffer, pendingFrame{seq: first + uint64(i), payload: tuple.AppendEncode(w.payloadBufLocked(), t)})
 		}
 	}
 	w.nextSeq += uint64(len(tuples))
-	if n := w.bufferedTuplesLocked(); n > w.stats.MaxBuffered {
-		w.stats.MaxBuffered = n
+	w.buffered += len(tuples)
+	if w.buffered > w.stats.MaxBuffered {
+		w.stats.MaxBuffered = w.buffered
 	}
-	if w.conn == nil {
-		// connectLocked replays the whole buffer, including these frames.
-		if err := w.connectLocked(); err != nil {
+	if w.conn != nil {
+		// A dead connection (nil here, or failed below) is redialed by
+		// awaitLocked, and connectLocked replays the whole buffer,
+		// these frames included.
+		if err := w.shipLocked(start, false); err != nil {
+			w.failLocked(err)
+		}
+	}
+	if w.conn != nil && w.inflight < ackWindow {
+		return nil // the usual case: frame out, window open
+	}
+	return w.awaitLocked("sync", nil, func() bool { return w.inflight < ackWindow })
+}
+
+// shipLocked writes buffer[start:] to the socket, a heartbeat behind
+// every AckEvery tuples. Nothing stays in the bufio buffer: a frame
+// held back for the next one would add the sender's inter-frame gap to
+// every tuple's latency.
+func (w *ReconnectWriter) shipLocked(start int, resent bool) error {
+	for i := start; i < len(w.buffer); i++ {
+		f := &w.buffer[i]
+		if err := w.writeFrameLocked(f); err != nil {
 			return err
 		}
-	} else {
-		for i := start; i < len(w.buffer); i++ {
-			if err := w.writeFrameLocked(&w.buffer[i]); err != nil {
-				// The frames stay in the replay buffer; the reconnect
-				// replays everything unacknowledged before returning.
-				w.failLocked()
-				if err := w.connectLocked(); err != nil {
-					return err
-				}
-				break
+		if resent {
+			w.stats.Resent += int64(f.span())
+		}
+		if w.sinceSync += f.span(); w.sinceSync >= w.cfg.AckEvery {
+			if err := w.heartbeatLocked(); err != nil {
+				return err
 			}
 		}
 	}
-	w.sinceSync += len(tuples)
-	if w.sinceSync >= w.cfg.AckEvery {
-		return w.withRetryLocked("sync", w.syncOnceLocked)
+	return w.bw.Flush()
+}
+
+// heartbeatLocked queues an ack request behind the frames written so
+// far (the caller flushes). The first unanswered one arms the reader's
+// deadline.
+func (w *ReconnectWriter) heartbeatLocked() error {
+	if err := w.bw.WriteByte(frameHeartbeat); err != nil {
+		return err
+	}
+	w.inflight++
+	// Keep the remainder, so heartbeats stay AckEvery tuples apart on
+	// average when frames do not divide the cadence.
+	w.sinceSync %= w.cfg.AckEvery
+	if w.inflight == 1 {
+		w.armReadDeadlineLocked()
 	}
 	return nil
+}
+
+// armReadDeadlineLocked gives the server Timeout to answer whatever is
+// outstanding; an idle connection has no deadline.
+func (w *ReconnectWriter) armReadDeadlineLocked() {
+	var d time.Time
+	if w.inflight > 0 || w.eosSent {
+		d = time.Now().Add(w.cfg.Timeout)
+	}
+	w.conn.SetReadDeadline(d)
 }
 
 // flushOpenLocked frames the open auto-batch, if any.
@@ -318,13 +393,18 @@ func (w *ReconnectWriter) flushOpenLocked() error {
 	if len(w.open) == 0 {
 		return nil
 	}
+	// Detach the batch first: enqueueLocked may wait for the ack window
+	// with the lock released, and a concurrent Send must start a new one.
 	tuples := w.open
+	w.open = nil
 	err := w.enqueueLocked(tuples)
 	// enqueueLocked copied the tuples into encoded payloads; the
 	// accumulation slice can be reused.
-	w.open = w.open[:0]
 	for i := range tuples {
 		tuples[i] = nil
+	}
+	if w.open == nil {
+		w.open = tuples[:0]
 	}
 	return err
 }
@@ -349,7 +429,7 @@ func (w *ReconnectWriter) armTimerLocked() {
 }
 
 // Flush pushes buffered frames to the wire and waits for the server to
-// acknowledge everything sent so far.
+// answer a heartbeat sent behind the last of them.
 func (w *ReconnectWriter) Flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -365,59 +445,80 @@ func (w *ReconnectWriter) Flush() error {
 	if w.conn == nil && len(w.buffer) == 0 && !w.everConnected {
 		return nil
 	}
-	return w.withRetryLocked("flush", w.syncOnceLocked)
+	return w.awaitLocked("flush", w.syncLocked, func() bool { return w.inflight == 0 })
+}
+
+// syncLocked asks for an ack of everything written so far, now.
+func (w *ReconnectWriter) syncLocked() error {
+	w.conn.SetWriteDeadline(time.Now().Add(w.cfg.Timeout))
+	if err := w.heartbeatLocked(); err != nil {
+		return err
+	}
+	return w.bw.Flush()
 }
 
 // Close completes the stream: it delivers any unacknowledged frames,
 // performs the EOS handshake (so the server knows the stream is whole),
-// and closes the connection.
+// closes the connection and waits for the ack readers to exit.
 func (w *ReconnectWriter) Close() error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.closed {
+		w.mu.Unlock()
 		return ErrWriterClosed
 	}
+	w.closed = true
 	if w.flushTimer != nil {
 		w.flushTimer.Stop()
 		w.flushTimer = nil
 	}
-	if err := w.takeAsyncErrLocked(); err != nil {
-		w.closed = true
-		return err
+	err := w.takeAsyncErrLocked()
+	if err == nil {
+		err = w.flushOpenLocked()
 	}
-	if err := w.flushOpenLocked(); err != nil {
-		w.closed = true
-		return err
+	if err == nil {
+		err = w.awaitLocked("EOS", w.sendEOSLocked, func() bool { return w.eosAcked })
 	}
-	w.closed = true
-	if err := w.withRetryLocked("EOS", w.eosLocked); err != nil {
-		return err
-	}
-	w.conn.Close()
-	w.conn, w.bw, w.br = nil, nil, nil
-	return nil
+	w.finished = true
+	w.dropConnLocked()
+	w.mu.Unlock()
+	// Every connection this writer opened is closed by now, so each
+	// reader's pending read fails and it exits.
+	w.readers.Wait()
+	return err
 }
 
-// withRetryLocked runs op over a healthy connection, reconnecting and
-// retrying on failure. Each round's reconnect is itself bounded by
-// MaxAttempts consecutive dial failures, so a dead link terminates.
-func (w *ReconnectWriter) withRetryLocked(what string, op func() error) error {
-	var lastErr error
+// awaitLocked waits, with the lock released, until done reports true on
+// a live connection. Whenever the connection is lost — before the call,
+// while send runs, or while waiting — it redials (which replays the
+// unacknowledged tail) and starts over; send, when non-nil, is what the
+// wait is for and is repeated on each new connection. Each round's
+// reconnect is itself bounded by MaxAttempts consecutive dial failures,
+// so a dead link terminates.
+func (w *ReconnectWriter) awaitLocked(what string, send func() error, done func() bool) error {
 	for round := 0; round < w.cfg.MaxAttempts; round++ {
 		if w.conn == nil {
+			if w.finished {
+				return ErrWriterClosed
+			}
 			if err := w.connectLocked(); err != nil {
 				return err
 			}
 		}
-		if err := op(); err != nil {
-			lastErr = err
-			w.failLocked()
-			continue
+		if send != nil {
+			if err := send(); err != nil {
+				w.failLocked(err)
+				continue
+			}
 		}
-		return nil
+		for w.conn != nil && !done() {
+			w.cond.Wait()
+		}
+		if w.conn != nil {
+			return nil
+		}
 	}
 	return fmt.Errorf("dsms: %s: %s failed after %d rounds: %w",
-		w.cfg.StreamID, what, w.cfg.MaxAttempts, lastErr)
+		w.cfg.StreamID, what, w.cfg.MaxAttempts, w.linkErr)
 }
 
 func uvarintLen(v uint64) int {
@@ -449,29 +550,9 @@ func (w *ReconnectWriter) writeFrameLocked(f *pendingFrame) error {
 	return nil
 }
 
-// syncOnceLocked flushes, heartbeats, and consumes the cumulative ack,
-// trimming the replay buffer.
-func (w *ReconnectWriter) syncOnceLocked() error {
-	w.conn.SetWriteDeadline(time.Now().Add(w.cfg.Timeout))
-	if err := w.bw.WriteByte(frameHeartbeat); err != nil {
-		return err
-	}
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	w.conn.SetReadDeadline(time.Now().Add(w.cfg.Timeout))
-	acked, err := readSeqFrame(w.br, frameAck)
-	if err != nil {
-		return err
-	}
-	w.trimLocked(acked)
-	w.sinceSync = 0
-	w.stats.Syncs++
-	return nil
-}
-
-// eosLocked runs the end-of-stream handshake on the current connection.
-func (w *ReconnectWriter) eosLocked() error {
+// sendEOSLocked starts the end-of-stream handshake on the current
+// connection; the reader completes it.
+func (w *ReconnectWriter) sendEOSLocked() error {
 	w.conn.SetWriteDeadline(time.Now().Add(w.cfg.Timeout))
 	if err := writeSeqFrame(w.bw, frameEOS, w.nextSeq); err != nil {
 		return err
@@ -479,50 +560,120 @@ func (w *ReconnectWriter) eosLocked() error {
 	if err := w.bw.Flush(); err != nil {
 		return err
 	}
-	w.conn.SetReadDeadline(time.Now().Add(w.cfg.Timeout))
-	final, err := readSeqFrame(w.br, frameEOSAck)
-	if err != nil {
-		return err
-	}
-	if final != w.nextSeq {
-		return fmt.Errorf("dsms: EOS acked %d, want %d", final, w.nextSeq)
-	}
-	w.trimLocked(final)
+	w.eosSent = true
+	w.armReadDeadlineLocked()
 	return nil
 }
 
-// trimLocked drops replay-buffer frames whose whole sequence span is
-// acknowledged. Acks land on frame boundaries (the server applies a
-// batch atomically), so a frame is either fully acked or fully kept.
-func (w *ReconnectWriter) trimLocked(seq uint64) {
-	i := 0
-	for i < len(w.buffer) && w.buffer[i].seq+uint64(w.buffer[i].span())-1 <= seq {
-		i++
-	}
-	if i > 0 {
-		w.buffer = append(w.buffer[:0], w.buffer[i:]...)
+// readAcks is one connection's reader: it applies the server's answers
+// (cumulative ACKs in heartbeat order, then the EOSACK) until the
+// connection fails, is superseded or the stream is complete. A read
+// that fails — the deadline armed by the oldest unanswered request
+// included — drops the connection, which wakes any waiting sender into
+// a reconnect.
+func (w *ReconnectWriter) readAcks(conn net.Conn, br *bufio.Reader) {
+	defer w.readers.Done()
+	for {
+		typ, err := br.ReadByte()
+		var seq uint64
+		if err == nil {
+			seq, err = binary.ReadUvarint(br)
+		}
+		w.mu.Lock()
+		if w.conn != conn {
+			w.mu.Unlock()
+			return // superseded: the sender already closed this connection
+		}
+		if err == nil {
+			err = w.applyAckLocked(typ, seq)
+		}
+		if err != nil {
+			w.failLocked(err)
+		}
+		complete := w.eosAcked
+		w.cond.Broadcast()
+		w.mu.Unlock()
+		if err != nil || complete {
+			return
+		}
 	}
 }
 
-// failLocked tears down the current connection and starts the outage
-// clock for recovery-latency accounting.
-func (w *ReconnectWriter) failLocked() {
+// applyAckLocked consumes one server frame: a cumulative ack trims the
+// replay buffer and opens the window by one heartbeat.
+func (w *ReconnectWriter) applyAckLocked(typ byte, seq uint64) error {
+	switch {
+	case typ == frameAck && w.inflight > 0:
+		w.inflight--
+		w.stats.Syncs++
+		w.trimLocked(seq)
+		w.armReadDeadlineLocked()
+		return nil
+	case typ == frameEOSAck && w.eosSent && w.inflight == 0:
+		if seq != w.nextSeq {
+			return fmt.Errorf("dsms: EOS acked %d, want %d", seq, w.nextSeq)
+		}
+		w.trimLocked(seq)
+		w.eosAcked = true
+		return nil
+	}
+	return fmt.Errorf("dsms: unexpected frame %q from server", typ)
+}
+
+// trimLocked drops replay-buffer frames whose whole sequence span is
+// acknowledged, keeping their payload buffers for reuse. Acks land on
+// frame boundaries (the server applies a batch atomically), so a frame
+// is either fully acked or fully kept.
+func (w *ReconnectWriter) trimLocked(seq uint64) {
+	i := 0
+	for i < len(w.buffer) && w.buffer[i].seq+uint64(w.buffer[i].span())-1 <= seq {
+		w.buffered -= w.buffer[i].span()
+		if len(w.free) < maxFreePayloads {
+			w.free = append(w.free, w.buffer[i].payload)
+		}
+		i++
+	}
+	if i > 0 {
+		n := copy(w.buffer, w.buffer[i:])
+		for j := n; j < len(w.buffer); j++ {
+			w.buffer[j] = pendingFrame{} // the freelist owns the payload now
+		}
+		w.buffer = w.buffer[:n]
+	}
+}
+
+// dropConnLocked closes the current connection, if any, forgets what
+// was outstanding on it and wakes whoever was waiting for it. Its
+// reader exits on its own.
+func (w *ReconnectWriter) dropConnLocked() {
 	if w.conn != nil {
 		w.conn.Close()
 		w.conn = nil
 	}
-	w.bw, w.br = nil, nil
-	if w.failedAt.IsZero() {
-		w.failedAt = time.Now()
-	}
+	w.bw = nil
+	w.inflight = 0
+	w.eosSent = false
+	w.cond.Broadcast()
+}
+
+// failLocked drops the current connection after a failed operation.
+func (w *ReconnectWriter) failLocked(err error) {
+	w.linkErr = err
+	w.dropConnLocked()
 }
 
 // connectLocked dials with exponential backoff + jitter, performs the
 // resume handshake (v3 when configured, falling back to v2 when the
 // server rejects it), trims the replay buffer to the server's last
-// applied sequence, and replays the rest.
+// applied sequence, replays the rest, and starts the connection's ack
+// reader.
 func (w *ReconnectWriter) connectLocked() error {
 	resuming := w.everConnected
+	if resuming && w.failedAt.IsZero() {
+		// The outage clock starts when a sender needs the link, not when
+		// the reader saw an idle connection close.
+		w.failedAt = time.Now()
+	}
 	var lastErr error
 	for attempt := 0; attempt < w.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 || !w.failedAt.IsZero() {
@@ -575,17 +726,19 @@ func (w *ReconnectWriter) connectLocked() error {
 				continue
 			}
 		}
-		w.conn, w.bw, w.br = conn, bw, br
+		w.conn, w.bw = conn, bw
 		w.wire = wire
 		w.trimLocked(last)
 		// Replay the unacknowledged tail. A failure here burns the
 		// same attempt budget.
 		if err := w.replayLocked(resuming); err != nil {
-			conn.Close()
-			w.conn, w.bw, w.br = nil, nil, nil
+			w.dropConnLocked()
 			lastErr = err
 			continue
 		}
+		w.armReadDeadlineLocked() // the handshake's deadline no longer applies
+		w.readers.Add(1)
+		go w.readAcks(conn, br)
 		if !w.failedAt.IsZero() {
 			w.stats.RecoveryNanos += time.Since(w.failedAt).Nanoseconds()
 			w.failedAt = time.Time{}
@@ -637,17 +790,12 @@ func (w *ReconnectWriter) convertBufferLocked() {
 	w.buffer = out
 }
 
-// replayLocked rewrites every buffered frame on the fresh connection.
+// replayLocked rewrites every buffered frame on the fresh connection,
+// with heartbeats at the cadence the frames first went out at: none sent
+// on an earlier connection will be answered on this one.
 func (w *ReconnectWriter) replayLocked(countResent bool) error {
-	for i := range w.buffer {
-		if err := w.writeFrameLocked(&w.buffer[i]); err != nil {
-			return err
-		}
-		if countResent {
-			w.stats.Resent += int64(w.buffer[i].span())
-		}
-	}
-	return nil
+	w.sinceSync = 0
+	return w.shipLocked(0, countResent)
 }
 
 // sleepBackoff waits base*2^attempt capped at max, jittered ±50%.

@@ -40,16 +40,18 @@ package dsms
 // v2" and redials with the old HELLO, so mixed-version deployments
 // keep working. v2 'D' frames remain valid on a v3 connection.
 //
-// The protocol is strictly request/response for control frames (the
-// server only writes when asked), so neither side needs a background
-// reader and socket buffers cannot fill with unread acks. Sequence
+// Control frames are request/response — the server only writes when
+// asked, and answers in the order it was asked — but the client does
+// not wait for each answer: it pipelines heartbeats behind its data and
+// a per-connection reader consumes the cumulative acks (reconnect.go),
+// so unread acks cannot fill the socket buffers either. Sequence
 // numbers start at 1 and are contiguous; the server applies frame
 // seq == lastSeq+1, discards seq <= lastSeq as a duplicate (replay
 // after reconnect), and treats a gap or a corrupt frame as a dead
 // connection — the client redials, the HELLOACK tells it the last
 // sequence the server applied, and it resends only the tail. Delivery
 // is exactly-once per stream as long as the client's replay buffer
-// covers the unacknowledged window (it syncs before the bound is hit).
+// covers the unacknowledged window (it blocks before the bound is hit).
 
 import (
 	"bufio"
@@ -356,10 +358,11 @@ func (s *SessionServer) serve(streams int) error {
 	}
 }
 
-// attach resolves (or creates) the session for a HELLO.
-func (s *SessionServer) attach(id string) *session {
+// attach resolves (or creates) the session for a HELLO and reads its
+// resume point. The read takes the session's own lock: a connection the
+// client has given up on may still be applying frames it had buffered.
+func (s *SessionServer) attach(id string) (*session, uint64) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	sess, ok := s.sessions[id]
 	if !ok {
 		sess = &session{id: id, lastSeq: s.cfg.InitialSeqs[id]}
@@ -372,9 +375,15 @@ func (s *SessionServer) attach(id string) *session {
 		}
 	} else {
 		s.stats.Reconnects++
-		s.logf("dsms: session %q resumed at seq %d", id, sess.lastSeq)
 	}
-	return sess
+	s.mu.Unlock()
+	sess.mu.Lock()
+	last := sess.lastSeq
+	sess.mu.Unlock()
+	if ok {
+		s.logf("dsms: session %q resumed at seq %d", id, last)
+	}
+	return sess, last
 }
 
 // ackFloor caps an acknowledged sequence number at the stream's
@@ -470,10 +479,8 @@ func (s *SessionServer) handle(conn net.Conn) {
 				s.countCorrupt()
 				return
 			}
-			sess = s.attach(string(idb))
-			sess.mu.Lock()
-			last := sess.lastSeq
-			sess.mu.Unlock()
+			var last uint64
+			sess, last = s.attach(string(idb))
 			if err := writeSeqFrame(bw, frameHelloAck, s.ackFloor(sess, last)); err != nil {
 				return
 			}
@@ -513,10 +520,8 @@ func (s *SessionServer) handle(conn net.Conn) {
 			if ver < granted {
 				granted = ver
 			}
-			sess = s.attach(string(idb))
-			sess.mu.Lock()
-			last := sess.lastSeq
-			sess.mu.Unlock()
+			var last uint64
+			sess, last = s.attach(string(idb))
 			if err := bw.WriteByte(frameHello3Ack); err != nil {
 				return
 			}

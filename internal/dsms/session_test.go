@@ -234,7 +234,10 @@ func TestSessionMultiStream(t *testing.T) {
 
 func TestSessionReplayBufferBounded(t *testing.T) {
 	addr, _, wait := testServer(t, 1, SessionConfig{})
+	// The documented bound: a window of unanswered heartbeats, AckEvery
+	// tuples apart, plus the frame being sent (one tuple on v2).
 	const ackEvery = 8
+	const bound = ackWindow*ackEvery + 1
 	w, err := NewReconnectWriter(ReconnectConfig{
 		StreamID: "s1",
 		Dial:     func() (net.Conn, error) { return net.Dial("tcp", addr) },
@@ -243,20 +246,20 @@ func TestSessionReplayBufferBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tp := range mkTuples(100) {
+	for _, tp := range mkTuples(20 * bound) {
 		if err := w.Send(tp); err != nil {
 			t.Fatal(err)
 		}
-		if b := w.Buffered(); b > ackEvery {
-			t.Fatalf("replay buffer %d exceeds bound %d", b, ackEvery)
+		if b := w.Buffered(); b > bound {
+			t.Fatalf("replay buffer %d exceeds bound %d", b, bound)
 		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wait()
-	if w.Stats().MaxBuffered > ackEvery {
-		t.Errorf("MaxBuffered %d exceeds bound %d", w.Stats().MaxBuffered, ackEvery)
+	if mb := w.Stats().MaxBuffered; mb > bound {
+		t.Errorf("MaxBuffered %d exceeds bound %d", mb, bound)
 	}
 }
 

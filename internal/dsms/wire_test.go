@@ -635,34 +635,36 @@ func TestReconnectCountersBothWires(t *testing.T) {
 }
 
 func TestWireBatchReplayBufferBounded(t *testing.T) {
-	// The AckEvery bound still holds at tuple granularity when frames
-	// are batched.
+	// The replay-buffer bound holds at tuple granularity when frames are
+	// batched: a window of unanswered heartbeats plus one batch.
 	addr, _, wait := testServer(t, 1, SessionConfig{})
 	const ackEvery = 32
+	const wireBatch = 8
+	const bound = ackWindow*ackEvery + wireBatch
 	w, err := NewReconnectWriter(ReconnectConfig{
 		StreamID:      "s1",
 		Dial:          func() (net.Conn, error) { return net.Dial("tcp", addr) },
 		Schema:        sch,
-		WireBatch:     8,
+		WireBatch:     wireBatch,
 		FlushInterval: -1,
 		AckEvery:      ackEvery,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tp := range mkTuples(200) {
+	for _, tp := range mkTuples(20 * bound) {
 		if err := w.Send(tp); err != nil {
 			t.Fatal(err)
 		}
-		if b := w.Buffered(); b > ackEvery {
-			t.Fatalf("replay buffer %d tuples exceeds bound %d", b, ackEvery)
+		if b := w.Buffered(); b > bound {
+			t.Fatalf("replay buffer %d tuples exceeds bound %d", b, bound)
 		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wait()
-	if mb := w.Stats().MaxBuffered; mb > ackEvery {
-		t.Errorf("MaxBuffered %d exceeds bound %d", mb, ackEvery)
+	if mb := w.Stats().MaxBuffered; mb > bound {
+		t.Errorf("MaxBuffered %d exceeds bound %d", mb, bound)
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 // TestColumnarMatchesRowPipeline drives Select -> Project (both
 // BatchOperators) and requires exact output equality with the row
-// engine, including replicated lanes where the splitter materializes.
+// engine, including replicated lanes.
 func TestColumnarMatchesRowPipeline(t *testing.T) {
 	var elems []stream.Element
 	for i := int64(0); i < 1000; i++ {
@@ -45,6 +45,119 @@ func TestColumnarMatchesRowPipeline(t *testing.T) {
 	} {
 		got := pipelineOutputs(t, elems, cfg)
 		sameSeq(t, fmt.Sprintf("%+v", cfg), got, base)
+	}
+}
+
+// TestColumnarReplicatedLaneKeepsBatches: a column batch must stay one
+// through the replicated stateless lane, at every width and batch size —
+// same bytes as the serial engine, no row fallback on the replicated
+// node, and column batches (not rows) reaching the aggregate behind it.
+func TestColumnarReplicatedLaneKeepsBatches(t *testing.T) {
+	var rows []stream.Element
+	for i := int64(0); i < 1000; i++ {
+		rows = append(rows, el(i, i%40))
+		if i%100 == 99 {
+			rows = append(rows, stream.Punct(stream.ProgressPunct(i, 0, tuple.Time(i))))
+		}
+	}
+	project := func(t *testing.T) *ops.Project {
+		outSch := tuple.NewSchema("P",
+			tuple.Field{Name: "time", Kind: tuple.KindTime, Ordering: true},
+			tuple.Field{Name: "v2", Kind: tuple.KindInt},
+		)
+		dbl, err := expr.NewBin(expr.OpMul, expr.MustColumn(sch, "v"), expr.Constant(tuple.Int(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj, err := ops.NewProject("proj", outSch, []expr.Expr{expr.MustColumn(sch, "time"), dbl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return proj
+	}
+	paneKeep := func(t *testing.T) *ops.Select {
+		pred, err := expr.NewBin(expr.OpGe, expr.MustColumn(paneSch, "v"), expr.Constant(tuple.Float(5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := ops.NewSelect("keep", paneSch, pred, 0.9, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sel
+	}
+	// Each plan is a chain behind one source; the filter is its first
+	// node and, where agg is set, the aggregate its last.
+	plans := []struct {
+		label string
+		sch   *tuple.Schema
+		elems []stream.Element
+		chain func(t *testing.T) []ops.Operator
+		agg   bool
+	}{
+		{"filter", sch, rows, func(t *testing.T) []ops.Operator {
+			return []ops.Operator{mustSelect(t, 10)}
+		}, false},
+		{"filter->project", sch, rows, func(t *testing.T) []ops.Operator {
+			return []ops.Operator{mustSelect(t, 10), project(t)}
+		}, false},
+		{"filter->pane-agg", paneSch, paneStream(3000, false), func(t *testing.T) []ops.Operator {
+			return []ops.Operator{paneKeep(t), paneGroupBy(t, window.Time(80, 20), []string{"sum", "count"}, true)}
+		}, true},
+	}
+	for _, pl := range plans {
+		run := func(opts *RunOptions) (*Graph, []NodeID, []string) {
+			var got []string
+			g := NewGraph(func(e stream.Element) { got = append(got, fmtElem(e)) })
+			src := g.AddSource(stream.FromElements(pl.sch, pl.elems...))
+			var ids []NodeID
+			for i, op := range pl.chain(t) {
+				id := g.AddOp(op)
+				var err error
+				if i == 0 {
+					err = g.ConnectSource(src, id, 0)
+				} else {
+					err = g.Connect(ids[i-1], id, 0)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			if err := g.ConnectOut(ids[len(ids)-1]); err != nil {
+				t.Fatal(err)
+			}
+			if opts == nil {
+				g.Run(-1)
+			} else {
+				g.RunWith(-1, *opts)
+			}
+			if err := g.Err(); err != nil {
+				t.Fatal(err)
+			}
+			return g, ids, got
+		}
+		_, _, base := run(nil)
+		if len(base) == 0 {
+			t.Fatalf("%s: serial baseline produced nothing", pl.label)
+		}
+		for _, width := range []int{1, 2, 4} {
+			for _, bs := range []int{1, 7, 256} {
+				label := fmt.Sprintf("%s width=%d batch=%d", pl.label, width, bs)
+				g, ids, got := run(&RunOptions{BatchSize: bs, Parallelism: width, ForceParallelism: true, Columnar: true})
+				sameSeq(t, label, got, base)
+				if st := g.Stats(ids[0]); st.RowFallbacks != 0 || st.Batches == 0 {
+					t.Errorf("%s: filter saw %d batches, %d fell back to rows; want every batch kept whole",
+						label, st.Batches, st.RowFallbacks)
+				}
+				if pl.agg {
+					if st := g.Stats(ids[len(ids)-1]); st.Batches == 0 || st.RowFallbacks != 0 {
+						t.Errorf("%s: aggregate saw %d column batches, %d row fallbacks; want batches only",
+							label, st.Batches, st.RowFallbacks)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -177,6 +290,7 @@ func TestColumnarCheckpointResume(t *testing.T) {
 	col := RunOptions{BatchSize: 32, Columnar: true}
 	row := RunOptions{BatchSize: 32}
 	par := RunOptions{BatchSize: 32, Parallelism: 3, ForceParallelism: true, Columnar: true}
+	wide := RunOptions{BatchSize: 256, Parallelism: 2, ForceParallelism: true, Columnar: true}
 	for _, tc := range []struct {
 		label         string
 		crash, resume RunOptions
@@ -185,6 +299,7 @@ func TestColumnarCheckpointResume(t *testing.T) {
 		{"columnar/row", col, row},
 		{"row/columnar", row, col},
 		{"parallel columnar", par, par},
+		{"parallel columnar, whole batches through the replicated lane", wide, wide},
 	} {
 		store := ckptStore(t)
 		first, commits := runWithCkpt(t, elems, 1100, tc.crash, store, 149, nil)

@@ -11,14 +11,15 @@
 // row buffer before forwarding a column batch, so the two lanes of one
 // edge never reorder against each other.
 //
-// Consumers that implement ops.BatchOperator get batches natively;
-// everything else — row-only operators, the replicated and
-// key-partitioned splitters, sink edges — materializes rows through
-// Batch.AppendRows at the boundary. Fan-out shares one batch across
-// consumers by reference counting: each extra edge retains, the last
-// send transfers the producer's reference, and a consumer holding a
-// shared batch refines its selection through a view (see
-// stream.Batch.Exclusive).
+// Consumers that implement ops.BatchOperator get batches natively —
+// behind the replicated, partial-aggregate and columnar key-partition
+// splitters too, which pass batches on whole; everything else —
+// row-only operators, the row-mode key-partition splitter, sink edges —
+// materializes rows through Batch.AppendRows at the boundary. Fan-out
+// shares one batch across consumers by reference counting: each extra
+// edge retains, the last send transfers the producer's reference, and a
+// consumer holding a shared batch refines its selection through a view
+// (see stream.Batch.Exclusive).
 
 package exec
 
@@ -117,9 +118,9 @@ func (cw *colWriter) flushCol() {
 	cw.w.addBatch(b) // addBatch releases empty batches itself
 }
 
-// materialize converts a column batch message to a row batch for lanes
-// that stay row-only (replicated and key-partitioned splitters), and
-// drops the batch reference.
+// materialize converts a column batch message to a row batch for the
+// one lane that stays row-only (the row-mode key-partition splitter),
+// and drops the batch reference.
 func (r *concRun) materialize(m batchMsg) batchMsg {
 	elems := m.col.AppendRows(r.pool.Get())
 	m.col.Release()

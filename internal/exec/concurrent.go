@@ -540,6 +540,14 @@ func (w *edgeWriter) add(e stream.Element) {
 
 // flush hands the open batch to every edge. All but the last edge
 // receive a copy; the last takes ownership (consumers recycle batches).
+//
+// Besides a full batch, a punctuation and end of stream, every lane
+// flushes when it goes idle: after handling an input message it checks
+// its input channel and, finding it empty, ships what it has — nothing
+// is on its way that could fill the batch, so holding it only delays
+// the rows in it (a window's last rows would otherwise wait for the
+// next window's close). That is at most one extra flush per input
+// message, so a saturated lane still ships full batches.
 func (w *edgeWriter) flush() {
 	if len(w.buf) == 0 {
 		return
@@ -651,6 +659,9 @@ func (r *concRun) runNode(id NodeID, n *node, wg *sync.WaitGroup) {
 				crashed = true
 			}
 			r.sampleMem(id, n.op)
+			if len(r.chans[id]) == 0 {
+				w.flush() // idle: see edgeWriter.flush
+			}
 			continue
 		}
 		atomic.AddInt64(&r.pending[id], -int64(len(m.elems)))
@@ -679,6 +690,9 @@ func (r *concRun) runNode(id NodeID, n *node, wg *sync.WaitGroup) {
 		}
 		r.pool.Put(m.elems)
 		r.sampleMem(id, n.op)
+		if len(r.chans[id]) == 0 {
+			w.flush() // idle: see edgeWriter.flush
+		}
 	}
 	if !crashed {
 		func() {
@@ -695,20 +709,28 @@ func (r *concRun) runNode(id NodeID, n *node, wg *sync.WaitGroup) {
 	r.closeDownstream(n.out)
 }
 
-// repTask is one sequence-numbered unit of replicated work.
+// repTask is one sequence-numbered unit of replicated work: on the way
+// in, one input message (elems or col, as in batchMsg); on the way out,
+// the outputs it produced, in emit order.
 type repTask struct {
 	seq   uint64
 	port  int
 	elems []stream.Element
+	col   *stream.Batch
+	outs  []batchMsg
 }
 
 // runReplicated executes one Replicable node as P clones with an
-// order-restoring merge: a splitter tags input batches with sequence
+// order-restoring merge: a splitter tags input messages with sequence
 // numbers and round-robins them over P workers; each worker pushes its
-// batches through a private clone; the merger re-emits output batches
-// in sequence order, restoring the exact output order of the
-// unreplicated run. Workers always report a result batch per task (even
-// empty, even after a crash), so the merge sequence never stalls.
+// share through a private clone; the merger re-emits the outputs in
+// sequence order, restoring the exact output order of the unreplicated
+// run. The unit of work is whatever arrived: a column batch stays a
+// column batch through the split, the clone's ProcessBatch and the merge
+// (no data moves; Select only refines the selection vector), so the
+// lanes downstream keep their columnar paths. Workers always report a
+// result per task (even empty, even after a crash), so the merge
+// sequence never stalls.
 func (r *concRun) runReplicated(id NodeID, n *node, rep ops.Replicable, wg *sync.WaitGroup) {
 	defer wg.Done()
 	p := r.poolWidth()
@@ -726,10 +748,33 @@ func (r *concRun) runReplicated(id NodeID, n *node, rep ops.Replicable, wg *sync
 		go func(k int) {
 			defer workWG.Done()
 			op := rep.Clone()
-			process := func(t repTask) (out []stream.Element) {
-				out = r.pool.Get()
+			bop, isBatchOp := op.(ops.BatchOperator)
+			// The current task's outputs: closed segments in outs, the
+			// open row segment in rows.
+			var outs []batchMsg
+			var rows []stream.Element
+			closeRows := func() {
+				if len(rows) > 0 {
+					outs = append(outs, batchMsg{elems: rows})
+					rows = nil
+				}
+			}
+			emit := func(o stream.Element) {
+				if rows == nil {
+					rows = r.pool.Get()
+				}
+				rows = append(rows, o)
+			}
+			emitB := func(b *stream.Batch) {
+				closeRows()
+				outs = append(outs, batchMsg{col: b})
+			}
+			process := func(t repTask) {
 				if crashed.Load() {
-					return out // node detached: discard input
+					if t.col != nil {
+						t.col.Release()
+					}
+					return // node detached: discard input
 				}
 				defer func() {
 					if rec := recover(); rec != nil {
@@ -737,31 +782,46 @@ func (r *concRun) runReplicated(id NodeID, n *node, rep ops.Replicable, wg *sync
 						crashed.Store(true)
 					}
 				}()
+				if t.col != nil {
+					atomic.AddInt64(&n.stats.In, int64(t.col.N()))
+					if isBatchOp {
+						bop.ProcessBatch(t.port, t.col, emitB, emit)
+						return
+					}
+					atomic.AddInt64(&n.stats.RowFallbacks, 1)
+					in := t.col.AppendRows(r.pool.Get())
+					t.col.Release()
+					for _, e := range in {
+						op.Push(t.port, e, emit)
+					}
+					r.pool.Put(in)
+					return
+				}
 				atomic.AddInt64(&n.stats.In, int64(len(t.elems)))
 				for _, e := range t.elems {
 					if e.IsBarrier() {
 						// Stateless lane: nothing to snapshot; the barrier
 						// rides the sequence-ordered merge to emerge in
 						// exactly its input position.
-						out = append(out, e)
+						emit(e)
 						continue
 					}
-					op.Push(t.port, e, func(o stream.Element) {
-						out = append(out, o)
-					})
+					op.Push(t.port, e, emit)
 				}
-				return out
 			}
 			for t := range workCh[k] {
-				out := process(t)
-				r.pool.Put(t.elems)
-				mergeCh <- repTask{seq: t.seq, elems: out}
+				process(t)
+				closeRows()
+				if t.col == nil {
+					r.pool.Put(t.elems)
+				}
+				mergeCh <- repTask{seq: t.seq, outs: outs}
+				outs = nil
 				r.sampleMem(id, op)
 			}
 			// Flush the clone. Replicable operators are stateless, so
 			// this is expected to emit nothing, but any output is still
 			// collected and sequenced after all input batches.
-			fout := r.pool.Get()
 			if !crashed.Load() {
 				func() {
 					defer func() {
@@ -770,10 +830,11 @@ func (r *concRun) runReplicated(id NodeID, n *node, rep ops.Replicable, wg *sync
 							crashed.Store(true)
 						}
 					}()
-					op.Flush(func(o stream.Element) { fout = append(fout, o) })
+					op.Flush(emit)
 				}()
 			}
-			mergeCh <- repTask{seq: totalSeq.Load() + uint64(k), elems: fout}
+			closeRows()
+			mergeCh <- repTask{seq: totalSeq.Load() + uint64(k), outs: outs}
 		}(k)
 	}
 	go func() {
@@ -781,7 +842,7 @@ func (r *concRun) runReplicated(id NodeID, n *node, rep ops.Replicable, wg *sync
 		close(mergeCh)
 	}()
 
-	// Splitter: round-robin input batches over the workers. Barriers
+	// Splitter: round-robin input messages over the workers. Barriers
 	// are aligned here — one arrives per input writer (always a batch's
 	// last element, since punctuations flush batches) and exactly one
 	// continues into the round-robin stream.
@@ -802,15 +863,19 @@ func (r *concRun) runReplicated(id NodeID, n *node, rep ops.Replicable, wg *sync
 				}
 			}
 			if m.col != nil {
-				// Mixed row/column output would break the sequence merge;
-				// this lane stays row-only.
+				// Data-only column batch: one task, passed on whole.
 				atomic.AddInt64(&r.pending[id], -int64(m.col.N()))
+				if m.col.N() == 0 {
+					m.col.Release()
+					continue
+				}
 				n.stats.Batches++
-				n.stats.RowFallbacks++
-				m = r.materialize(m)
-			} else {
-				atomic.AddInt64(&r.pending[id], -int64(len(m.elems)))
+				workCh[k] <- repTask{seq: seq, port: m.port, col: m.col}
+				seq++
+				k = (k + 1) % act
+				continue
 			}
+			atomic.AddInt64(&r.pending[id], -int64(len(m.elems)))
 			var bar stream.Element
 			if l := len(m.elems); l > 0 && m.elems[l-1].IsBarrier() {
 				bar = m.elems[l-1]
@@ -839,45 +904,56 @@ func (r *concRun) runReplicated(id NodeID, n *node, rep ops.Replicable, wg *sync
 		}
 	}()
 
-	// Merger: restore sequence order and re-batch downstream.
+	// Merger: restore sequence order; column batches go downstream as
+	// they are, rows are re-batched.
 	w := r.newEdgeWriter(n.out, id)
-	deliver := func(b []stream.Element) {
-		for _, e := range b {
-			if !e.IsBarrier() {
-				n.stats.Out++
+	deliver := func(outs []batchMsg) {
+		for _, o := range outs {
+			if o.col != nil {
+				n.stats.Out += int64(o.col.N())
+				w.addBatch(o.col)
+				continue
 			}
-			w.add(e)
+			for _, e := range o.elems {
+				if !e.IsBarrier() {
+					n.stats.Out++
+				}
+				w.add(e)
+			}
+			r.pool.Put(o.elems)
 		}
-		r.pool.Put(b)
 	}
-	held := make(map[uint64][]stream.Element)
+	held := make(map[uint64][]batchMsg)
 	var next uint64
 	for t := range mergeCh {
 		if t.seq != next {
-			held[t.seq] = t.elems
+			held[t.seq] = t.outs
 			continue
 		}
-		deliver(t.elems)
+		deliver(t.outs)
 		next++
 		for {
-			b, ok := held[next]
+			outs, ok := held[next]
 			if !ok {
 				break
 			}
 			delete(held, next)
-			deliver(b)
+			deliver(outs)
 			next++
+		}
+		if len(mergeCh) == 0 {
+			w.flush() // idle: see edgeWriter.flush
 		}
 	}
 	// Every sequence number is reported exactly once, so nothing is
 	// left held; be defensive anyway and drain in order.
 	for len(held) > 0 {
-		b, ok := held[next]
+		outs, ok := held[next]
 		if !ok {
 			break
 		}
 		delete(held, next)
-		deliver(b)
+		deliver(outs)
 		next++
 	}
 	w.flush()
@@ -1179,25 +1255,27 @@ func (r *concRun) runPartialReplicated(id NodeID, n *node, pa ops.PartialAggrega
 				min = m
 			}
 		}
-		if min <= released {
-			continue
-		}
-		released = min
-		for k := range queues {
-			q, h := queues[k], heads[k]
-			for h < len(q) && q[h].Tuple.Ts <= min {
-				cpush(q[h])
-				q[h] = stream.Element{}
-				h++
+		if min > released {
+			released = min
+			for k := range queues {
+				q, h := queues[k], heads[k]
+				for h < len(q) && q[h].Tuple.Ts <= min {
+					cpush(q[h])
+					q[h] = stream.Element{}
+					h++
+				}
+				if h == len(q) {
+					queues[k], heads[k] = q[:0], 0
+				} else {
+					heads[k] = h
+				}
 			}
-			if h == len(q) {
-				queues[k], heads[k] = q[:0], 0
-			} else {
-				heads[k] = h
+			if min < math.MaxInt64 {
+				cpush(stream.Punct(&stream.Punctuation{Ts: min}))
 			}
 		}
-		if min < math.MaxInt64 {
-			cpush(stream.Punct(&stream.Punctuation{Ts: min}))
+		if len(partCh) == 0 {
+			w.flush() // idle: see edgeWriter.flush
 		}
 	}
 	if !combCrashed {
@@ -1664,22 +1742,22 @@ func (r *concRun) runKeyPartitioned(id NodeID, n *node, kp ops.KeyPartitionable,
 	var next uint64
 	flushes := make([][]stream.Element, p)
 	kmbar := 0
-	for rep := range mergeCh {
+	merge := func(rep partReply) {
 		if rep.barrier {
 			kmbar++
 			if kmbar == p {
 				kmbar = 0
 				w.add(rep.bar)
 			}
-			continue
+			return
 		}
 		if rep.flush {
 			flushes[rep.worker] = rep.outs
-			continue
+			return
 		}
 		if len(rep.seqs) == 0 {
 			r.pool.Put(rep.outs)
-			continue
+			return
 		}
 		rp := new(partReply)
 		*rp = rep
@@ -1703,6 +1781,12 @@ func (r *concRun) runKeyPartitioned(id NodeID, n *node, kp ops.KeyPartitionable,
 				deliver(h)
 				next++
 			}
+		}
+	}
+	for rep := range mergeCh {
+		merge(rep)
+		if len(mergeCh) == 0 {
+			w.flush() // idle: see edgeWriter.flush
 		}
 	}
 	// Every sequence number is reported exactly once, so nothing is left

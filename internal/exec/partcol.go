@@ -597,7 +597,7 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 	var next uint64
 	flushes := make([][]stream.Element, p)
 	kmbar := 0
-	for rep := range mergeCh {
+	merge := func(rep colPartReply) {
 		if rep.barrier {
 			kmbar++
 			if kmbar == p {
@@ -605,15 +605,15 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 				flushCur() // the barrier must not overtake merged output
 				w.add(rep.bar)
 			}
-			continue
+			return
 		}
 		if rep.flush {
 			flushes[rep.worker] = rep.outs
-			continue
+			return
 		}
 		if len(rep.seqs) == 0 {
 			rep.out.Release()
-			continue
+			return
 		}
 		rp := &colRep{out: rep.out, left: len(rep.seqs)}
 		var lo int32
@@ -635,6 +635,12 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 				deliver(h)
 				next++
 			}
+		}
+	}
+	for rep := range mergeCh {
+		merge(rep)
+		if len(mergeCh) == 0 {
+			flushCur() // idle: see edgeWriter.flush
 		}
 	}
 	for len(held) > 0 {
