@@ -113,6 +113,9 @@ func TestRelationToStreamFeedsContinuousQuery(t *testing.T) {
 			}
 		}
 	}
+	if err := cq.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if alerts != 1 {
 		t.Fatalf("alerts = %d after first snapshot", alerts)
 	}
@@ -122,8 +125,13 @@ func TestRelationToStreamFeedsContinuousQuery(t *testing.T) {
 			cq.Feed("Traffic", el.Tuple)
 		}
 	}
+	if err := cq.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if alerts != 2 {
 		t.Fatalf("alerts = %d after second snapshot (IStream must emit only the insertion)", alerts)
 	}
-	cq.Close()
+	if err := cq.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

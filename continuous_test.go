@@ -30,16 +30,24 @@ func TestContinuousFilterStreamsIncrementally(t *testing.T) {
 	if err := cq.Feed("Traffic", tupleAt(1, 1, 50)); err != nil {
 		t.Fatal(err)
 	}
+	if err := cq.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 0 {
 		t.Fatal("filtered tuple emitted")
 	}
 	if err := cq.Feed("Traffic", tupleAt(2, 1, 200)); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0] != 200 {
-		t.Fatalf("got = %v (results must arrive per Feed, not at Close)", got)
+	if err := cq.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	cq.Close()
+	if len(got) != 1 || got[0] != 200 {
+		t.Fatalf("got = %v (results must arrive as fed, not at Close)", got)
+	}
+	if err := cq.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 1 {
 		t.Errorf("close produced extra results: %v", got)
 	}
@@ -59,11 +67,17 @@ func TestContinuousWindowedAggregateClosesOnAdvance(t *testing.T) {
 	}
 	cq.Feed("Traffic", tupleAt(1*Second, 1, 10))
 	cq.Feed("Traffic", tupleAt(2*Second, 1, 10))
+	if err := cq.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if len(counts) != 0 {
 		t.Fatal("window emitted early")
 	}
 	// Progress punctuation past the window boundary closes it.
 	if err := cq.Advance("Traffic", 10*Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := cq.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if len(counts) != 1 || counts[0] != 2 {
@@ -98,13 +112,20 @@ func TestContinuousErrors(t *testing.T) {
 	if err := cq.Advance("Other", 1); err == nil {
 		t.Error("advancing unknown stream accepted")
 	}
-	cq.Close()
-	cq.Close() // idempotent
+	if err := cq.Close(); err != nil {
+		t.Error(err)
+	}
+	if err := cq.Close(); err != nil { // idempotent
+		t.Error(err)
+	}
 	if err := cq.Feed("Traffic", tupleAt(1, 1, 1)); err == nil {
 		t.Error("feed after close accepted")
 	}
 	if err := cq.Advance("Traffic", 1); err == nil {
 		t.Error("advance after close accepted")
+	}
+	if err := cq.Flush(); err == nil {
+		t.Error("flush after close accepted")
 	}
 	if cq.Plan() == nil {
 		t.Error("plan missing")
@@ -126,6 +147,12 @@ func TestContinuousMultipleQueriesIndependent(t *testing.T) {
 		tp := tupleAt(i, 1, uint64(i*100))
 		q1.Feed("Traffic", tp)
 		q2.Feed("Traffic", tp)
+	}
+	if err := q1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := q2.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if a != 8 || b != 4 {
 		t.Errorf("a = %d (want 8), b = %d (want 4)", a, b)

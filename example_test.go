@@ -89,6 +89,8 @@ func ExampleEngine_Compile() {
 }
 
 // A persistent query: results stream out as elements are pushed in.
+// Feed only enqueues; Flush waits until what was fed has reached the
+// sink.
 func ExampleEngine_RegisterContinuous() {
 	eng := streamdb.New()
 	eng.RegisterSchema("Traffic", trafficSchema())
@@ -102,8 +104,11 @@ func ExampleEngine_RegisterContinuous() {
 		panic(err)
 	}
 	cq.Feed("Traffic", packet(1, 1, 200))  // no output
-	cq.Feed("Traffic", packet(2, 1, 1400)) // alert fires immediately
+	cq.Feed("Traffic", packet(2, 1, 1400)) // alert fires without waiting for more input
+	cq.Flush()                             // ... and has fired by now
+	fmt.Println("flushed")
 	cq.Close()
 	// Output:
 	// alert: 1400
+	// flushed
 }

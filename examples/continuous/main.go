@@ -78,11 +78,24 @@ func main() {
 				log.Fatal(err)
 			}
 		}
+		// Feed and Advance only enqueue; Flush returns once the sinks have
+		// seen everything fed so far, which keeps this second's output
+		// ahead of the next second's.
+		if err := alert.Flush(); err != nil {
+			log.Fatal(err)
+		}
 		if err := talkers.Advance("Traffic", (sec+1)*streamdb.Second); err != nil {
 			log.Fatal(err)
 		}
+		if err := talkers.Flush(); err != nil {
+			log.Fatal(err)
+		}
 	}
-	alert.Close()
-	talkers.Close()
+	if err := alert.Close(); err != nil {
+		log.Fatal(err)
+	}
+	if err := talkers.Close(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ntotal jumbo-packet alerts: %d\n", alerts)
 }

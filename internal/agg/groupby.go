@@ -3,6 +3,7 @@ package agg
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"streamdb/internal/expr"
@@ -227,9 +228,9 @@ func (g *GroupBy) pushRow(t *tuple.Tuple, emit ops.Emit) {
 }
 
 // trackGroups samples the live-group high-water mark. Group counts only
-// grow between removal events (advance, closeGroups, Flush), so sampling
-// at those boundaries observes the exact maximum without paying an
-// O(windows) scan per tuple.
+// grow between removal events (a due window in advance, closeGroups,
+// Flush), so sampling right before each removal — and in MaxGroups —
+// observes the exact maximum without an O(windows) scan per tuple.
 func (g *GroupBy) trackGroups() {
 	if n := g.liveGroups(); n > g.maxGroups {
 		g.maxGroups = n
@@ -310,7 +311,6 @@ func (g *GroupBy) advance(now int64, emit ops.Emit) {
 	if now <= g.watermark {
 		return
 	}
-	g.trackGroups()
 	g.watermark = now
 	if g.paneAsn != nil {
 		g.advancePanes(now, emit)
@@ -338,6 +338,10 @@ func (g *GroupBy) advance(now int64, emit ops.Emit) {
 			due = append(due, start)
 		}
 	}
+	if len(due) == 0 {
+		return
+	}
+	g.trackGroups() // groups are about to leave
 	// Deterministic output order across runs.
 	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
 	for _, start := range due {
@@ -382,16 +386,54 @@ func (g *GroupBy) emitTable(tbl *groupTable, emit ops.Emit) {
 }
 
 // sortGroups orders groups by key values for deterministic output.
+// Groups of one table have distinct keys, so the order is total and any
+// sort yields the same rows.
 func sortGroups(grps []*group) {
-	sort.Slice(grps, func(i, j int) bool {
-		a, b := grps[i], grps[j]
+	if len(grps) < 2 || sortByPayload(grps) {
+		return
+	}
+	slices.SortFunc(grps, func(a, b *group) int {
 		for k := range a.keys {
 			if c := a.keys[k].Compare(b.keys[k]); c != 0 {
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return 0
 	})
+}
+
+// sortByPayload is sortGroups for the common single-key case — an
+// address, a port, a protocol number, a time bucket: when every group's
+// one key is of the same integral kind with a payload below 2^32,
+// Value.Compare orders the groups by payload, so it packs (payload,
+// position) into one word per group and sorts the words — no pointer
+// chase and no 40-byte value copies per comparison. It reports false,
+// leaving grps as it was, for any other key shape.
+func sortByPayload(grps []*group) bool {
+	if len(grps[0].keys) != 1 || uint64(len(grps)) > math.MaxUint32 {
+		return false
+	}
+	kind := grps[0].keys[0].Kind
+	switch kind {
+	case tuple.KindUint, tuple.KindTime, tuple.KindIP, tuple.KindInt:
+	default:
+		return false
+	}
+	packed := make([]uint64, len(grps))
+	for i, grp := range grps {
+		k := &grp.keys[0]
+		if k.Kind != kind || k.Raw() > math.MaxUint32 {
+			return false // mixed kinds, a negative INT, a wide payload
+		}
+		packed[i] = k.Raw()<<32 | uint64(i)
+	}
+	slices.Sort(packed)
+	sorted := make([]*group, len(grps))
+	for i, w := range packed {
+		sorted[i] = grps[uint32(w)]
+	}
+	copy(grps, sorted)
+	return true
 }
 
 // emitGroup produces one result row for a finished group, honoring

@@ -215,6 +215,7 @@ func (g *GroupBy) advancePanes(now int64, emit ops.Emit) {
 	if len(due) == 0 {
 		return
 	}
+	g.trackGroups() // groups are about to leave
 	// Deterministic output order across runs. A window start appears in
 	// at most one of the two maps: paneWins holds open windows,
 	// g.windows late-reopened (already closed) ones.
@@ -248,7 +249,14 @@ func (g *GroupBy) advancePanes(now int64, emit ops.Emit) {
 
 // emitPaneWindow finalizes one window by folding its panes' partials.
 func (g *GroupBy) emitPaneWindow(ws, we int64, emit ops.Emit) {
-	tbl := g.combineWindow(ws, we, nil)
+	var tbl *groupTable
+	if p := g.panes[ws]; p != nil && g.spec.Range == g.spec.Slide {
+		// A tumbling window is its one pane: that pane's table already
+		// holds the result states, so there is nothing to fold.
+		tbl = &p.groupTable
+	} else {
+		tbl = g.combineWindow(ws, we, nil)
+	}
 	if g.partial {
 		g.emitPartialTable(ws, tbl, emit)
 		return

@@ -57,14 +57,12 @@ func TestZeroCopyArenaPinnedWhileQueued(t *testing.T) {
 	// Wait for the transport to finish feeding the (undrained) queue.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		src.mu.Lock()
-		queued, done := len(src.queue)-src.head, src.done
-		src.mu.Unlock()
-		if done && queued == len(sent) {
+		queued := src.q.Len()
+		if queued == len(sent) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("transport stalled: %d of %d queued, done=%v", queued, len(sent), done)
+			t.Fatalf("transport stalled: %d of %d queued", queued, len(sent))
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -22,18 +22,17 @@ import (
 // drained — and copied — past it.
 type SessionSource struct {
 	srv *SessionServer
+	q   *stream.PushSource // transport -> engine queue: blocking, bound, short reads
 
 	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []stream.Element
-	head     int
-	bound    int
-	done     bool
-	err      error
-	fed      int64 // elements ever appended (absolute)
+	err      error // ServeBatches' result
+	fed      int64 // elements ever queued (absolute)
 	consumed int64 // elements ever drained (absolute)
 	pins     []arenaPin
-	colPool  *stream.ColPool // lazily built for NextColBatch
+
+	// Engine goroutine only.
+	scratch []stream.Element // NextColBatch's row read
+	colPool *stream.ColPool  // lazily built for NextColBatch
 }
 
 // arenaPin holds one retained decode arena until every element decoded
@@ -53,39 +52,33 @@ func NewSessionSource(srv *SessionServer, streams, queueBound int) *SessionSourc
 	if queueBound <= 0 {
 		queueBound = 65536
 	}
-	s := &SessionSource{srv: srv, bound: queueBound}
-	s.cond = sync.NewCond(&s.mu)
+	s := &SessionSource{srv: srv, q: stream.NewPushSource(srv.schema, queueBound)}
 	go func() {
 		err := srv.ServeBatches(streams, s.feed)
 		s.mu.Lock()
-		s.done = true
 		s.err = err
-		s.cond.Broadcast()
 		s.mu.Unlock()
+		s.q.End()
 	}()
 	return s
 }
 
 // feed is the ServeBatches sink. The transport's slice is reused after
-// the call, so element headers are copied into the queue; the tuples
+// the call, so the queue keeps element headers of its own; the tuples
 // themselves are kept by reference, pinning their decode arena (when
-// pooled) until the engine drains them.
+// pooled) until the engine drains them. The pin is registered before
+// the tuples are queued, so a drain can never get ahead of it.
 func (s *SessionSource) feed(_ string, tuples []*tuple.Tuple, arena *tuple.Arena) {
-	if len(tuples) == 0 {
-		return
-	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.queue)-s.head > s.bound {
-		s.cond.Wait()
-	}
-	s.queue = stream.AppendTuples(s.queue, tuples)
 	s.fed += int64(len(tuples))
-	if arena != nil {
+	if arena != nil && len(tuples) > 0 {
 		arena.Retain()
 		s.pins = append(s.pins, arenaPin{arena: arena, end: s.fed})
 	}
-	s.cond.Broadcast()
+	s.mu.Unlock()
+	// The queue only refuses tuples after End, which follows the last
+	// feed.
+	_ = s.q.PushTuples(tuples)
 }
 
 // Schema implements stream.Source.
@@ -93,8 +86,8 @@ func (s *SessionSource) Schema() *tuple.Schema { return s.srv.schema }
 
 // Next implements stream.Source.
 func (s *SessionSource) Next() (stream.Element, bool) {
-	out := make([]stream.Element, 0, 1)
-	out, _ = s.NextBatch(out, 1)
+	var one [1]stream.Element
+	out, _ := s.NextBatch(one[:0], 1)
 	if len(out) == 0 {
 		return stream.Element{}, false
 	}
@@ -108,25 +101,10 @@ func (s *SessionSource) Next() (stream.Element, bool) {
 // leave behind are released here, after which the arenas may be zeroed
 // and reused at any time.
 func (s *SessionSource) NextBatch(dst []stream.Element, max int) ([]stream.Element, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.queue) == s.head && !s.done {
-		s.cond.Wait()
-	}
-	n := len(s.queue) - s.head
-	if n > max {
-		n = max
-	}
-	if len(s.pins) > 0 {
-		// Some queued tuples alias pinned arenas; materialize the whole
-		// drained range (one []Tuple + one []Value allocation) so the
-		// engine's copies outlive the pins released below.
-		dst = appendMaterialized(dst, s.queue[s.head:s.head+n])
-	} else {
-		dst = append(dst, s.queue[s.head:s.head+n]...)
-	}
-	s.drainLocked(n)
-	return dst, len(s.queue) > s.head || !s.done
+	from := len(dst)
+	dst, more := s.q.NextBatch(dst, max)
+	s.drained(dst[from:], true)
+	return dst, more
 }
 
 // NextColBatch implements stream.ColSource: the drained tuples
@@ -134,17 +112,10 @@ func (s *SessionSource) NextBatch(dst []stream.Element, max int) ([]stream.Eleme
 // arena pins release exactly as on the row path, with no row-tuple
 // materialization at all.
 func (s *SessionSource) NextColBatch(max int) (*stream.Batch, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.queue) == s.head && !s.done {
-		s.cond.Wait()
-	}
-	n := len(s.queue) - s.head
-	if n > max {
-		n = max
-	}
-	if n == 0 {
-		return nil, false
+	rows, more := s.q.NextBatch(s.scratch[:0], max)
+	s.scratch = rows
+	if len(rows) == 0 {
+		return nil, more
 	}
 	if s.colPool == nil {
 		size := max
@@ -154,27 +125,26 @@ func (s *SessionSource) NextColBatch(max int) (*stream.Batch, bool) {
 		s.colPool = stream.NewColPool(s.srv.schema, size)
 	}
 	b := s.colPool.Get()
-	for _, e := range s.queue[s.head : s.head+n] {
+	for _, e := range rows {
 		b.AppendRow(e.Tuple)
 	}
-	s.drainLocked(n)
-	return b, len(s.queue) > s.head || !s.done
+	s.drained(rows, false)
+	clear(rows)
+	return b, more
 }
 
-// drainLocked advances past n consumed elements: the queue prefix is
-// zeroed (so it pins nothing against the collector) and compacted, and
-// every arena whose last element is now behind the drain point is
-// unpinned.
-func (s *SessionSource) drainLocked(n int) {
-	for i := s.head; i < s.head+n; i++ {
-		s.queue[i] = stream.Element{}
+// drained records that elems have left the queue and releases every
+// arena whose last element is now behind the drain point. keep says the
+// caller holds on to the tuples themselves: while any arena is pinned
+// some of them may alias one, so the whole range is materialized (one
+// []Tuple + one []Value allocation) before the pins go.
+func (s *SessionSource) drained(elems []stream.Element, keep bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if keep && len(s.pins) > 0 {
+		materialize(elems)
 	}
-	s.head += n
-	if s.head == len(s.queue) {
-		s.queue = s.queue[:0]
-		s.head = 0
-	}
-	s.consumed += int64(n)
+	s.consumed += int64(len(elems))
 	k := 0
 	for k < len(s.pins) && s.pins[k].end <= s.consumed {
 		s.pins[k].arena.Release()
@@ -182,32 +152,28 @@ func (s *SessionSource) drainLocked(n int) {
 	}
 	if k > 0 {
 		m := copy(s.pins, s.pins[k:])
-		for i := m; i < len(s.pins); i++ {
-			s.pins[i] = arenaPin{}
-		}
+		clear(s.pins[m:])
 		s.pins = s.pins[:m]
 	}
-	s.cond.Broadcast()
 }
 
-// appendMaterialized deep-copies the elements' tuples into fresh
-// backing arrays shared across the batch, detaching them from any
-// decode arena. String payloads share their (immutable) bytes.
-func appendMaterialized(dst []stream.Element, src []stream.Element) []stream.Element {
+// materialize deep-copies the elements' tuples, in place, into fresh
+// backing arrays shared across the batch, detaching them from any decode
+// arena. String payloads share their (immutable) bytes.
+func materialize(elems []stream.Element) {
 	nv := 0
-	for _, e := range src {
+	for _, e := range elems {
 		nv += len(e.Tuple.Vals)
 	}
-	tups := make([]tuple.Tuple, len(src))
+	tups := make([]tuple.Tuple, len(elems))
 	vals := make([]tuple.Value, nv)
-	for i, e := range src {
+	for i, e := range elems {
 		t := e.Tuple
 		n := copy(vals, t.Vals)
 		tups[i] = tuple.Tuple{Ts: t.Ts, Vals: vals[:n:n]}
 		vals = vals[n:]
-		dst = append(dst, stream.Tup(&tups[i]))
+		elems[i] = stream.Tup(&tups[i])
 	}
-	return dst
 }
 
 // Err reports the ServeBatches result once every stream has completed

@@ -317,6 +317,8 @@ func (g *Graph) RunWith(maxElements int64, opts RunOptions) {
 							sinkBars = 0
 							if r.ctl != nil {
 								r.ctl.sinkCut(e.Punct.Barrier, delivered)
+							} else {
+								r.flushDone(e.Punct.Barrier)
 							}
 						}
 						continue
@@ -427,6 +429,25 @@ func (g *Graph) RunWith(maxElements int64, opts RunOptions) {
 		}
 		if cf, ok := n.op.(colFallbacker); ok {
 			n.stats.RowFallbacks += cf.ColFallbacks() - fbStart[i]
+		}
+	}
+}
+
+// flushWaiter is a source that injects barriers of its own
+// (stream.PushSource.Flush) and waits for them to leave the graph. With
+// no checkpoint controller a barrier snapshots nothing — every lane
+// still aligns and forwards it — so all it marks is that whatever
+// entered before it has been processed and delivered: a flush.
+type flushWaiter interface {
+	FlushDone(epoch int64, err error)
+}
+
+// flushDone reports an aligned barrier at the graph output, with the
+// run's first failure so far, to the sources waiting for it.
+func (r *concRun) flushDone(epoch int64) {
+	for _, s := range r.g.sources {
+		if fw, ok := s.src.(flushWaiter); ok {
+			fw.FlushDone(epoch, r.g.Err())
 		}
 	}
 }
