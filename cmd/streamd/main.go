@@ -541,7 +541,7 @@ func main() {
 	faultRate := flag.Float64("faultrate", 0, "demo: injected connection-drop rate per write (chaos)")
 	ingestBatch := flag.Int("ingestbatch", 64, "high/demo: partial records buffered per stream before entering the merge plan (1 = per-tuple)")
 	wireBatch := flag.Int("wirebatch", 16, "low/demo: tuples per wire v3 batch frame on the uplink (1 = legacy per-tuple v2 frames)")
-	columnar := flag.Bool("columnar", true, "low/demo: run the low-level filter through the columnar selection-vector kernel (false = row-at-a-time; output is identical). The same lane drives exec-engine window joins: single INT/UINT/TIME equijoin keys vectorize, anything else (generic or multi-column keys, rows-windows, MaxTuples) falls back to the row path — observable per node via NodeStats.Batches/RowFallbacks")
+	columnar := flag.Bool("columnar", true, "low/demo: run the low-level filter through the columnar selection-vector kernel (false = row-at-a-time; output is identical). The same lane drives exec-engine window joins: every equijoin over time windows vectorizes, whatever its key kind or width (a single INT/UINT/TIME/IP key hashes by payload, others by the generic column hash); only rows-windows, MaxTuples caps and keyless theta joins fall back to the row path — observable per node via NodeStats.Batches/RowFallbacks")
 	ckptDir := flag.String("checkpoint-dir", "", "high/demo: durable checkpoint directory (empty = disabled); on restart the merge state is recovered and sessions replay from the committed floor")
 	ckptEvery := flag.Int("checkpoint-interval", 5000, "high/demo: partial records between checkpoints")
 	stats := flag.Duration("stats", 0, "high/demo: period between per-node NodeStats JSON dumps on stderr (0 = disabled); each line snapshots In/Out/MaxQueue/MaxMemory/Routed/Batches/RowFallbacks plus the adaptive controller's live BatchTarget, Replicas, ShedRate and Rescales")
@@ -577,8 +577,8 @@ func main() {
 		defer ln.Close()
 		if *columnar {
 			fmt.Println("columnar lane on: low-level filters run selection-vector kernels;" +
-				" engine window joins vectorize on single INT/UINT/TIME equijoin keys and" +
-				" fall back to the row path otherwise (see NodeStats.Batches/RowFallbacks)")
+				" engine window equijoins vectorize on any key; rows-windows, MaxTuples caps" +
+				" and keyless joins fall back to the row path (see NodeStats.Batches/RowFallbacks)")
 		}
 		var wg sync.WaitGroup
 		for i := 0; i < *nodes; i++ {

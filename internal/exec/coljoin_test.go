@@ -70,10 +70,9 @@ func TestColumnarJoinEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// Float keys hash by content, not payload, so they sit outside the
-// fast single-column envelope: the columnar partition lane must still
-// route batches (generic column hash) while the replicas gather spans
-// back to the row path — observable through NodeStats.RowFallbacks.
+// Float keys hash by content, not payload (integral floats must collide
+// with their integer value), so they take the generic column hash on
+// the splitter and in the replicas' vectorized core.
 var fkLeft = tuple.NewSchema("FL",
 	tuple.Field{Name: "time", Kind: tuple.KindTime, Ordering: true},
 	tuple.Field{Name: "k", Kind: tuple.KindFloat},
@@ -100,31 +99,39 @@ func fkRemap(elems []stream.Element) []stream.Element {
 	return out
 }
 
+// TestColumnarJoinRowFallbackLane pins which spans of a partitioned
+// columnar join run the row path. Generic (Float) keys no longer do:
+// the replicas hash them with the generic column walk and stay
+// vectorized. What still falls back is the cold-probe demotion — a
+// large window where nearly every probe misses — and its spans must
+// keep the serial bytes while NodeStats.RowFallbacks counts them.
 func TestColumnarJoinRowFallbackLane(t *testing.T) {
-	left := fkRemap(pjStream(800, 0, 5, 7))
-	right := fkRemap(pjStream(800, 1, 5, 8))
-	mkJoin := func() *ops.WindowJoin {
-		out := fkLeft.Concat(fkRight)
-		res, err := expr.NewBin(expr.OpGt,
-			expr.MustColumn(out, "lv"), expr.MustColumn(out, "rv"))
-		if err != nil {
-			t.Fatal(err)
+	mkJoin := func(rng int64, residual bool) *ops.WindowJoin {
+		var res expr.Expr
+		if residual {
+			out := fkLeft.Concat(fkRight)
+			r, err := expr.NewBin(expr.OpGt,
+				expr.MustColumn(out, "lv"), expr.MustColumn(out, "rv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res = r
 		}
 		j, err := ops.NewWindowJoin("fj", fkLeft, fkRight,
-			ops.JoinConfig{Window: window.Time(64, 64), Method: ops.JoinHash, Key: []int{1}},
-			ops.JoinConfig{Window: window.Time(32, 32), Method: ops.JoinHash, Key: []int{1}},
+			ops.JoinConfig{Window: window.Time(rng, rng), Method: ops.JoinHash, Key: []int{1}},
+			ops.JoinConfig{Window: window.Time(rng/2, rng/2), Method: ops.JoinHash, Key: []int{1}},
 			res)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return j
 	}
-	run := func(opts *RunOptions) (NodeStats, []string) {
+	run := func(j *ops.WindowJoin, left, right []stream.Element, opts *RunOptions) (NodeStats, []string) {
 		var got []string
 		g := NewGraph(func(e stream.Element) { got = append(got, fmtElem(e)) })
 		sl := g.AddSource(stream.FromElements(fkLeft, left...))
 		sr := g.AddSource(stream.FromElements(fkRight, right...))
-		n := g.AddOp(mkJoin())
+		n := g.AddOp(j)
 		if err := g.ConnectSource(sl, n, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -141,18 +148,46 @@ func TestColumnarJoinRowFallbackLane(t *testing.T) {
 		}
 		return g.Stats(n), got
 	}
-	_, base := run(nil)
+	opts := RunOptions{BatchSize: 32, Parallelism: 3, ForceParallelism: true, PartitionJoins: true, Columnar: true}
+
+	// Generic keys: vectorized, no fallback.
+	left := fkRemap(pjStream(800, 0, 5, 7))
+	right := fkRemap(pjStream(800, 1, 5, 8))
+	_, base := run(mkJoin(64, true), left, right, nil)
 	if len(base) == 0 {
 		t.Fatal("serial baseline produced nothing")
 	}
-	opts := RunOptions{BatchSize: 32, Parallelism: 3, ForceParallelism: true, PartitionJoins: true, Columnar: true}
-	st, got := run(&opts)
-	sameSeq(t, "float-key fallback", got, base)
+	st, got := run(mkJoin(64, true), left, right, &opts)
+	sameSeq(t, "float-key vectorized", got, base)
 	if st.Batches == 0 {
 		t.Error("Batches = 0: columnar lane not exercised")
 	}
+	if st.RowFallbacks != 0 {
+		t.Errorf("RowFallbacks = %d: generic-key spans should stay vectorized", st.RowFallbacks)
+	}
+
+	// Cold probes: unique keys over a window that never expires, one
+	// right row in 97 matching a recent left key. Each replica demotes
+	// itself once its match rate collapses.
+	const n = 6000
+	left, right = left[:0:0], right[:0:0]
+	for i := 0; i < n; i++ {
+		ts := int64(2 * i)
+		left = append(left, stream.Tup(tuple.New(ts, tuple.Time(ts), tuple.Float(float64(i)), tuple.Int(int64(i)))))
+		k := float64(1e6 + i)
+		if i%97 == 0 {
+			k = float64(i)
+		}
+		right = append(right, stream.Tup(tuple.New(ts+1, tuple.Time(ts+1), tuple.Float(k), tuple.Int(int64(i)))))
+	}
+	_, base = run(mkJoin(1<<40, false), left, right, nil)
+	if len(base) == 0 {
+		t.Fatal("cold serial baseline produced nothing")
+	}
+	st, got = run(mkJoin(1<<40, false), left, right, &opts)
+	sameSeq(t, "cold-probe fallback", got, base)
 	if st.RowFallbacks == 0 {
-		t.Error("RowFallbacks = 0: generic-key spans should gather to the row path")
+		t.Error("RowFallbacks = 0: cold replicas should demote to the row path")
 	}
 }
 

@@ -234,9 +234,14 @@ func (s *sideState) memSize() int {
 // Each side's probe method is chosen independently, enabling the
 // asymmetric configurations of slide 33.
 type WindowJoin struct {
-	name     string
-	out      *tuple.Schema
-	sides    [2]*sideState
+	name  string
+	out   *tuple.Schema
+	sides [2]*sideState
+	// outCols maps each output column to a column of the (left, right)
+	// concatenation: the identity unless FuseProject narrowed it. Both
+	// paths build output through it — the row path per pair, the
+	// columnar path one column at a time.
+	outCols  []int
 	residual expr.Expr // evaluated over concatenated (left, right) tuples
 	probes   int64     // tuple comparisons performed (CPU cost proxy)
 	emitted  int64
@@ -295,10 +300,10 @@ func NewWindowJoin(name string, left, right *tuple.Schema, lcfg, rcfg JoinConfig
 	if residual != nil && residual.Kind() != tuple.KindBool {
 		return nil, fmt.Errorf("ops: join residual must be boolean")
 	}
-	// Fast key lane: a single Int/Uint/Time key column on BOTH sides may
-	// hash by raw payload. Gating on both schemas at once is what keeps
-	// the two sides' hash spaces aligned — per-side gating could pair a
-	// payload hash with a generic hash and miss every match.
+	// Fast key lane: a single Int/Uint/Time/IP key column on BOTH sides
+	// may hash by raw payload. Gating on both schemas at once is what
+	// keeps the two sides' hash spaces aligned — per-side gating could
+	// pair a payload hash with a generic hash and miss every match.
 	fast := -1
 	if len(lcfg.Key) == 1 &&
 		tuple.FastKeyKind(left.Fields[lcfg.Key[0]].Kind) &&
@@ -332,9 +337,11 @@ func NewWindowJoin(name string, left, right *tuple.Schema, lcfg, rcfg JoinConfig
 		}
 		return st
 	}
+	out := left.Concat(right)
 	j := &WindowJoin{
 		name:     name,
-		out:      left.Concat(right),
+		out:      out,
+		outCols:  identityCols(out.Arity()),
 		leftSch:  left,
 		rightSch: right,
 		residual: residual,
@@ -343,6 +350,45 @@ func NewWindowJoin(name string, left, right *tuple.Schema, lcfg, rcfg JoinConfig
 	j.sides[0] = mk(lcfg)
 	j.sides[1] = mk(rcfg)
 	return j, nil
+}
+
+// identityCols is the output column map of an unprojected join.
+func identityCols(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
+// FuseProject folds a bare-column projection into the join: from now
+// on it emits, under schema out, only the listed columns of its (left,
+// right) concatenation, in that order. Neither path then builds a
+// column nobody reads. It must be called before the first element
+// arrives, and a join with a residual cannot fuse — the residual reads
+// the full concatenation.
+func (j *WindowJoin) FuseProject(out *tuple.Schema, cols []int) error {
+	full := j.leftSch.Concat(j.rightSch)
+	switch {
+	case j.residual != nil:
+		return fmt.Errorf("ops: %s: a join with a residual cannot fuse its projection", j.name)
+	case j.received[0]+j.received[1] != 0:
+		return fmt.Errorf("ops: %s: projection fused after input arrived", j.name)
+	case len(cols) != out.Arity():
+		return fmt.Errorf("ops: %s: fused projection has %d columns for %d fields", j.name, len(cols), out.Arity())
+	}
+	for i, c := range cols {
+		if c < 0 || c >= full.Arity() {
+			return fmt.Errorf("ops: %s: fused column %d out of range", j.name, c)
+		}
+		if k := full.Fields[c].Kind; k != out.Fields[i].Kind {
+			return fmt.Errorf("ops: %s: fused field %s is %s but column %d is %s",
+				j.name, out.Fields[i].Name, out.Fields[i].Kind, c, k)
+		}
+	}
+	j.out = out
+	j.outCols = append([]int(nil), cols...)
+	return nil
 }
 
 // NewSymmetricHashJoin builds the classic symmetric hash join [WA91]
@@ -423,15 +469,30 @@ func (j *WindowJoin) Push(port int, e stream.Element, emit Emit) {
 	me.insert(t)
 }
 
-// tryEmit applies the residual predicate and emits the concatenated
-// output in (left, right) field order regardless of arrival port.
+// tryEmit builds the output row of a matched pair through the column
+// map — (left, right) field order regardless of arrival port — applies
+// the residual predicate and emits it. The row carries the later of the
+// two timestamps, as Tuple.Concat does. A residual implies the identity
+// map (FuseProject refuses otherwise), so it sees the full concatenation.
 func (j *WindowJoin) tryEmit(port int, arrived, matched *tuple.Tuple, emit Emit) {
-	var out *tuple.Tuple
-	if port == 0 {
-		out = arrived.Concat(matched)
-	} else {
-		out = matched.Concat(arrived)
+	l, r := arrived, matched
+	if port == 1 {
+		l, r = matched, arrived
 	}
+	ts := l.Ts
+	if r.Ts > ts {
+		ts = r.Ts
+	}
+	la := len(l.Vals)
+	vals := make([]tuple.Value, len(j.outCols))
+	for i, c := range j.outCols {
+		if c < la {
+			vals[i] = l.Vals[c]
+		} else {
+			vals[i] = r.Vals[c-la]
+		}
+	}
+	out := &tuple.Tuple{Ts: ts, Vals: vals}
 	if j.residual != nil && !expr.EvalBool(j.residual, out) {
 		return
 	}
@@ -479,12 +540,15 @@ func (j *WindowJoin) PartitionHash(port int, t *tuple.Tuple) uint64 {
 	return j.sides[port].hashOf(t)
 }
 
-// ClonePartition implements KeyPartitionable.
+// ClonePartition implements KeyPartitionable. Replicas emit through
+// the parent's column map, so a fused projection survives every
+// rebuild of the replica set (partitioned start, rescale, restore).
 func (j *WindowJoin) ClonePartition() Operator {
 	c, err := NewWindowJoin(j.name, j.leftSch, j.rightSch, j.cfgs[0], j.cfgs[1], j.residual)
 	if err != nil {
 		panic(err) // unreachable: the parent validated this config
 	}
+	c.out, c.outCols = j.out, j.outCols
 	c.parent = j
 	return c
 }

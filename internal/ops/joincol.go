@@ -1,31 +1,37 @@
 // Columnar joins: the batch-native fast path of WindowJoin and XJoin.
 //
 // The row path pays, per arriving tuple, a hash computation through
-// tuple dispatch, a per-candidate KeyEqual walk, a Concat allocation
-// per emitted pair and an EvalBool interpretation of the residual. The
-// columnar path amortizes all four over a whole batch:
+// tuple dispatch, a per-candidate KeyEqual walk, an output-row
+// allocation per emitted pair and an EvalBool interpretation of the
+// residual. The columnar path amortizes all four over a whole batch:
 //
-//   - the key column hashes in one splitmix sweep (tuple.HashColRows),
-//     shared by probe and insert;
+//   - the key columns hash in one sweep shared by probe and insert:
+//     splitmix over the payload for a single Int/Uint/Time/IP key
+//     (tuple.HashColRows), the generic FNV walk for anything else
+//     (tuple.HashColsRows, which matches Tuple.Key exactly);
 //   - equal-timestamp runs advance watermark/expiry bookkeeping once
 //     per run (as colfold.go does for panes) and land in the window
 //     FIFO via segment-sized bulk copies (window.Fifo.PushRun);
 //   - matched pairs accumulate as (input row, candidate) references and
-//     are gathered column-wise into a pooled output batch — no Concat
-//     tuples; inserted rows themselves are carved from chunked slabs
-//     (the window retains them, so they must be heap-owned, but a chunk
-//     amortizes the allocation over ~1k rows);
+//     are gathered column-wise into a pooled output batch through the
+//     join's output column map — the identity, or the bare-column
+//     projection the planner fused into the join, in which case columns
+//     nobody selects are never gathered; inserted rows themselves are
+//     carved from chunked slabs (the window retains them, so they must
+//     be heap-owned, but a chunk amortizes the allocation over ~1k rows);
 //   - the residual predicate compiles once via expr.CompileKernel and
 //     refines the gathered pairs as a selection vector, with survivors
 //     compacted in place.
 //
-// Anything outside the fast envelope — rows-windows, MaxTuples caps,
-// multi-column or non-fast-kind keys — gathers the batch and reruns the
-// exact row path, so the columnar lane is semantically invisible: same
-// outputs in the same order, same counters, and byte-identical
-// checkpoint snapshots (the FIFO sees the same tuples in the same
-// order; wm/sorted/lastIns/pendingWM advance identically because
-// equal-timestamp repeats are no-ops in the row path too).
+// Every equijoin over time or landmark windows takes this path. Only
+// rows-windows, MaxTuples caps and keyless theta joins — whose eviction
+// interleaves with insertion per row, or which have no key to hash —
+// gather the batch and rerun the exact row path. Either way the
+// columnar lane is semantically invisible: same outputs in the same
+// order, same counters, and byte-identical checkpoint snapshots (the
+// FIFO sees the same tuples in the same order; wm/sorted/lastIns/
+// pendingWM advance identically because equal-timestamp repeats are
+// no-ops in the row path too).
 
 package ops
 
@@ -147,47 +153,35 @@ func (p *colPairs) closeRow() {
 	p.ends = append(p.ends, int32(len(p.rows)))
 }
 
-// flush gathers the accumulated pairs onto the end of out in (left,
-// right) field order — tups holds the arrived side, cands the matched
-// side, port says which is which — applies the compiled residual kernel
-// (nil = no residual) as an in-place selection refinement, compacts
-// survivors, and appends per-input-row output offsets to ends when the
-// caller tracks spans. Returns the surviving pair count and the
-// extended ends. Output timestamps carry the later of the two inputs'
-// timestamps, matching Tuple.Concat.
-func (p *colPairs) flush(out *stream.Batch, port, leftArity int, tups []tuple.Tuple, kern expr.ColumnKernel, ends []int32) (int, []int32) {
+// flush gathers the accumulated pairs onto the end of out through the
+// output column map cols (out column i takes column cols[i] of the
+// (left, right) concatenation) — tups holds the arrived side, cands the
+// matched side, port says which is which — applies the compiled
+// residual kernel (nil = no residual) as an in-place selection
+// refinement, compacts survivors, and appends per-input-row output
+// offsets to ends when the caller tracks spans. Returns the surviving
+// pair count and the extended ends. Output timestamps carry the later
+// of the two inputs' timestamps, matching Tuple.Concat.
+func (p *colPairs) flush(out *stream.Batch, port, leftArity int, cols []int, tups []tuple.Tuple, kern expr.ColumnKernel, ends []int32) (int, []int32) {
 	base := out.Rows()
 	np := len(p.rows)
 	if np > 0 {
-		ra := len(out.Cols) - leftArity
-		gatherTups := func(off, c int) {
-			col := out.Cols[off+c]
-			for _, pr := range p.rows {
-				col = append(col, tups[pr].Vals[c])
+		for oc, c := range cols {
+			side := 0
+			if c >= leftArity {
+				side, c = 1, c-leftArity
 			}
-			out.Cols[off+c] = col
-		}
-		gatherCands := func(off, c int) {
-			col := out.Cols[off+c]
-			for _, cand := range p.cands {
-				col = append(col, cand.Vals[c])
+			col := out.Cols[oc]
+			if side == port {
+				for _, pr := range p.rows {
+					col = append(col, tups[pr].Vals[c])
+				}
+			} else {
+				for _, cand := range p.cands {
+					col = append(col, cand.Vals[c])
+				}
 			}
-			out.Cols[off+c] = col
-		}
-		if port == 0 {
-			for c := 0; c < leftArity; c++ {
-				gatherTups(0, c)
-			}
-			for c := 0; c < ra; c++ {
-				gatherCands(leftArity, c)
-			}
-		} else {
-			for c := 0; c < leftArity; c++ {
-				gatherCands(0, c)
-			}
-			for c := 0; c < ra; c++ {
-				gatherTups(leftArity, c)
-			}
+			out.Cols[oc] = col
 		}
 		ts := out.Ts
 		for k, pr := range p.rows {
@@ -311,14 +305,15 @@ func rampRows(b *stream.Batch, scratch *[]int32) []int32 {
 }
 
 // planColumnar decides once per instance whether batches take the
-// vectorized path. The fast envelope: a single fast-kind key on both
-// sides (fastKey established at construction) and pure time/landmark
-// windows — rows-windows and MaxTuples caps interleave eviction with
-// insertion per row, which the run-segmented insert cannot reproduce,
-// so they gather and rerun the row path.
+// vectorized path. The fast envelope: an equijoin key (of any kind and
+// width — the hash sweep picks payload or generic hashing) and pure
+// time/landmark windows. Rows-windows and MaxTuples caps interleave
+// eviction with insertion per row, which the run-segmented insert
+// cannot reproduce, and a keyless theta join has nothing to hash, so
+// those gather and rerun the row path.
 func (j *WindowJoin) planColumnar() {
 	j.colPlan = colJoinRow
-	if j.sides[0].fastKey < 0 || j.sides[1].fastKey < 0 {
+	if len(j.sides[0].key) == 0 {
 		return
 	}
 	for s := 0; s < 2; s++ {
@@ -385,8 +380,9 @@ func (j *WindowJoin) ProcessBatch(port int, b *stream.Batch, emitB EmitBatch, em
 
 // ProcessColSpan implements ColPartitionable. The row plan still
 // honors the span contract — gather each row, run the exact row path,
-// record per-row output offsets — so partition replicas outside the
-// fast envelope (multi-column or generic keys) keep working.
+// record per-row output offsets — so a replica the cold-probe heuristic
+// demoted keeps working. (Rows-windows, MaxTuples caps and keyless
+// joins never reach here: they decline partitioning.)
 func (j *WindowJoin) ProcessColSpan(port int, b *stream.Batch, rows []int32, out *stream.Batch, ends []int32) []int32 {
 	if j.colPlan == colJoinNone {
 		j.planColumnar()
@@ -414,13 +410,15 @@ func (j *WindowJoin) ProcessColSpan(port int, b *stream.Batch, rows []int32, out
 	return ends
 }
 
-// processColRows is the vectorized core: hash the span's key column
+// processColRows is the vectorized core: hash the span's key columns
 // once, probe the opposite window per equal-timestamp run (watermark
 // advance, nested-loop sweep and cutoff derivation happen once per
 // run), insert the run in bulk, then gather and residual-refine the
 // matched pairs column-wise. Probing a whole run before inserting it is
 // exact because probes read only the opposite side's state and inserts
-// touch only this side's.
+// touch only this side's. Candidates are confirmed as the row path
+// confirms them: one Equal for a single-column key, KeyEqual across a
+// composite one.
 func (j *WindowJoin) processColRows(port int, b *stream.Batch, rows []int32, out *stream.Batch, ends []int32) []int32 {
 	me, opp := j.sides[port], j.sides[1-port]
 	n := len(rows)
@@ -430,14 +428,21 @@ func (j *WindowJoin) processColRows(port int, b *stream.Batch, rows []int32, out
 		j.col.hashes = make([]uint64, n)
 	}
 	hashes := j.col.hashes[:n]
-	tuple.HashColRows(b.Cols[me.fastKey], rows, hashes)
+	j.PartitionHashCol(port, b, rows, hashes)
 
 	tups := j.col.slab.materialize(b, rows)
 
 	pairs := &j.col.pairs
 	pairs.reset()
 	run := j.col.run[:0]
+	single := len(me.key) == 1
 	myKey, oppKey := me.key[0], opp.key[0]
+	match := func(cand, t *tuple.Tuple) bool {
+		if single {
+			return cand.Vals[oppKey].Equal(t.Vals[myKey])
+		}
+		return cand.KeyEqual(t, opp.key, me.key)
+	}
 
 	for i := 0; i < n; {
 		ts := tups[i].Ts
@@ -458,13 +463,13 @@ func (j *WindowJoin) processColRows(port int, b *stream.Batch, rows []int32, out
 		case JoinHash:
 			for x := i; x < jj; x++ {
 				if bucket := opp.index[hashes[x]]; bucket != nil {
-					kv := tups[x].Vals[myKey]
+					t := &tups[x]
 					for _, cand := range bucket {
 						if cand.Ts <= cutoff {
 							continue // expired; physical sweep deferred
 						}
 						j.probes++
-						if cand.Vals[oppKey].Equal(kv) {
+						if match(cand, t) {
 							pairs.add(int32(x), cand)
 						}
 					}
@@ -473,13 +478,13 @@ func (j *WindowJoin) processColRows(port int, b *stream.Batch, rows []int32, out
 			}
 		case JoinNestedLoop:
 			for x := i; x < jj; x++ {
-				kv := tups[x].Vals[myKey]
+				t := &tups[x]
 				opp.fifo.Each(func(cand *tuple.Tuple) bool {
 					if cand.Ts <= cutoff {
 						return true
 					}
 					j.probes++
-					if cand.Vals[oppKey].Equal(kv) {
+					if match(cand, t) {
 						pairs.add(int32(x), cand)
 					}
 					return true
@@ -518,7 +523,7 @@ func (j *WindowJoin) processColRows(port int, b *stream.Batch, rows []int32, out
 		kern = expr.CompileKernel(j.residual, j.out.Arity())
 		j.colKern = kern
 	}
-	emitted, ends := pairs.flush(out, port, j.leftSch.Arity(), tups, kern, ends)
+	emitted, ends := pairs.flush(out, port, j.leftSch.Arity(), j.outCols, tups, kern, ends)
 	j.emitted += int64(emitted)
 	return ends
 }
@@ -618,7 +623,7 @@ func (x *XJoin) processColRows(port int, b *stream.Batch, rows []int32, out *str
 		kern = expr.CompileKernel(x.residual, x.out.Arity())
 		x.colKern = kern
 	}
-	emitted, ends := pairs.flush(out, port, x.leftSch.Arity(), tups, kern, ends)
+	emitted, ends := pairs.flush(out, port, x.leftSch.Arity(), x.outCols, tups, kern, ends)
 	x.emitted += int64(emitted)
 	return ends
 }

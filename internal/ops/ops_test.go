@@ -341,6 +341,32 @@ func TestWindowJoinValidation(t *testing.T) {
 	}
 }
 
+// TestWindowJoinRejectsIPNumericKeys: IP keys take the payload-hash
+// lane, which is sound only because an IP key never meets a numeric
+// one. Construction must keep refusing the pairing, on either side.
+func TestWindowJoinRejectsIPNumericKeys(t *testing.T) {
+	ip := tuple.NewSchema("I",
+		tuple.Field{Name: "time", Kind: tuple.KindTime, Ordering: true},
+		tuple.Field{Name: "k", Kind: tuple.KindIP})
+	if _, err := NewWindowJoin("j", ip, ip,
+		JoinConfig{Method: JoinHash, Key: []int{1}},
+		JoinConfig{Method: JoinHash, Key: []int{1}}, nil); err != nil {
+		t.Fatalf("IP = IP rejected: %v", err)
+	}
+	for _, k := range []tuple.Kind{tuple.KindInt, tuple.KindUint, tuple.KindTime, tuple.KindFloat} {
+		num := tuple.NewSchema("N",
+			tuple.Field{Name: "time", Kind: tuple.KindTime, Ordering: true},
+			tuple.Field{Name: "k", Kind: k})
+		for _, pair := range [][2]*tuple.Schema{{ip, num}, {num, ip}} {
+			if _, err := NewWindowJoin("j", pair[0], pair[1],
+				JoinConfig{Method: JoinHash, Key: []int{1}},
+				JoinConfig{Method: JoinHash, Key: []int{1}}, nil); err == nil {
+				t.Errorf("%s = %s key accepted", pair[0].Fields[1].Kind, pair[1].Fields[1].Kind)
+			}
+		}
+	}
+}
+
 func TestSymmetricHashJoinUnbounded(t *testing.T) {
 	a, b := joinSchemas()
 	j, err := NewSymmetricHashJoin("shj", a, b, []int{1}, []int{1})

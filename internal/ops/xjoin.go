@@ -43,10 +43,12 @@ type XJoin struct {
 	// at the end of Flush's cleanup phase.
 	parent *XJoin
 
-	// Columnar state (joincol.go).
+	// Columnar state (joincol.go). outCols is the identity column map:
+	// XJoin always emits the full (left, right) concatenation.
 	colPool *stream.ColPool
 	colKern expr.ColumnKernel
 	col     colJoinScratch
+	outCols []int
 }
 
 type xtuple struct {
@@ -85,6 +87,7 @@ func NewXJoin(name string, left, right *tuple.Schema, leftKey, rightKey []int, n
 	x := &XJoin{
 		name:     name,
 		out:      left.Concat(right),
+		outCols:  identityCols(left.Arity() + right.Arity()),
 		leftSch:  left,
 		rightSch: right,
 		keys:     [2][]int{leftKey, rightKey},

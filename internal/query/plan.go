@@ -661,6 +661,21 @@ func compileJoin(q *Query, streams []*boundStream) (*Plan, error) {
 	if !star {
 		outSchema = tuple.NewSchema("result", fields...)
 	}
+	joinStep := fmt.Sprintf("window join on %d keys, windows %s / %s, %d pushdowns",
+		len(leftKey), left.item.Window, right.item.Window, len(pushLeft)+len(pushRight))
+	// A select list of plain columns folds into the join: it gathers
+	// only those columns and the plan needs no Project node. A residual
+	// reads the full concatenated row, so it keeps the Project.
+	project := !star
+	if project && residualPred == nil {
+		if cols := expr.CompileCols(exprs); cols != nil {
+			if err := join.FuseProject(outSchema, cols); err != nil {
+				return nil, err
+			}
+			project = false
+			joinStep += fmt.Sprintf(", emits %d of %d columns, project fused", len(cols), joinOut.Arity())
+		}
+	}
 
 	plan := &Plan{
 		Q:             q,
@@ -674,9 +689,10 @@ func compileJoin(q *Query, streams []*boundStream) (*Plan, error) {
 		},
 		Streamable: true,
 	}
-	plan.steps = append(plan.steps,
-		fmt.Sprintf("window join on %d keys, windows %s / %s, %d pushdowns",
-			len(leftKey), left.item.Window, right.item.Window, len(pushLeft)+len(pushRight)))
+	plan.steps = append(plan.steps, joinStep)
+	if project {
+		plan.steps = append(plan.steps, fmt.Sprintf("project %d columns", len(exprs)))
+	}
 
 	plan.build = func(g *exec.Graph, sources map[string]stream.Source) error {
 		ls, ok := sources[left.item.Stream]
@@ -720,7 +736,7 @@ func compileJoin(q *Query, streams []*boundStream) (*Plan, error) {
 			return err
 		}
 		last := jid
-		if !star {
+		if project {
 			proj, err := ops.NewProject("project", outSchema, exprs)
 			if err != nil {
 				return err

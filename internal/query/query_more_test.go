@@ -174,6 +174,11 @@ func TestJoinResidualPredicate(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("rows = %v", rows)
 	}
+	// The residual reads the full concatenated row, so the projection
+	// stays a step of its own.
+	if ex := plan.Explain(); !strings.Contains(ex, "project 1 columns") || strings.Contains(ex, "fused") {
+		t.Errorf("residual join must keep its project step: %s", ex)
+	}
 }
 
 func TestJoinThetaWithoutKeys(t *testing.T) {

@@ -297,6 +297,10 @@ func TestRunJoinQuery(t *testing.T) {
 	if rtt, _ := rows[0].Vals[1].AsInt(); rtt != 2*stream.Second {
 		t.Errorf("rtt = %d", rtt)
 	}
+	// A computed select item cannot fold into the join's column map.
+	if ex := plan.Explain(); !strings.Contains(ex, "project 2 columns") || strings.Contains(ex, "fused") {
+		t.Errorf("computed projection must stay a project step: %s", ex)
+	}
 }
 
 func TestJoinPushdown(t *testing.T) {
@@ -312,6 +316,26 @@ func TestJoinPushdown(t *testing.T) {
 	}
 	if !strings.Contains(plan.Explain(), "2 pushdowns") {
 		t.Errorf("pushdowns missing: %s", plan.Explain())
+	}
+	if strings.Contains(plan.Explain(), "project") {
+		t.Errorf("select * needs no projection: %s", plan.Explain())
+	}
+
+	// A select list of plain columns with no residual folds into the join.
+	q, err = Parse(`select S.srcIP, A.destPort, S.tstmp from S [range 30], A [range 30]
+		where S.srcIP = A.destIP and S.srcPort > 1024`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan, err = Compile(q, cat); err != nil {
+		t.Fatal(err)
+	}
+	ex := plan.Explain()
+	if !strings.Contains(ex, "1 pushdowns, emits 3 of 6 columns, project fused") {
+		t.Errorf("fused projection not named on the join step: %s", ex)
+	}
+	if strings.Contains(ex, "project 3 columns") {
+		t.Errorf("fused plan still lists a project step: %s", ex)
 	}
 }
 

@@ -45,18 +45,34 @@ func TestKey1Avalanche(t *testing.T) {
 	}
 }
 
-// TestFastKeyKindGates pins the kinds admitted to the fast lane. Float
-// must stay out (Float(2) equals Int(2) but stores an IEEE payload);
-// String and Bytes hash by content, not payload.
+// TestFastKeyKindGates pins the kinds admitted to the fast lane. IP is
+// in: IP equality is payload equality. Float must stay out (Float(2)
+// equals Int(2) but stores an IEEE payload); String hashes by content,
+// and Bool's equality is not the numeric payload's.
 func TestFastKeyKindGates(t *testing.T) {
-	for _, k := range []Kind{KindInt, KindUint, KindTime} {
+	for _, k := range []Kind{KindInt, KindUint, KindTime, KindIP} {
 		if !FastKeyKind(k) {
 			t.Errorf("FastKeyKind(%v) = false, want true", k)
 		}
 	}
-	for _, k := range []Kind{KindFloat, KindString, KindBool, KindIP, KindNull} {
+	for _, k := range []Kind{KindFloat, KindString, KindBool, KindNull} {
 		if FastKeyKind(k) {
 			t.Errorf("FastKeyKind(%v) = true, want false", k)
+		}
+	}
+}
+
+// TestKey1IPMatchesEqual: two IP values hash alike under Key1 exactly
+// when they are Equal, so an IP key may take the fast lane.
+func TestKey1IPMatchesEqual(t *testing.T) {
+	ips := []uint32{0, 1, 0x0a000001, 0xc0a80001, 0xffffffff}
+	for _, a := range ips {
+		for _, b := range ips {
+			ta, tb := New(0, IP(a)), New(0, IP(b))
+			same := ta.Key1(0) == tb.Key1(0)
+			if eq := IP(a).Equal(IP(b)); same != eq {
+				t.Errorf("IP %x vs %x: Equal %v, Key1 equal %v", a, b, eq, same)
+			}
 		}
 	}
 }

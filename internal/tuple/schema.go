@@ -205,18 +205,19 @@ func (t *Tuple) Key(idx []int) uint64 {
 
 // FastKeyKind reports whether a single-column key of this kind may be
 // hashed with Key1: kinds whose raw payload alone determines equality
-// among themselves and across each other (Int, Uint and Time all store
-// the numeric value in the payload, and numerically equal values of
-// those kinds are Equal). Float is excluded — integral floats must
-// collide with their integer value, which needs the generic path — and
-// so are String/Bool/IP (IP only equals other integral kinds by value,
-// which the payload does preserve, but schemas mixing IP with INT keys
-// are not worth a fast lane).
+// among themselves and across each other (Int, Uint, Time and IP all
+// store their integral value in the payload, and integral values that
+// are Equal share it). IP is in because IP equality is payload
+// equality and join key checks only ever pair IP with IP, so both
+// sides of an IP join hash in one space. Float is excluded — integral
+// floats must collide with their integer value, which needs the
+// generic path — and so are String and Bool, whose equality is not
+// the numeric payload's.
 func FastKeyKind(k Kind) bool {
-	return k == KindInt || k == KindUint || k == KindTime
+	return k == KindInt || k == KindUint || k == KindTime || k == KindIP
 }
 
-// Key1 is the fast lane of Key for a single Int/Uint/Time column: a
+// Key1 is the fast lane of Key for a single Int/Uint/Time/IP column: a
 // splitmix64-style avalanche of the raw payload, skipping the generic
 // byte-wise FNV walk. Callers must establish FastKeyKind for the
 // column's schema kind on every tuple source sharing the hash space
