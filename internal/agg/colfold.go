@@ -146,6 +146,7 @@ func (g *GroupBy) planColumnar(arity int) {
 // progress all happen once per run; only the group fold itself remains
 // per-row.
 func (g *GroupBy) ProcessBatch(_ int, b *stream.Batch, _ ops.EmitBatch, emit ops.Emit) {
+	g.retireExpired()
 	if g.colPlan == colPlanNone {
 		g.planColumnar(len(b.Cols))
 	}
@@ -201,6 +202,7 @@ func (g *GroupBy) foldColRun(b *stream.Batch, ts int64, rows []int32, emit ops.E
 	} else {
 		g.foldColSpan(&p.groupTable, b, rows)
 		if ts < g.watermark {
+			g.lateIntoPane(p)
 			for _, r := range rows {
 				g.foldLateClosed(g.gatherColRow(b, int(r)))
 			}
@@ -281,7 +283,7 @@ func (g *GroupBy) foldColSpan(tbl *groupTable, b *stream.Batch, rows []int32) {
 				if st, ok := grp.states[i].(*sumState); ok {
 					if f, ok := col[rows[k]].AsFloat(); ok {
 						st.sum += f
-						st.any = true
+						st.n++
 					}
 				} else {
 					g.updateOne(grp, i, ca, b, rows[k])
@@ -349,4 +351,3 @@ func (g *GroupBy) locateColGroup(tbl *groupTable, b *stream.Batch, r int) *group
 	g.scratch = keys
 	return g.locateGroup(tbl, keys, h)
 }
-

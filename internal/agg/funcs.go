@@ -114,6 +114,20 @@ func Lookup(name string, approx bool) (*Func, error) {
 	return nil, fmt.Errorf("agg: unknown aggregate %q", name)
 }
 
+// invertible is implemented by states whose Merge the running window
+// (pane.go) can undo. Counts are int64 and always exact; float64 totals
+// are exact only while they hold integers below exactLimit (a UINT
+// argument: see runningGate), when any association of the merges yields
+// the same bits and unmerge restores them. exact reports whether that
+// still holds.
+type invertible interface {
+	unmerge(o State)
+	exact() bool
+}
+
+// exactLimit is 2^53: every integer below it is a float64.
+const exactLimit = 1 << 53
+
 type countState struct{ n int64 }
 
 func (s *countState) Add(tuple.Value) { s.n++ }
@@ -124,32 +138,43 @@ func (s *countState) Merge(o State) error {
 func (s *countState) Result() tuple.Value { return tuple.Int(s.n) }
 func (s *countState) MemSize() int        { return 8 }
 func (s *countState) reset()              { s.n = 0 }
+func (s *countState) unmerge(o State)     { s.n -= o.(*countState).n }
+func (s *countState) exact() bool         { return true }
 
+// sumState counts its non-null inputs so that "any input at all" (NULL
+// for an empty sum) survives an unmerge; partials and checkpoints still
+// carry it as the (sum, any) pair.
 type sumState struct {
 	sum float64
-	any bool
+	n   int64
 }
 
 func (s *sumState) Add(v tuple.Value) {
 	if f, ok := v.AsFloat(); ok {
 		s.sum += f
-		s.any = true
+		s.n++
 	}
 }
 func (s *sumState) Merge(o State) error {
 	os := o.(*sumState)
 	s.sum += os.sum
-	s.any = s.any || os.any
+	s.n += os.n
 	return nil
 }
 func (s *sumState) Result() tuple.Value {
-	if !s.any {
+	if s.n == 0 {
 		return tuple.Null
 	}
 	return tuple.Float(s.sum)
 }
 func (s *sumState) MemSize() int { return 16 }
-func (s *sumState) reset()       { s.sum, s.any = 0, false }
+func (s *sumState) reset()       { s.sum, s.n = 0, 0 }
+func (s *sumState) unmerge(o State) {
+	os := o.(*sumState)
+	s.sum -= os.sum
+	s.n -= os.n
+}
+func (s *sumState) exact() bool { return s.sum < exactLimit }
 
 type minmaxState struct {
 	min  bool
@@ -202,6 +227,12 @@ func (s *avgState) Result() tuple.Value {
 }
 func (s *avgState) MemSize() int { return 16 }
 func (s *avgState) reset()       { s.sum, s.n = 0, 0 }
+func (s *avgState) unmerge(o State) {
+	os := o.(*avgState)
+	s.sum -= os.sum
+	s.n -= os.n
+}
+func (s *avgState) exact() bool { return s.sum < exactLimit }
 
 type stddevState struct {
 	sum, sq float64
@@ -235,6 +266,13 @@ func (s *stddevState) Result() tuple.Value {
 }
 func (s *stddevState) MemSize() int { return 24 }
 func (s *stddevState) reset()       { s.sum, s.sq, s.n = 0, 0, 0 }
+func (s *stddevState) unmerge(o State) {
+	os := o.(*stddevState)
+	s.sum -= os.sum
+	s.sq -= os.sq
+	s.n -= os.n
+}
+func (s *stddevState) exact() bool { return s.sum < exactLimit && s.sq < exactLimit }
 
 // distinctState is exact count-distinct: memory grows with cardinality,
 // exactly the unbounded-memory hazard of slide 36.

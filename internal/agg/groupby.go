@@ -69,6 +69,12 @@ type GroupBy struct {
 	combTbl   *groupTable // reusable combine output table
 	dueBuf    []int64     // reusable due-window scratch
 
+	// Running window (see pane.go): nil unless the window slides and
+	// every aggregate is exactly invertible. Derived state, never
+	// snapshotted. closes tallies how sliding windows closed.
+	run    *runWindow
+	closes closeStats
+
 	// Partial-replica mode (engine-internal; see ClonePartial): emit
 	// fixed-arity partial records plus progress punctuations instead of
 	// final rows, for a downstream PaneCombiner.
@@ -109,6 +115,9 @@ type groupTable struct {
 type group struct {
 	keys   []tuple.Value
 	states []State
+	// refs counts the held panes containing this key (running window
+	// table only; zero everywhere else).
+	refs int
 }
 
 // NewGroupBy builds a grouped aggregate. groupBy expressions become the
@@ -157,6 +166,9 @@ func NewGroupBy(name string, in *tuple.Schema, groupBy []expr.Expr, groupNames [
 			g.panes = make(map[int64]*paneTable)
 			g.paneWins = make(map[int64]int64)
 			g.paneNext = math.MaxInt64
+			if runningGate(spec, groupBy, aggs) {
+				g.run = newRunWindow()
+			}
 		} else {
 			g.assigner = window.NewAssigner(spec)
 		}
@@ -187,6 +199,7 @@ func (g *GroupBy) NumInputs() int { return 1 }
 
 // Push implements ops.Operator.
 func (g *GroupBy) Push(_ int, e stream.Element, emit ops.Emit) {
+	g.retireExpired()
 	if e.IsPunct() {
 		g.advance(e.Punct.Ts, emit)
 		g.closeGroups(e.Punct, emit)
@@ -355,11 +368,12 @@ func (g *GroupBy) emitTable(tbl *groupTable, emit ops.Emit) {
 		return
 	}
 	// Deterministic group order: sort by key values.
-	grps := make([]*group, 0, tbl.n)
-	for _, chain := range tbl.groups {
-		grps = append(grps, chain...)
-	}
-	sortGroups(grps)
+	g.emitGroups(tbl.end, sortedTableGroups(tbl), emit)
+}
+
+// emitGroups emits one result row per group, in the given (key) order,
+// honoring HAVING.
+func (g *GroupBy) emitGroups(end int64, grps []*group, emit ops.Emit) {
 	// One backing array for the whole table: emission allocates O(1)
 	// slices regardless of group count. Rows escape downstream and are
 	// never reused.
@@ -368,12 +382,12 @@ func (g *GroupBy) emitTable(tbl *groupTable, emit ops.Emit) {
 	buf := make([]tuple.Value, 0, len(grps)*arity)
 	for i, grp := range grps {
 		start := len(buf)
-		buf = append(buf, tuple.Time(tbl.end))
+		buf = append(buf, tuple.Time(end))
 		buf = append(buf, grp.keys...)
 		for _, st := range grp.states {
 			buf = append(buf, st.Result())
 		}
-		rows[i] = tuple.Tuple{Ts: tbl.end, Vals: buf[start:len(buf):len(buf)]}
+		rows[i] = tuple.Tuple{Ts: end, Vals: buf[start:len(buf):len(buf)]}
 	}
 	for i := range rows {
 		out := &rows[i]
@@ -392,14 +406,28 @@ func sortGroups(grps []*group) {
 	if len(grps) < 2 || sortByPayload(grps) {
 		return
 	}
-	slices.SortFunc(grps, func(a, b *group) int {
-		for k := range a.keys {
-			if c := a.keys[k].Compare(b.keys[k]); c != 0 {
-				return c
-			}
+	slices.SortFunc(grps, compareGroups)
+}
+
+// sortedTableGroups flattens a table's chains in deterministic key
+// order.
+func sortedTableGroups(tbl *groupTable) []*group {
+	grps := make([]*group, 0, tbl.n)
+	for _, chain := range tbl.groups {
+		grps = append(grps, chain...)
+	}
+	sortGroups(grps)
+	return grps
+}
+
+// compareGroups orders groups by key values (Value.Compare per key).
+func compareGroups(a, b *group) int {
+	for k := range a.keys {
+		if c := a.keys[k].Compare(b.keys[k]); c != 0 {
+			return c
 		}
-		return 0
-	})
+	}
+	return 0
 }
 
 // sortByPayload is sortGroups for the common single-key case — an
@@ -557,6 +585,7 @@ func (tbl *groupTable) removeMatching(bounds []keyBound) []*group {
 // Flush implements ops.Operator: emits all open windows (or the
 // unbounded table).
 func (g *GroupBy) Flush(emit ops.Emit) {
+	g.retireExpired()
 	g.trackGroups()
 	if g.paneAsn != nil {
 		g.flushPanes(emit)
@@ -604,6 +633,9 @@ func (g *GroupBy) MemSize() int {
 	}
 	for _, p := range g.panes {
 		count(&p.groupTable)
+	}
+	if g.run != nil {
+		count(&g.run.tbl)
 	}
 	n += 16 * len(g.paneWins)
 	if g.unbounded != nil {

@@ -5,7 +5,10 @@
 // window with overlap factor Range/Slide from O(Range/Slide) state
 // updates into O(1) — the low-level/high-level aggregation split of
 // slides 34-37 applied *inside* one operator, with panes playing the
-// LFTA role and the window fold the HFTA role.
+// LFTA role and the window fold the HFTA role. A sliding window whose
+// aggregates are exactly invertible goes one step further and keeps a
+// running window table, so a close costs one pane, not Range/Slide (see
+// "Running window" below).
 //
 // The same partial-record plumbing doubles as the engine's intra-operator
 // parallelism hook: a pane-path GroupBy can be cloned into N partial
@@ -17,6 +20,7 @@ package agg
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"streamdb/internal/expr"
@@ -94,9 +98,24 @@ func (g *GroupBy) DisablePanes() *GroupBy {
 	if g.paneAsn != nil {
 		g.paneAsn = nil
 		g.panes, g.paneWins, g.lastPane = nil, nil, nil
+		g.run = nil
 		g.assigner = window.NewAssigner(g.spec)
 	}
 	return g
+}
+
+// CloseStrategy names how a closing window's result is produced, for
+// Plan.Explain.
+func (g *GroupBy) CloseStrategy() string {
+	switch {
+	case g.paneAsn == nil:
+		return "legacy per-window"
+	case g.spec.Range == g.spec.Slide:
+		return "close: tumbling pane"
+	case g.run != nil:
+		return "close: running window"
+	}
+	return "close: full fold"
 }
 
 // foldPane routes a tuple into its single pane. A pane is created on
@@ -116,6 +135,7 @@ func (g *GroupBy) foldPane(t *tuple.Tuple) {
 	}
 	g.fold(&p.groupTable, t)
 	if t.Ts < g.watermark {
+		g.lateIntoPane(p)
 		g.foldLateClosed(t)
 	}
 }
@@ -222,17 +242,15 @@ func (g *GroupBy) advancePanes(now int64, emit ops.Emit) {
 	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
 	for _, ws := range due {
 		if tbl, ok := g.windows[ws]; ok {
-			if g.partial {
-				g.emitPartialTable(ws, tbl, emit)
-			} else {
-				g.emitTable(tbl, emit)
-			}
+			g.emitWindow(ws, tbl, emit)
 			delete(g.windows, ws)
 			continue
 		}
 		g.emitPaneWindow(ws, g.paneWins[ws], emit)
 		delete(g.paneWins, ws)
 	}
+	// A running window has already taken the closed windows' oldest panes
+	// out of the map (see closeRunning).
 	for ps, p := range g.panes {
 		if g.paneAsn.Retired(ps, now) {
 			if g.lastPane == p {
@@ -249,19 +267,297 @@ func (g *GroupBy) advancePanes(now int64, emit ops.Emit) {
 
 // emitPaneWindow finalizes one window by folding its panes' partials.
 func (g *GroupBy) emitPaneWindow(ws, we int64, emit ops.Emit) {
-	var tbl *groupTable
-	if p := g.panes[ws]; p != nil && g.spec.Range == g.spec.Slide {
+	switch {
+	case g.run != nil:
+		g.closeRunning(ws, we, emit)
+	case g.spec.Range == g.spec.Slide:
 		// A tumbling window is its one pane: that pane's table already
 		// holds the result states, so there is nothing to fold.
-		tbl = &p.groupTable
-	} else {
-		tbl = g.combineWindow(ws, we, nil)
+		if p := g.panes[ws]; p != nil {
+			g.emitWindow(ws, &p.groupTable, emit)
+		}
+	default:
+		g.closes.full++
+		g.emitWindow(ws, g.combineWindow(ws, we, nil), emit)
 	}
+}
+
+// emitWindow emits a window's table as result rows, or as partial
+// records on a partial replica.
+func (g *GroupBy) emitWindow(ws int64, tbl *groupTable, emit ops.Emit) {
 	if g.partial {
 		g.emitPartialTable(ws, tbl, emit)
 		return
 	}
 	g.emitTable(tbl, emit)
+}
+
+// ---- Running window --------------------------------------------------
+//
+// A sliding window shares all but one pane with the window before it,
+// so instead of re-folding Range/Slide panes at every close, a GroupBy
+// whose aggregates are exactly invertible keeps the running fold: at a
+// close it merges the newest pane in and emits, and on its next call
+// subtracts the pane that just expired.
+//
+// Exact or not at all. The running table serves only count and
+// sum/avg/stddev over a UINT argument. Their totals are sums of
+// non-negative integers: while every total stays below 2^53, each
+// float64 addition is exact, every association yields the same bits,
+// and a subtraction restores them — so rows match the full fold byte for
+// byte. A total reaching 2^53 sends that window to combineWindow and the
+// table is rebuilt at the next close. General floats are never
+// subtracted: summing 1e20 then 1.0 and taking 1e20 back out leaves 0,
+// and a long-running window would drift.
+
+// closeStats counts how sliding pane windows closed: by delta on the
+// running table, by folding every pane into it afresh, or by
+// combineWindow's full fold.
+type closeStats struct{ delta, rebuild, full int64 }
+
+// runWindow is the running window table. Once the expired pane is
+// retired, tbl holds the fold of panes [next, next+Range-Slide): the
+// completed panes of the window due to close next. Each group's refs
+// counts the held panes containing its key; the group leaves when that
+// reaches 0. Groups own their keys (pane groups overwrite theirs in
+// place when recycled).
+type runWindow struct {
+	tbl   groupTable
+	valid bool  // false: rebuild at the next close
+	next  int64 // start of the window tbl lines up with
+	// order holds tbl's groups in key order, maintained by merging in
+	// fresh groups (created since the last close) and dropping departed
+	// ones, so a close never sorts the whole table. spare is the merge
+	// buffer.
+	order, fresh, spare []*group
+	// expired is the last closed window's oldest pane: out of the pane
+	// map already, subtracted and recycled by the next call.
+	expired *paneTable
+}
+
+func newRunWindow() *runWindow {
+	return &runWindow{tbl: groupTable{groups: make(map[uint64][]*group)}}
+}
+
+// runningGate reports whether a pane-path GroupBy can keep a running
+// window: the window slides (a tumbling one emits its pane directly),
+// every grouping key is of a kind whose equality is bit identity (FLOAT
+// is not: 0 = -0 and NaN != NaN), and every aggregate is count, or
+// sum/avg/stddev over a UINT argument.
+func runningGate(spec window.Spec, groupBy []expr.Expr, aggs []Spec) bool {
+	if spec.Range == spec.Slide {
+		return false
+	}
+	for _, ge := range groupBy {
+		if ge.Kind() == tuple.KindFloat {
+			return false
+		}
+	}
+	for _, a := range aggs {
+		switch a.Fn.New().(type) {
+		case *countState:
+		case *sumState, *avgState, *stddevState:
+			if a.Arg == nil || a.Arg.Kind() != tuple.KindUint {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// closeRunning closes window [ws, we) from the running table: a delta
+// (merge the newest pane) when the table lines up with the window, else
+// one full fold of the window's panes into it. A total reaching 2^53
+// emits the window through combineWindow instead and leaves the table
+// to be rebuilt. The window's oldest pane leaves the pane map now; its
+// subtraction waits for the operator's next call.
+func (g *GroupBy) closeRunning(ws, we int64, emit ops.Emit) {
+	rw := g.run
+	g.retireExpired() // an earlier window of the same advance
+	aligned := rw.valid && rw.next == ws
+	exact := true
+	if aligned {
+		if p := g.panes[ws+g.spec.Range-g.spec.Slide]; p != nil {
+			exact = g.addPane(p)
+		}
+	} else {
+		g.resetRunning()
+		g.paneAsn.Panes(window.ID{Start: ws, End: we}, func(ps int64) bool {
+			if p := g.panes[ps]; p != nil {
+				exact = g.addPane(p)
+			}
+			return exact
+		})
+	}
+	rw.valid, rw.next = exact, ws+g.spec.Slide
+	if !exact {
+		g.closes.full++
+		g.emitWindow(ws, g.combineWindow(ws, we, nil), emit)
+	} else {
+		if aligned {
+			g.closes.delta++
+		} else {
+			g.closes.rebuild++
+		}
+		if len(rw.fresh) > 0 {
+			sortGroups(rw.fresh)
+			rw.order, rw.spare = mergeGroups(rw.spare, rw.order, rw.fresh), rw.order
+			clear(rw.fresh)
+			rw.fresh = rw.fresh[:0]
+		}
+		if g.partial {
+			g.emitPartialGroups(ws, we, rw.order, emit)
+		} else {
+			g.emitGroups(we, rw.order, emit)
+		}
+	}
+	if p := g.panes[ws]; p != nil {
+		// No open window covers the pane any more.
+		delete(g.panes, ws)
+		if g.lastPane == p {
+			g.lastPane = nil
+		}
+		rw.expired = p
+		if !exact {
+			g.retireExpired() // nothing to subtract it from
+		}
+	}
+}
+
+// addPane merges pane p into the running table and reports whether
+// every total stayed exact; on false the table is abandoned mid-merge.
+func (g *GroupBy) addPane(p *paneTable) bool {
+	rw := g.run
+	for h, chain := range p.groups {
+		// The pane map's key is fold's chain hash, shared by tbl.
+		for _, pg := range chain {
+			rg := g.locateGroup(&rw.tbl, pg.keys, h)
+			if rg.refs == 0 {
+				rw.fresh = append(rw.fresh, rg)
+			}
+			rg.refs++
+			for i, st := range rg.states {
+				_ = st.Merge(pg.states[i]) // the gate admits only states that always merge
+				if !st.(invertible).exact() {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// retireExpired subtracts the last closed window's oldest pane from the
+// running table and recycles the pane. Push, ProcessBatch and Flush call
+// it first, so on the serial loop it runs after the close's rows have
+// been dispatched downstream.
+func (g *GroupBy) retireExpired() {
+	rw := g.run
+	if rw == nil || rw.expired == nil {
+		return
+	}
+	p := rw.expired
+	rw.expired = nil
+	if rw.valid {
+		rw.valid = g.subtractPane(p)
+	}
+	recycleGroups(&p.groupTable, &g.groupFree)
+	if len(g.paneFree) < 256 {
+		g.paneFree = append(g.paneFree, p)
+	}
+}
+
+// subtractPane unmerges pane p from the running table, dropping groups
+// no held pane contains any more; false means p was not in the table.
+func (g *GroupBy) subtractPane(p *paneTable) bool {
+	rw := g.run
+	left := false
+	for h, chain := range p.groups {
+		for _, pg := range chain {
+			rchain := rw.tbl.groups[h]
+			i := slices.IndexFunc(rchain, func(rg *group) bool { return keysEqual(rg.keys, pg.keys) })
+			if i < 0 {
+				return false
+			}
+			rg := rchain[i]
+			for j, st := range rg.states {
+				st.(invertible).unmerge(pg.states[j])
+			}
+			rg.refs--
+			if rg.refs > 0 {
+				continue
+			}
+			left = true
+			if last := len(rchain) - 1; last > 0 {
+				rchain[i] = rchain[last]
+				rchain[last] = nil
+				rw.tbl.groups[h] = rchain[:last]
+			} else {
+				delete(rw.tbl.groups, h)
+			}
+			rw.tbl.n--
+			if len(g.groupFree) < 1<<14 && resetStates(rg.states) {
+				g.groupFree = append(g.groupFree, rg)
+			}
+		}
+	}
+	if left {
+		keep := rw.order[:0]
+		for _, grp := range rw.order {
+			if grp.refs > 0 {
+				keep = append(keep, grp)
+			}
+		}
+		clear(rw.order[len(keep):])
+		rw.order = keep
+	}
+	return true
+}
+
+// resetRunning empties the running table for a rebuild.
+func (g *GroupBy) resetRunning() {
+	rw := g.run
+	for _, chain := range rw.tbl.groups {
+		for _, grp := range chain {
+			grp.refs = 0
+		}
+	}
+	recycleGroups(&rw.tbl, &g.groupFree)
+	clear(rw.order)
+	clear(rw.fresh)
+	rw.order, rw.fresh = rw.order[:0], rw.fresh[:0]
+}
+
+// lateIntoPane drops the running table when a late tuple has landed in
+// a pane the table already holds; the next close rebuilds it.
+func (g *GroupBy) lateIntoPane(p *paneTable) {
+	if rw := g.run; rw != nil && p.start < rw.next+g.spec.Range-g.spec.Slide {
+		rw.valid = false
+	}
+}
+
+// dropRunning invalidates the running table (punctuation-closed groups,
+// Flush, Restore); a pending expired pane is simply recycled.
+func (g *GroupBy) dropRunning() {
+	if g.run != nil {
+		g.run.valid = false
+	}
+}
+
+// mergeGroups merges fresh (sorted, keys absent from order) into the
+// key-ordered order, writing into dst: a binary search per fresh group
+// and block copies in between.
+func mergeGroups(dst, order, fresh []*group) []*group {
+	dst = dst[:0]
+	for _, f := range fresh {
+		i := sort.Search(len(order), func(i int) bool { return compareGroups(order[i], f) > 0 })
+		dst = append(dst, order[:i]...)
+		dst = append(dst, f)
+		order = order[i:]
+	}
+	return append(dst, order...)
 }
 
 // combineWindow folds the partials of every pane constituting window
@@ -347,15 +643,12 @@ func (g *GroupBy) closeGroupsPanes(end int64, bounds []keyBound, emit ops.Emit) 
 			continue
 		}
 		tbl.end = end
-		if g.partial {
-			g.emitPartialTable(ws, tbl, emit)
-		} else {
-			g.emitTable(tbl, emit)
-		}
+		g.emitWindow(ws, tbl, emit)
 	}
 	for _, p := range g.panes {
 		p.removeMatching(bounds)
 	}
+	g.dropRunning() // its groups may just have lost pane state
 	// Late-reopened windows keep legacy side tables; close matching
 	// groups there too.
 	var lateStarts []int64
@@ -370,9 +663,8 @@ func (g *GroupBy) closeGroupsPanes(end int64, bounds []keyBound, emit ops.Emit) 
 			continue
 		}
 		sortGroups(done)
-		late := &groupTable{end: end, groups: map[uint64][]*group{0: done}, n: len(done)}
 		if g.partial {
-			g.emitPartialTable(ws, late, emit)
+			g.emitPartialGroups(ws, end, done, emit)
 		} else {
 			for _, grp := range done {
 				g.emitGroup(end, grp, emit)
@@ -394,11 +686,7 @@ func (g *GroupBy) flushPanes(emit ops.Emit) {
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	for _, ws := range starts {
 		if tbl, ok := g.windows[ws]; ok {
-			if g.partial {
-				g.emitPartialTable(ws, tbl, emit)
-			} else {
-				g.emitTable(tbl, emit)
-			}
+			g.emitWindow(ws, tbl, emit)
 			delete(g.windows, ws)
 			continue
 		}
@@ -408,6 +696,7 @@ func (g *GroupBy) flushPanes(emit ops.Emit) {
 	g.panes = make(map[int64]*paneTable)
 	g.lastPane = nil
 	g.paneNext = math.MaxInt64
+	g.dropRunning()
 }
 
 // ---- Partial-replica mode -------------------------------------------
@@ -451,20 +740,21 @@ func (g *GroupBy) partialSchema() *tuple.Schema {
 // emitPartialTable serializes a combined window table as partial
 // records for the downstream PaneCombiner.
 func (g *GroupBy) emitPartialTable(ws int64, tbl *groupTable, emit ops.Emit) {
-	grps := make([]*group, 0, tbl.n)
-	for _, chain := range tbl.groups {
-		grps = append(grps, chain...)
-	}
-	sortGroups(grps)
+	g.emitPartialGroups(ws, tbl.end, sortedTableGroups(tbl), emit)
+}
+
+// emitPartialGroups emits one partial record per group, in the given
+// (key) order.
+func (g *GroupBy) emitPartialGroups(ws, end int64, grps []*group, emit ops.Emit) {
 	for _, grp := range grps {
 		vals := make([]tuple.Value, 0, 2+len(grp.keys)+len(grp.states)*2)
-		vals = append(vals, tuple.Time(tbl.end), tuple.Time(ws))
+		vals = append(vals, tuple.Time(end), tuple.Time(ws))
 		vals = append(vals, grp.keys...)
 		for _, st := range grp.states {
 			vals = append(vals, st.(Partializable).PartialVals()...)
 		}
 		g.emitted++
-		emit(stream.Tup(tuple.New(tbl.end, vals...)))
+		emit(stream.Tup(tuple.New(end, vals...)))
 	}
 }
 
@@ -477,7 +767,7 @@ func (g *GroupBy) CanPartial() bool { return g.paneAsn != nil && !g.partial }
 // emits partial records and progress punctuations instead of final
 // rows. HAVING stays with the combiner, which sees merged totals.
 func (g *GroupBy) ClonePartial() ops.Operator {
-	return &GroupBy{
+	clone := &GroupBy{
 		name: g.name, groupBy: g.groupBy, groupName: g.groupName,
 		keyCols: g.keyCols, aggs: g.aggs, spec: g.spec,
 		out:      g.partialSchema(),
@@ -489,6 +779,10 @@ func (g *GroupBy) ClonePartial() ops.Operator {
 		paneNext: math.MaxInt64,
 		partial:  true,
 	}
+	if g.run != nil {
+		clone.run = newRunWindow()
+	}
+	return clone
 }
 
 // Combiner implements ops.PartialAggregable: the node that merges the

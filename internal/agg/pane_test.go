@@ -2,6 +2,7 @@ package agg
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -43,6 +44,13 @@ func valueRepr(v tuple.Value) string {
 	return fmt.Sprintf("%d:%x:%s", v.Kind, v.Raw(), v.String())
 }
 
+// sameBits is valueRepr equality without the formatting: kind, raw
+// payload, float bits and string payload.
+func sameBits(a, b tuple.Value) bool {
+	return a.Kind == b.Kind && a.Raw() == b.Raw() &&
+		math.Float64bits(a.Fl()) == math.Float64bits(b.Fl()) && a.Str() == b.Str()
+}
+
 func sameTuples(t *testing.T, label string, pane, legacy []*tuple.Tuple) {
 	t.Helper()
 	if len(pane) != len(legacy) {
@@ -56,9 +64,8 @@ func sameTuples(t *testing.T, label string, pane, legacy []*tuple.Tuple) {
 			t.Fatalf("%s: row %d arity %d, legacy %d", label, i, len(pane[i].Vals), len(legacy[i].Vals))
 		}
 		for j := range pane[i].Vals {
-			a, b := valueRepr(pane[i].Vals[j]), valueRepr(legacy[i].Vals[j])
-			if a != b {
-				t.Fatalf("%s: row %d col %d = %s, legacy %s", label, i, j, a, b)
+			if a, b := pane[i].Vals[j], legacy[i].Vals[j]; !sameBits(a, b) {
+				t.Fatalf("%s: row %d col %d = %s, legacy %s", label, i, j, valueRepr(a), valueRepr(b))
 			}
 		}
 	}

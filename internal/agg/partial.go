@@ -42,7 +42,7 @@ func (s *countState) MergePartial(vals []tuple.Value) error {
 
 // PartialVals implements Partializable for sumState.
 func (s *sumState) PartialVals() []tuple.Value {
-	return []tuple.Value{tuple.Float(s.sum), tuple.Bool(s.any)}
+	return []tuple.Value{tuple.Float(s.sum), tuple.Bool(s.n > 0)}
 }
 
 // PartialKinds implements Partializable for sumState.
@@ -50,7 +50,9 @@ func (s *sumState) PartialKinds() []tuple.Kind {
 	return []tuple.Kind{tuple.KindFloat, tuple.KindBool}
 }
 
-// MergePartial implements Partializable for sumState.
+// MergePartial implements Partializable for sumState. The partial says
+// only whether inputs were seen, so it counts as one: n > 0 still means
+// "any input", which is all Result and PartialVals read.
 func (s *sumState) MergePartial(vals []tuple.Value) error {
 	f, ok1 := vals[0].AsFloat()
 	a, ok2 := vals[1].AsBool()
@@ -58,7 +60,9 @@ func (s *sumState) MergePartial(vals []tuple.Value) error {
 		return fmt.Errorf("agg: bad sum partial")
 	}
 	s.sum += f
-	s.any = s.any || a
+	if a {
+		s.n++
+	}
 	return nil
 }
 

@@ -3,9 +3,9 @@
 // partial tables, watermarks, counters — in a deterministic order, so
 // identical runs produce identical checkpoint bytes. Restore rebuilds
 // the hash-chained tables by recomputing the fold hashes from the
-// decoded key values; the recycling freelists and scratch buffers are
-// deliberately not captured (they are performance state, not logical
-// state).
+// decoded key values; the recycling freelists, scratch buffers and the
+// running window table are deliberately not captured (they are
+// performance state, not logical state).
 package agg
 
 import (
@@ -115,17 +115,6 @@ func chainHash(keys []tuple.Value) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// sortedTableGroups flattens a table's chains in deterministic key
-// order.
-func sortedTableGroups(tbl *groupTable) []*group {
-	grps := make([]*group, 0, tbl.n)
-	for _, chain := range tbl.groups {
-		grps = append(grps, chain...)
-	}
-	sortGroups(grps)
-	return grps
 }
 
 // encodeTable writes one group table (used for windows, panes, and the
@@ -276,6 +265,7 @@ func (g *GroupBy) Restore(dec *ckpt.Decoder) error {
 	}
 	g.paneNext = dec.Varint()
 	g.lastPane = nil
+	g.dropRunning() // derived state: the next close rebuilds it
 	return dec.Err()
 }
 

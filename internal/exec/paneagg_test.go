@@ -102,6 +102,12 @@ func paneGroupBy(t *testing.T, spec window.Spec, names []string, panes bool) *ag
 // deterministic single-threaded Run.
 func runPaneGraph(t *testing.T, gb *agg.GroupBy, elems []stream.Element, opts *RunOptions) (NodeStats, []string) {
 	t.Helper()
+	return runPaneGraphOn(t, paneSch, gb, elems, opts)
+}
+
+// runPaneGraphOn is runPaneGraph over a source of schema sch.
+func runPaneGraphOn(t *testing.T, sch *tuple.Schema, gb *agg.GroupBy, elems []stream.Element, opts *RunOptions) (NodeStats, []string) {
+	t.Helper()
 	var got []string
 	g := NewGraph(func(e stream.Element) {
 		if e.IsPunct() {
@@ -110,7 +116,7 @@ func runPaneGraph(t *testing.T, gb *agg.GroupBy, elems []stream.Element, opts *R
 		}
 		got = append(got, fmt.Sprintf("%d|%s", e.Tuple.Ts, e.Tuple.String()))
 	})
-	src := g.AddSource(stream.FromElements(paneSch, elems...))
+	src := g.AddSource(stream.FromElements(sch, elems...))
 	n := g.AddOp(gb)
 	if err := g.ConnectSource(src, n, 0); err != nil {
 		t.Fatal(err)
@@ -185,6 +191,94 @@ func TestPaneEquivalenceRunMatrix(t *testing.T) {
 			sameSeq(t, fmt.Sprintf("%s/%+v", c.label, o), got, base)
 			if o.Parallelism > 1 && c.wantPanes && st.Replicas != o.Parallelism {
 				t.Errorf("%s/%+v: Replicas = %d, want %d", c.label, o, st.Replicas, o.Parallelism)
+			}
+		}
+	}
+}
+
+var paneUintSch = tuple.NewSchema("AU",
+	tuple.Field{Name: "time", Kind: tuple.KindTime, Ordering: true},
+	tuple.Field{Name: "g", Kind: tuple.KindInt},
+	tuple.Field{Name: "v", Kind: tuple.KindUint},
+)
+
+// paneUintStream is paneStream with UINT measures (and some NULLs).
+func paneUintStream(n int, deepStragglers bool) []stream.Element {
+	rng := rand.New(rand.NewSource(77))
+	elems := paneStream(n, deepStragglers)
+	for i, e := range elems {
+		if e.IsPunct() {
+			continue
+		}
+		v := tuple.Uint(uint64(rng.Int63n(1 << 20)))
+		if rng.Intn(30) == 0 {
+			v = tuple.Null
+		}
+		elems[i] = stream.Tup(tuple.New(e.Tuple.Ts, e.Tuple.Vals[0], e.Tuple.Vals[1], v))
+	}
+	return elems
+}
+
+func paneUintGroupBy(t *testing.T, spec window.Spec, panes bool) *agg.GroupBy {
+	t.Helper()
+	var aggs []agg.Spec
+	for _, name := range []string{"count", "sum", "avg", "stddev"} {
+		f, err := agg.Lookup(name, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := agg.Spec{Fn: f, Name: name}
+		if name != "count" {
+			s.Arg = expr.MustColumn(paneUintSch, "v")
+		}
+		aggs = append(aggs, s)
+	}
+	gb, err := agg.NewGroupBy("q", paneUintSch,
+		[]expr.Expr{expr.MustColumn(paneUintSch, "g")}, []string{"g"}, aggs, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !panes {
+		gb.DisablePanes()
+	}
+	return gb
+}
+
+// UINT measures close sliding windows from the running window table.
+// The serial loop and RunWith — row and columnar, unreplicated and as
+// partial replicas at P = 2 and 4 — must reproduce the legacy serial
+// bytes. Deep stragglers, which land in panes the running table holds,
+// run unreplicated (see TestPaneDeepStragglers).
+func TestPaneRunningWindowRunMatrix(t *testing.T) {
+	for _, spec := range []window.Spec{window.Time(80, 20), window.Time(320, 20)} {
+		for _, deep := range []bool{false, true} {
+			elems := paneUintStream(4000, deep)
+			_, base := runPaneGraphOn(t, paneUintSch, paneUintGroupBy(t, spec, false), elems, nil)
+			if len(base) == 0 {
+				t.Fatalf("%s: legacy baseline produced nothing", spec)
+			}
+			gb := paneUintGroupBy(t, spec, true)
+			if got := gb.CloseStrategy(); got != "close: running window" {
+				t.Fatalf("%s: strategy %q", spec, got)
+			}
+			_, got := runPaneGraphOn(t, paneUintSch, gb, elems, nil)
+			sameSeq(t, fmt.Sprintf("%s deep=%v/Run", spec, deep), got, base)
+			for _, columnar := range []bool{false, true} {
+				for _, p := range []int{1, 2, 4} {
+					if deep && p > 1 {
+						continue
+					}
+					o := RunOptions{BatchSize: 64, Parallelism: p, ForceParallelism: p > 1, Columnar: columnar}
+					st, got := runPaneGraphOn(t, paneUintSch, paneUintGroupBy(t, spec, true), elems, &o)
+					label := fmt.Sprintf("%s deep=%v/%+v", spec, deep, o)
+					sameSeq(t, label, got, base)
+					if st.Replicas != p {
+						t.Errorf("%s: Replicas = %d, want %d", label, st.Replicas, p)
+					}
+					if columnar && st.Batches == 0 {
+						t.Errorf("%s: columnar run took no batches", label)
+					}
+				}
 			}
 		}
 	}

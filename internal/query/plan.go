@@ -516,7 +516,7 @@ func compileAggregate(q *Query, streams []*boundStream) (*Plan, error) {
 		plan.steps = append(plan.steps, fmt.Sprintf("select %s", pred))
 	}
 	plan.steps = append(plan.steps,
-		fmt.Sprintf("group-by %v window %s aggregates %d", groupNames, spec, len(aggBinder.aggSpecs)),
+		fmt.Sprintf("group-by %v window %s aggregates %d, %s", groupNames, spec, len(aggBinder.aggSpecs), gb.CloseStrategy()),
 		"project result columns")
 
 	plan.build = func(g *exec.Graph, sources map[string]stream.Source) error {

@@ -339,6 +339,37 @@ func TestJoinPushdown(t *testing.T) {
 	}
 }
 
+// The group-by step names how a window's result is produced at close.
+func TestExplainCloseStrategy(t *testing.T) {
+	cat := testCatalog()
+	cases := map[string]string{
+		"select srcIP, count(*) as c, sum(length) as b, avg(length) as a from Traffic [range 1 slide 0.1] where length > 100 group by srcIP": "close: running window",
+		"select srcIP, max(length) from Traffic [range 1 slide 0.1] group by srcIP":                                                          "close: full fold",
+		"select srcIP, sum(length) from Traffic [range 1] group by srcIP":                                                                    "close: tumbling pane",
+		"select srcIP, median(length) from Traffic [range 1 slide 0.1] group by srcIP":                                                       "legacy per-window",
+	}
+	for src, want := range cases {
+		q, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := Compile(q, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := plan.Explain()
+		var step string
+		for _, line := range strings.Split(ex, "\n") {
+			if strings.Contains(line, "group-by") {
+				step = line
+			}
+		}
+		if !strings.HasSuffix(step, ", "+want) {
+			t.Errorf("%s: group-by step %q, want it to end with %q", src, step, want)
+		}
+	}
+}
+
 func TestBoundedMemoryAnalysisSlide36(t *testing.T) {
 	cat := testCatalog()
 	// First slide-36 query: group by length with only a lower bound —
