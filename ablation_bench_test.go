@@ -62,7 +62,7 @@ func BenchmarkAblationEngineConcurrent(b *testing.B) {
 	var n int64
 	g := filterGraph(b, func(stream.Element) { atomic.AddInt64(&n, 1) }, b.N)
 	b.ResetTimer()
-	g.RunConcurrent(-1, 256)
+	g.RunWith(-1, exec.RunOptions{ChanCap: 256})
 	if b.N > 1000 && atomic.LoadInt64(&n) == 0 {
 		b.Fatal("no output")
 	}

@@ -197,11 +197,11 @@ func BenchmarkE21TransportWire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tb = experiments.E21TransportWire(benchScale)
 	}
-	// Rows: v2/1, v3/1, v3/16, v3/64, v3/256.
-	b.ReportMetric(parseMetric(tb, 0, 4), "v2_ktuples_s")
-	b.ReportMetric(parseMetric(tb, 3, 4), "v3b64_ktuples_s")
-	b.ReportMetric(parseMetric(tb, 0, 3), "v2_bytes_per_tuple")
-	b.ReportMetric(parseMetric(tb, 3, 3), "v3b64_bytes_per_tuple")
+	// Rows: batch 1, 16, 64, 256.
+	b.ReportMetric(parseMetric(tb, 0, 5), "b1_ktuples_s")
+	b.ReportMetric(parseMetric(tb, 2, 5), "b64_ktuples_s")
+	b.ReportMetric(parseMetric(tb, 0, 4), "selfdesc_bytes_per_tuple")
+	b.ReportMetric(parseMetric(tb, 2, 2), "b64_bytes_per_tuple")
 }
 
 func BenchmarkE22CrashRecovery(b *testing.B) {

@@ -10,11 +10,9 @@
 // reconnecting with exponential backoff and resuming from the last
 // acknowledged sequence number, and the high level dedupes, so a
 // dropped TCP connection costs retransmission instead of killing the
-// standing query. With -wirebatch > 1 the uplink negotiates wire v3
-// (DESIGN.md §10): partials travel in schema-coded batch frames that
-// drop the per-tuple self-description and amortize framing; against an
-// older high-level node the writer degrades to per-tuple v2 frames
-// automatically.
+// standing query. Partials travel in schema-coded batch frames
+// (DESIGN.md §10) that never re-describe a value; -wirebatch sets how
+// many tuples share one frame, amortizing framing.
 //
 // Demo (one process per node):
 //
@@ -78,7 +76,7 @@ type lowConfig struct {
 	retry     int           // max attempts per dial / send round
 	timeout   time.Duration // per-frame I/O deadline
 	faultRate float64       // injected drop rate (demo chaos)
-	wireBatch int           // >1: v3 schema-coded batch frames of this size
+	wireBatch int           // tuples per uplink batch frame
 	columnar  bool          // filter via selection-vector kernels over column batches
 }
 
@@ -106,12 +104,8 @@ func runLow(d *dsms.Decomposition, cfg lowConfig, n int, seed int64) (raw, parti
 		MaxAttempts: cfg.retry,
 		Timeout:     cfg.timeout,
 		Seed:        seed,
-	}
-	if cfg.wireBatch > 1 {
-		// Negotiate wire v3: partials ride schema-coded batch frames,
-		// degrading to per-tuple v2 against an older high-level node.
-		rcfg.Schema = d.PartialSchema()
-		rcfg.WireBatch = cfg.wireBatch
+		Schema:      d.PartialSchema(),
+		WireBatch:   cfg.wireBatch,
 	}
 	w, err := dsms.NewReconnectWriter(rcfg)
 	if err != nil {
@@ -371,9 +365,8 @@ func runHigh(d *dsms.Decomposition, ln net.Listener, cfg highConfig) {
 		mu.Unlock()
 	}
 	// ServeBatches hands over whole decoded wire batches: one callback
-	// (and one buffer append) per v3 frame instead of per tuple. v2
-	// sessions arrive as single-tuple slices, so behavior is unchanged
-	// for old low-level nodes. This server does not enable ZeroCopy, so
+	// (and one buffer append) per frame instead of per tuple. This
+	// server does not enable ZeroCopy, so
 	// the tuples are heap-allocated and safe to hold in the ingest
 	// buffers without pinning the (always-nil) decode arena.
 	err = srv.ServeBatches(cfg.nodes, func(id string, tps []*tuple.Tuple, _ *tuple.Arena) {
@@ -540,7 +533,7 @@ func main() {
 	timeout := flag.Duration("timeout", 5*time.Second, "low/demo: per-frame I/O deadline; high: 2x this is the idle timeout")
 	faultRate := flag.Float64("faultrate", 0, "demo: injected connection-drop rate per write (chaos)")
 	ingestBatch := flag.Int("ingestbatch", 64, "high/demo: partial records buffered per stream before entering the merge plan (1 = per-tuple)")
-	wireBatch := flag.Int("wirebatch", 16, "low/demo: tuples per wire v3 batch frame on the uplink (1 = legacy per-tuple v2 frames)")
+	wireBatch := flag.Int("wirebatch", 16, "low/demo: tuples per batch frame on the uplink (1 = one tuple per frame)")
 	columnar := flag.Bool("columnar", true, "low/demo: run the low-level filter through the columnar selection-vector kernel (false = row-at-a-time; output is identical). The same lane drives exec-engine window joins: every equijoin over time windows vectorizes, whatever its key kind or width (a single INT/UINT/TIME/IP key hashes by payload, others by the generic column hash); only rows-windows, MaxTuples caps and keyless theta joins fall back to the row path — observable per node via NodeStats.Batches/RowFallbacks")
 	ckptDir := flag.String("checkpoint-dir", "", "high/demo: durable checkpoint directory (empty = disabled); on restart the merge state is recovered and sessions replay from the committed floor")
 	ckptEvery := flag.Int("checkpoint-interval", 5000, "high/demo: partial records between checkpoints")

@@ -70,6 +70,7 @@ func TestSessionCrashRestartReplaysFromCheckpoint(t *testing.T) {
 	var lastConn net.Conn
 	w, err := NewReconnectWriter(ReconnectConfig{
 		StreamID: "s1",
+		Schema:   sch,
 		Dial: func() (net.Conn, error) {
 			c, err := net.Dial("tcp", addr.Load().(string))
 			if err != nil {

@@ -1,3 +1,10 @@
+// Package dsms implements the tutorial's end-to-end 3-level
+// architecture (slides 14-15, 54-55): resource-limited low-level DSMS
+// nodes at the observation points, a resource-rich high-level node, and
+// a DBMS behind it. It provides query decomposition across levels
+// (slide 54), a fault-tolerant session transport for distributed
+// evaluation (slide 55), and the adaptive-filter protocol for
+// continuous distributed aggregation [OJW03].
 package dsms
 
 import (

@@ -1,6 +1,7 @@
 package dsms
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
@@ -24,33 +25,21 @@ func row(ts, g int64, v float64) stream.Element {
 }
 
 func TestTransportRoundTrip(t *testing.T) {
+	// The receiving end as a stream.Source: a SessionSource drains every
+	// tuple the writer sent, and a clean EOS leaves no error behind.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-
-	var got []*tuple.Tuple
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		r := NewReader(conn, sch)
-		got = stream.DrainTuples(r)
-		if r.Err != nil {
-			t.Errorf("reader error: %v", r.Err)
-		}
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	src := NewSessionSource(NewSessionServer(ln, sch, SessionConfig{}), 1, 0)
+	w, err := NewReconnectWriter(ReconnectConfig{
+		StreamID: "s1",
+		Dial:     func() (net.Conn, error) { return net.Dial("tcp", ln.Addr().String()) },
+		Schema:   sch,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWriter(conn)
 	for i := int64(0); i < 100; i++ {
 		if err := w.Send(tuple.New(i, tuple.Time(i), tuple.Int(i%5), tuple.Float(float64(i)))); err != nil {
 			t.Fatal(err)
@@ -59,12 +48,15 @@ func TestTransportRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
+	got := stream.DrainTuples(src)
+	if err := src.Err(); err != nil {
+		t.Errorf("source error: %v", err)
+	}
 	if len(got) != 100 {
 		t.Fatalf("received %d tuples", len(got))
 	}
-	if w.Sent != 100 || w.Bytes == 0 {
-		t.Errorf("writer stats: %d, %d", w.Sent, w.Bytes)
+	if st := w.Stats(); st.Sent != 100 || st.Bytes == 0 {
+		t.Errorf("writer stats: %+v", st)
 	}
 	if v, _ := got[99].Vals[2].AsFloat(); v != 99 {
 		t.Errorf("payload corrupted: %v", got[99])
@@ -72,21 +64,24 @@ func TestTransportRoundTrip(t *testing.T) {
 }
 
 func TestTransportSchemaMismatch(t *testing.T) {
-	ln, _ := net.Listen("tcp", "127.0.0.1:0")
-	defer ln.Close()
-	errCh := make(chan error, 1)
-	go func() {
-		conn, _ := ln.Accept()
-		r := NewReader(conn, sch)
-		stream.DrainTuples(r)
-		errCh <- r.Err
-	}()
-	conn, _ := net.Dial("tcp", ln.Addr().String())
-	w := NewWriter(conn)
-	w.Send(tuple.New(1, tuple.Int(1))) // wrong arity
-	w.Close()
-	if err := <-errCh; err == nil {
-		t.Error("schema mismatch not detected")
+	// The writer encodes against its schema, so a tuple that does not
+	// fit it fails Send before anything reaches the wire.
+	w, err := NewReconnectWriter(ReconnectConfig{
+		StreamID: "s1",
+		Dial:     func() (net.Conn, error) { return nil, net.ErrClosed },
+		Schema:   sch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Send(tuple.New(1, tuple.Int(1))); err == nil { // wrong arity
+		t.Error("arity mismatch not detected")
+	}
+	if err := w.Send(tuple.New(1, tuple.Time(1), tuple.Float(1), tuple.Float(1))); err == nil {
+		t.Error("kind mismatch not detected")
+	}
+	if b := w.Buffered(); b != 0 {
+		t.Errorf("%d mismatched tuples buffered for replay", b)
 	}
 }
 
@@ -171,7 +166,7 @@ func TestDecompositionEndToEnd(t *testing.T) {
 
 func TestDecompositionOverTCP(t *testing.T) {
 	// Full slide-55 shape: 2 low-level nodes ship partials over TCP to
-	// a high-level listener.
+	// a high-level session server.
 	d := mkDecomposition(t)
 	high, _ := d.NewHighLevel("hfta")
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -181,57 +176,57 @@ func TestDecompositionOverTCP(t *testing.T) {
 	defer ln.Close()
 
 	const nodes = 2
+	srv := NewSessionServer(ln, d.PartialSchema(), SessionConfig{})
 	var mu sync.Mutex
 	var finals []*tuple.Tuple
-	var wg sync.WaitGroup
-	wg.Add(nodes)
+	emitFinal := func(out stream.Element) { finals = append(finals, out.Tuple) }
+	serveDone := make(chan error, 1)
 	go func() {
-		for i := 0; i < nodes; i++ {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer wg.Done()
-				r := NewReader(conn, d.PartialSchema())
-				for {
-					e, ok := r.Next()
-					if !ok {
-						return
-					}
-					mu.Lock()
-					high.Push(0, e, func(out stream.Element) { finals = append(finals, out.Tuple) })
-					mu.Unlock()
-				}
-			}(conn)
-		}
+		serveDone <- srv.Serve(nodes, func(_ string, tp *tuple.Tuple) {
+			mu.Lock()
+			high.Push(0, stream.Tup(tp), emitFinal)
+			mu.Unlock()
+		})
 	}()
 
-	totalTuples := 0
 	var sendWg sync.WaitGroup
 	for n := 0; n < nodes; n++ {
 		sendWg.Add(1)
 		go func(n int) {
 			defer sendWg.Done()
-			conn, err := net.Dial("tcp", ln.Addr().String())
+			w, err := NewReconnectWriter(ReconnectConfig{
+				StreamID: fmt.Sprintf("low-%d", n),
+				Dial:     func() (net.Conn, error) { return net.Dial("tcp", ln.Addr().String()) },
+				Schema:   d.PartialSchema(),
+			})
 			if err != nil {
-				t.Errorf("dial: %v", err)
+				t.Error(err)
 				return
 			}
-			w := NewWriter(conn)
 			ll, _ := d.NewLowLevel("lfta")
-			emit := func(e stream.Element) { w.Send(e.Tuple) }
+			var sendErr error
+			emit := func(e stream.Element) {
+				if sendErr == nil {
+					sendErr = w.Send(e.Tuple)
+				}
+			}
 			for i := 0; i < 500; i++ {
 				ll.Push(row(int64(i), int64(i%7), 1), emit)
 			}
 			ll.Flush(emit)
-			w.Close()
+			if sendErr == nil {
+				sendErr = w.Close()
+			}
+			if sendErr != nil {
+				t.Error(sendErr)
+			}
 		}(n)
 	}
 	sendWg.Wait()
-	totalTuples = nodes * 500
-	wg.Wait()
-	high.Flush(func(out stream.Element) { finals = append(finals, out.Tuple) })
+	if err := <-serveDone; err != nil {
+		t.Fatal(err)
+	}
+	high.Flush(emitFinal)
 
 	// Sum of counts across finals must equal total raw tuples.
 	var sum int64
@@ -239,8 +234,8 @@ func TestDecompositionOverTCP(t *testing.T) {
 		c, _ := f.Vals[2].AsInt()
 		sum += c
 	}
-	if sum != int64(totalTuples) {
-		t.Errorf("distributed count = %d, want %d", sum, totalTuples)
+	if sum != nodes*500 {
+		t.Errorf("distributed count = %d, want %d", sum, nodes*500)
 	}
 }
 

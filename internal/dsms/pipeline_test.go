@@ -22,7 +22,6 @@ type cutDialer struct {
 
 	mu      sync.Mutex
 	conns   []net.Conn
-	refuse  bool
 	reading atomic.Int32
 }
 
@@ -40,9 +39,6 @@ func (c *countedConn) Read(b []byte) (int, error) {
 func (d *cutDialer) dial() (net.Conn, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.refuse {
-		return nil, net.ErrClosed
-	}
 	c, err := net.Dial("tcp", d.addr)
 	if err != nil {
 		return nil, err
@@ -62,12 +58,6 @@ func (d *cutDialer) cutLast() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.conns[len(d.conns)-1].Close()
-}
-
-func (d *cutDialer) setRefuse(v bool) {
-	d.mu.Lock()
-	d.refuse = v
-	d.mu.Unlock()
 }
 
 // gatedServer is testServer with an emit that blocks while the gate is
@@ -127,6 +117,7 @@ func TestPipelineCutWithFullWindowInFlight(t *testing.T) {
 	const window = ackWindow * ackEvery
 	w, err := NewReconnectWriter(ReconnectConfig{
 		StreamID:    "s1",
+		Schema:      sch,
 		Dial:        d.dial,
 		AckEvery:    ackEvery,
 		BaseBackoff: time.Millisecond,
@@ -172,71 +163,6 @@ func TestPipelineCutWithFullWindowInFlight(t *testing.T) {
 	}
 }
 
-func TestPipelineStickyDowngradeWithFramesInFlight(t *testing.T) {
-	// Batch frames pile up in the replay buffer while the link is down;
-	// the server that finally answers predates v3. The buffered frames
-	// are re-framed for v2, and after a later cut the writer redials
-	// with the v2 HELLO straight away (the downgrade is sticky).
-	addr, srv, wait := testServer(t, 1, SessionConfig{MaxWireVersion: 2})
-	d := &cutDialer{addr: addr}
-	d.setRefuse(true)
-	w, err := NewReconnectWriter(ReconnectConfig{
-		StreamID:      "s1",
-		Dial:          d.dial,
-		Schema:        sch,
-		WireBatch:     8,
-		FlushInterval: -1,
-		AckEvery:      8,
-		MaxAttempts:   3, // two HELLO3 rejections, then the v2 HELLO
-		BaseBackoff:   time.Millisecond,
-		MaxBackoff:    2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sent := mkTuples(400)
-	for i := 0; i < 3; i++ {
-		if err := w.SendBatch(sent[i*8 : i*8+8]); err == nil {
-			t.Fatal("SendBatch succeeded with the link down")
-		}
-	}
-	if b := w.Buffered(); b != 24 {
-		t.Fatalf("%d tuples buffered behind the dead link, want 24", b)
-	}
-	d.setRefuse(false)
-	for _, tp := range sent[24:200] {
-		if err := w.Send(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if v := w.NegotiatedWire(); v != wireV2 {
-		t.Fatalf("negotiated wire %d, want 2", v)
-	}
-	rejected := srv.Stats().Corrupt // the HELLO3s the old server dropped
-	d.cutLast()
-	for _, tp := range sent[200:] {
-		if err := w.Send(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := wait()["s1"]; !bytes.Equal(encodeAll(got), encodeAll(sent)) {
-		t.Fatalf("downgraded delivery differs: %d vs %d tuples", len(got), len(sent))
-	}
-	st := srv.Stats()
-	if st.V3Conns != 0 || st.Batches != 0 {
-		t.Errorf("v2-only server recorded v3 activity: %+v", st)
-	}
-	if st.Corrupt != rejected {
-		t.Errorf("writer tried HELLO3 again after the downgrade: %d rejections, was %d", st.Corrupt, rejected)
-	}
-	if w.Stats().Reconnects == 0 {
-		t.Error("the cut was not exercised: no reconnect")
-	}
-}
-
 func TestPipelineDurableFloorDoesNotStallSender(t *testing.T) {
 	// A server acking only up to a checkpoint floor still answers every
 	// heartbeat, so the window — which counts heartbeats, not tuples —
@@ -250,6 +176,7 @@ func TestPipelineDurableFloorDoesNotStallSender(t *testing.T) {
 	const n = 4 * ackWindow * ackEvery // four windows' worth of cadences
 	w, err := NewReconnectWriter(ReconnectConfig{
 		StreamID: "s1",
+		Schema:   sch,
 		Dial:     func() (net.Conn, error) { return net.Dial("tcp", addr) },
 		AckEvery: ackEvery,
 		Timeout:  2 * time.Second,
@@ -333,6 +260,7 @@ func TestPipelineCloseStopsReader(t *testing.T) {
 		d := &cutDialer{addr: addr}
 		w, err := NewReconnectWriter(ReconnectConfig{
 			StreamID: "s1",
+			Schema:   sch,
 			Dial:     d.dial,
 			AckEvery: 4,
 		})
@@ -370,6 +298,7 @@ func TestPipelineTimeoutReconnects(t *testing.T) {
 	d := &cutDialer{addr: addr}
 	w, err := NewReconnectWriter(ReconnectConfig{
 		StreamID:    "s1",
+		Schema:      sch,
 		Dial:        d.dial,
 		AckEvery:    4,
 		Timeout:     50 * time.Millisecond,

@@ -1,11 +1,13 @@
 package dsms
 
+// Client side of the session protocol (session.go): a writer that rides
+// out connection loss and delivers each tuple exactly once.
+
 import (
 	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"net"
 	"sync"
@@ -44,15 +46,12 @@ type ReconnectConfig struct {
 	AckEvery int
 	// Seed drives the backoff jitter (deterministic tests). 0 = 1.
 	Seed int64
-	// Schema enables wire protocol v3: schema-coded batch frames,
-	// negotiated at HELLO time. nil keeps the writer on v2 (per-tuple
-	// self-describing frames). Required for SendBatch and WireBatch.
+	// Schema describes the tuples the stream carries; every frame is
+	// schema-coded against it, and the server must hold the same one.
+	// Required.
 	Schema *tuple.Schema
-	// WireVersion caps negotiation: 0 = highest supported (v3 when
-	// Schema is set), 2 = force v2 even with a schema.
-	WireVersion int
-	// WireBatch > 1 coalesces consecutive Sends into schema-coded
-	// batch frames of up to this many tuples (requires Schema). A
+	// WireBatch > 1 coalesces consecutive Sends into batch frames of up
+	// to this many tuples; 0 or 1 frames each Send on its own. A
 	// partially filled batch is flushed by FlushInterval, by Flush or
 	// Close, or by reaching the AckEvery cadence.
 	WireBatch int
@@ -85,9 +84,6 @@ func (c *ReconnectConfig) fill() ReconnectConfig {
 	if out.FlushInterval == 0 {
 		out.FlushInterval = 5 * time.Millisecond
 	}
-	if out.WireBatch > 1 && out.Schema == nil {
-		out.WireBatch = 0 // batching needs the schema; degrade quietly
-	}
 	return out
 }
 
@@ -115,29 +111,20 @@ const ackWindow = 16
 // a window of AckEvery-sized frames in flight plus the one being framed.
 const maxFreePayloads = ackWindow + 1
 
-// pendingFrame is one unacknowledged wire frame. count == 0 marks a v2
-// per-tuple DATA frame carrying sequence seq; count > 0 marks a v3
-// BATCH frame spanning [seq, seq+count-1].
+// pendingFrame is one unacknowledged BATCH frame spanning sequence
+// numbers [seq, seq+count-1].
 type pendingFrame struct {
 	seq     uint64
 	count   int
 	payload []byte
 }
 
-// span reports how many tuples the frame covers.
-func (f *pendingFrame) span() int {
-	if f.count > 0 {
-		return f.count
-	}
-	return 1
-}
-
-// ReconnectWriter is a fault-tolerant replacement for Writer: it ships
-// tuples under the session protocol, rides out connection loss with
-// dial retry + exponential backoff + jitter, bounds every network
-// operation with a deadline, and keeps unacknowledged frames in a
-// bounded replay buffer keyed by sequence number so that after the
-// resume handshake the server sees each tuple exactly once.
+// ReconnectWriter ships tuples under the session protocol: it rides
+// out connection loss with dial retry + exponential backoff + jitter,
+// bounds every network operation with a deadline, and keeps
+// unacknowledged frames in a bounded replay buffer keyed by sequence
+// number so that after the resume handshake the server sees each tuple
+// exactly once.
 //
 // Acks are pipelined: every frame goes to the socket as soon as it is
 // framed, a heartbeat follows every AckEvery tuples, and a reader
@@ -172,11 +159,6 @@ type ReconnectWriter struct {
 	stats         ReconnectStats
 	readers       sync.WaitGroup // ack readers, one per connection ever opened
 
-	// v3 negotiation state.
-	wire    int  // version of the current connection (0 = none yet)
-	forceV2 bool // sticky downgrade after the v3 handshake was rejected
-	v3Fails int  // consecutive v3 handshake failures before any success
-
 	// Auto-batching state (WireBatch > 1).
 	open       []*tuple.Tuple // tuples not yet framed
 	flushTimer *time.Timer
@@ -191,6 +173,9 @@ func NewReconnectWriter(cfg ReconnectConfig) (*ReconnectWriter, error) {
 	}
 	if cfg.Dial == nil {
 		return nil, errors.New("dsms: ReconnectConfig.Dial required")
+	}
+	if cfg.Schema == nil {
+		return nil, errors.New("dsms: ReconnectConfig.Schema required")
 	}
 	f := cfg.fill()
 	w := &ReconnectWriter{cfg: f, rng: rand.New(rand.NewSource(f.Seed))}
@@ -211,20 +196,6 @@ func (w *ReconnectWriter) Buffered() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.buffered
-}
-
-// NegotiatedWire reports the wire version of the current connection
-// (0 before the first handshake, then 2 or 3).
-func (w *ReconnectWriter) NegotiatedWire() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.wire
-}
-
-// useV3Locked reports whether the writer should frame new tuples for
-// wire v3 (and attempt the v3 handshake on the next dial).
-func (w *ReconnectWriter) useV3Locked() bool {
-	return w.cfg.Schema != nil && w.cfg.WireVersion != wireV2 && !w.forceV2
 }
 
 // takeAsyncErrLocked surfaces a failure from a timer-driven flush on
@@ -264,9 +235,8 @@ func (w *ReconnectWriter) Send(t *tuple.Tuple) error {
 	return w.enqueueLocked(one[:])
 }
 
-// SendBatch transmits a batch of tuples as one v3 frame (one sequence
-// span, one CRC, one length header), falling back to per-tuple frames
-// on a v2 connection. Requires ReconnectConfig.Schema.
+// SendBatch transmits a batch of tuples as one frame (one sequence
+// span, one CRC, one length header).
 func (w *ReconnectWriter) SendBatch(tuples []*tuple.Tuple) error {
 	if len(tuples) == 0 {
 		return nil
@@ -275,9 +245,6 @@ func (w *ReconnectWriter) SendBatch(tuples []*tuple.Tuple) error {
 	defer w.mu.Unlock()
 	if w.closed {
 		return ErrWriterClosed
-	}
-	if w.cfg.Schema == nil {
-		return errors.New("dsms: SendBatch requires ReconnectConfig.Schema")
 	}
 	if err := w.takeAsyncErrLocked(); err != nil {
 		return err
@@ -302,24 +269,16 @@ func (w *ReconnectWriter) payloadBufLocked() []byte {
 	return nil
 }
 
-// enqueueLocked assigns sequence numbers, frames the tuples (one batch
-// frame on v3, per-tuple frames otherwise), appends them to the replay
-// buffer, puts them on the wire — followed by a heartbeat when the
+// enqueueLocked assigns sequence numbers, frames the tuples as one
+// BATCH frame, appends it to the replay buffer, puts them on the wire — followed by a heartbeat when the
 // AckEvery cadence is due — and waits only while the ack window is full.
 func (w *ReconnectWriter) enqueueLocked(tuples []*tuple.Tuple) error {
-	first := w.nextSeq + 1
-	start := len(w.buffer)
-	if w.useV3Locked() {
-		payload, err := tuple.AppendEncodeBatch(w.payloadBufLocked(), w.cfg.Schema, tuples)
-		if err != nil {
-			return err
-		}
-		w.buffer = append(w.buffer, pendingFrame{seq: first, count: len(tuples), payload: payload})
-	} else {
-		for i, t := range tuples {
-			w.buffer = append(w.buffer, pendingFrame{seq: first + uint64(i), payload: tuple.AppendEncode(w.payloadBufLocked(), t)})
-		}
+	payload, err := tuple.AppendEncodeBatch(w.payloadBufLocked(), w.cfg.Schema, tuples)
+	if err != nil {
+		return err
 	}
+	start := len(w.buffer)
+	w.buffer = append(w.buffer, pendingFrame{seq: w.nextSeq + 1, count: len(tuples), payload: payload})
 	w.nextSeq += uint64(len(tuples))
 	w.buffered += len(tuples)
 	if w.buffered > w.stats.MaxBuffered {
@@ -350,9 +309,9 @@ func (w *ReconnectWriter) shipLocked(start int, resent bool) error {
 			return err
 		}
 		if resent {
-			w.stats.Resent += int64(f.span())
+			w.stats.Resent += int64(f.count)
 		}
-		if w.sinceSync += f.span(); w.sinceSync >= w.cfg.AckEvery {
+		if w.sinceSync += f.count; w.sinceSync >= w.cfg.AckEvery {
 			if err := w.heartbeatLocked(); err != nil {
 				return err
 			}
@@ -530,22 +489,14 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// writeFrameLocked writes one pending frame (DATA or BATCH) with a
-// write deadline, counting the wire bytes.
+// writeFrameLocked writes one pending frame with a write deadline,
+// counting the wire bytes.
 func (w *ReconnectWriter) writeFrameLocked(f *pendingFrame) error {
 	w.conn.SetWriteDeadline(time.Now().Add(w.cfg.Timeout))
-	if f.count > 0 {
-		if err := writeBatchFrame(w.bw, f.seq, uint64(f.count), f.payload); err != nil {
-			return err
-		}
-		w.stats.Bytes += int64(1 + uvarintLen(f.seq) + uvarintLen(uint64(f.count)) +
-			uvarintLen(uint64(len(f.payload))) + len(f.payload) + 4)
-		return nil
-	}
-	if err := writeDataFrame(w.bw, f.seq, f.payload); err != nil {
+	if err := writeBatchFrame(w.bw, f.seq, uint64(f.count), f.payload); err != nil {
 		return err
 	}
-	w.stats.Bytes += int64(1 + uvarintLen(f.seq) +
+	w.stats.Bytes += int64(1 + uvarintLen(f.seq) + uvarintLen(uint64(f.count)) +
 		uvarintLen(uint64(len(f.payload))) + len(f.payload) + 4)
 	return nil
 }
@@ -626,8 +577,8 @@ func (w *ReconnectWriter) applyAckLocked(typ byte, seq uint64) error {
 // is either fully acked or fully kept.
 func (w *ReconnectWriter) trimLocked(seq uint64) {
 	i := 0
-	for i < len(w.buffer) && w.buffer[i].seq+uint64(w.buffer[i].span())-1 <= seq {
-		w.buffered -= w.buffer[i].span()
+	for i < len(w.buffer) && w.buffer[i].seq+uint64(w.buffer[i].count)-1 <= seq {
+		w.buffered -= w.buffer[i].count
 		if len(w.free) < maxFreePayloads {
 			w.free = append(w.free, w.buffer[i].payload)
 		}
@@ -663,8 +614,7 @@ func (w *ReconnectWriter) failLocked(err error) {
 }
 
 // connectLocked dials with exponential backoff + jitter, performs the
-// resume handshake (v3 when configured, falling back to v2 when the
-// server rejects it), trims the replay buffer to the server's last
+// resume handshake, trims the replay buffer to the server's last
 // applied sequence, replays the rest, and starts the connection's ack
 // reader.
 func (w *ReconnectWriter) connectLocked() error {
@@ -686,48 +636,13 @@ func (w *ReconnectWriter) connectLocked() error {
 		}
 		bw := bufio.NewWriter(conn)
 		br := bufio.NewReader(conn)
-		var last uint64
-		wire := wireV2
-		if w.useV3Locked() {
-			granted, lastSeq, err := handshake3(conn, bw, br, w.cfg.StreamID, w.cfg.Timeout)
-			if err != nil {
-				conn.Close()
-				lastErr = err
-				// A server that predates v3 drops the connection on the
-				// unknown HELLO3 frame, which reads back as EOF — but so
-				// does a transient network fault. Downgrade only before
-				// v3 ever succeeded, and only after two consecutive
-				// rejections, so flaky links don't silently lose
-				// batching while true v2-only peers are detected within
-				// two dials.
-				if w.wire == 0 {
-					w.v3Fails++
-					if w.v3Fails >= 2 {
-						w.forceV2 = true
-						w.convertBufferLocked()
-					}
-				}
-				continue
-			}
-			w.v3Fails = 0
-			if granted >= wireV3 {
-				wire = wireV3
-			} else {
-				// The server answered HELLO3 but capped the version.
-				w.forceV2 = true
-				w.convertBufferLocked()
-			}
-			last = lastSeq
-		} else {
-			last, err = handshake(conn, bw, br, w.cfg.StreamID, w.cfg.Timeout)
-			if err != nil {
-				conn.Close()
-				lastErr = err
-				continue
-			}
+		last, err := handshake(conn, bw, br, w.cfg.StreamID, w.cfg.Timeout)
+		if err != nil {
+			conn.Close()
+			lastErr = err
+			continue
 		}
 		w.conn, w.bw = conn, bw
-		w.wire = wire
 		w.trimLocked(last)
 		// Replay the unacknowledged tail. A failure here burns the
 		// same attempt budget.
@@ -751,45 +666,6 @@ func (w *ReconnectWriter) connectLocked() error {
 		w.cfg.StreamID, w.cfg.MaxAttempts, lastErr)
 }
 
-// convertBufferLocked re-frames buffered v3 batch frames as per-tuple
-// v2 DATA frames, preserving sequence numbers, so a downgrade does not
-// strand unacknowledged tuples.
-func (w *ReconnectWriter) convertBufferLocked() {
-	if w.cfg.Schema == nil {
-		return
-	}
-	anyBatch := false
-	for i := range w.buffer {
-		if w.buffer[i].count > 0 {
-			anyBatch = true
-			break
-		}
-	}
-	if !anyBatch {
-		return
-	}
-	out := make([]pendingFrame, 0, len(w.buffer))
-	var a tuple.Arena
-	for _, f := range w.buffer {
-		if f.count == 0 {
-			out = append(out, f)
-			continue
-		}
-		ts, _, err := tuple.DecodeBatchInto(f.payload, w.cfg.Schema, &a)
-		if err != nil {
-			// Re-decoding our own encoding cannot fail; keep the frame
-			// rather than drop tuples if it somehow does.
-			out = append(out, f)
-			continue
-		}
-		for i, t := range ts {
-			out = append(out, pendingFrame{seq: f.seq + uint64(i), payload: tuple.AppendEncode(nil, t)})
-		}
-		a.Reset()
-	}
-	w.buffer = out
-}
-
 // replayLocked rewrites every buffered frame on the fresh connection,
 // with heartbeats at the cadence the frames first went out at: none sent
 // on an earlier connection will be answered on this one.
@@ -808,70 +684,43 @@ func (w *ReconnectWriter) sleepBackoff(attempt int) {
 	time.Sleep(time.Duration(float64(d) * jitter))
 }
 
-// handshake3 sends HELLO3 requesting wire v3 and returns the granted
-// version and the server's resume point. A pre-v3 server drops the
-// connection instead of answering.
-func handshake3(conn net.Conn, bw *bufio.Writer, br *bufio.Reader, id string, timeout time.Duration) (granted int, last uint64, err error) {
+// handshake sends HELLO3 and returns the server's resume point.
+func handshake(conn net.Conn, bw *bufio.Writer, br *bufio.Reader, id string, timeout time.Duration) (last uint64, err error) {
 	conn.SetWriteDeadline(time.Now().Add(timeout))
 	if err := bw.WriteByte(frameHello3); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if err := writeUvarint(bw, wireV3); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if err := writeUvarint(bw, uint64(len(id))); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if _, err := bw.WriteString(id); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], hello3CRC(wireV3, []byte(id)))
 	if _, err := bw.Write(crc[:]); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if err := bw.Flush(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	conn.SetReadDeadline(time.Now().Add(timeout))
 	typ, err := br.ReadByte()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if typ != frameHello3Ack {
-		return 0, 0, fmt.Errorf("dsms: expected frame %q, got %q", frameHello3Ack, typ)
+		return 0, fmt.Errorf("dsms: expected frame %q, got %q", frameHello3Ack, typ)
 	}
-	g, err := binary.ReadUvarint(br)
+	granted, err := binary.ReadUvarint(br)
 	if err != nil {
-		return 0, 0, err
-	}
-	last, err = binary.ReadUvarint(br)
-	if err != nil {
-		return 0, 0, err
-	}
-	return int(g), last, nil
-}
-
-// handshake sends HELLO and returns the server's resume point.
-func handshake(conn net.Conn, bw *bufio.Writer, br *bufio.Reader, id string, timeout time.Duration) (uint64, error) {
-	conn.SetWriteDeadline(time.Now().Add(timeout))
-	if err := bw.WriteByte(frameHello); err != nil {
 		return 0, err
 	}
-	if err := writeUvarint(bw, uint64(len(id))); err != nil {
-		return 0, err
+	if granted != wireV3 {
+		return 0, fmt.Errorf("dsms: server granted wire version %d, want %d", granted, wireV3)
 	}
-	if _, err := bw.WriteString(id); err != nil {
-		return 0, err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE([]byte(id)))
-	if _, err := bw.Write(crc[:]); err != nil {
-		return 0, err
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
-	}
-	conn.SetReadDeadline(time.Now().Add(timeout))
-	return readSeqFrame(br, frameHelloAck)
+	return binary.ReadUvarint(br)
 }

@@ -1,57 +1,49 @@
 package dsms
 
-// Session protocol (frame format v2) for fault-tolerant distributed
-// evaluation. The v1 transport (transport.go) fail-stops on the first
-// I/O error: one dropped TCP connection kills a standing query. The
-// session layer adds what the 3-level architecture (slides 14, 54-55)
-// needs to survive unreliable links between observation points and the
-// high-level node: per-stream sequence numbers, a resume handshake, and
-// in-band control frames (the punctuation-as-control-signal idea of
-// slide 25 applied to the transport itself).
+// Session protocol for fault-tolerant distributed evaluation: the
+// uplink from the observation points to the high-level node of the
+// 3-level architecture (slides 14, 54-55). One dropped TCP connection
+// must not kill a standing query, so the transport carries per-stream
+// sequence numbers, a resume handshake, and in-band control frames (the
+// punctuation-as-control-signal idea of slide 25 applied to the
+// transport itself). Both ends share the stream's schema, so data
+// frames carry schema-coded tuple batches (see tuple's batch codec for
+// the payload layout) and never re-describe a value.
 //
 // Wire format. Every frame starts with a one-byte type:
 //
 //	client -> server
-//	  'H' HELLO      uvarint len | streamID bytes | crc32(id)  (re)attach stream
-//	  'D' DATA       uvarint seq | uvarint len | payload | crc32(seq,payload)
-//	  'B' HEARTBEAT  (empty)                             liveness + ack request
-//	  'E' EOS        uvarint finalSeq                    end of stream
-//	server -> client
-//	  'h' HELLOACK   uvarint lastSeq                     resume point
-//	  'a' ACK        uvarint lastSeq                     cumulative ack
-//	  'e' EOSACK     uvarint finalSeq                    stream complete
-//
-// Frame format v3 adds batched, schema-coded DATA (see tuple's batch
-// codec for the payload layout) behind a version-negotiating handshake:
-//
-//	client -> server
 //	  'W' HELLO3     uvarint ver | uvarint len | streamID | crc32(ver,id)
+//	                 (re)attach stream; ver must be 3
 //	  'P' BATCH      uvarint firstSeq | uvarint count | uvarint len |
 //	                 payload | crc32(firstSeq,payload)
+//	  'B' HEARTBEAT  (empty)                           liveness + ack request
+//	  'E' EOS        uvarint finalSeq                  end of stream
 //	server -> client
-//	  'w' HELLO3ACK  uvarint grantedVer | uvarint lastSeq
+//	  'w' HELLO3ACK  uvarint grantedVer | uvarint lastSeq   resume point
+//	  'a' ACK        uvarint lastSeq                   cumulative ack
+//	  'e' EOSACK     uvarint finalSeq                  stream complete
 //
-// Sequence numbers still count tuples: a batch frame covers
-// [firstSeq, firstSeq+count-1], so cumulative acks, resume and
-// exactly-once dedupe are unchanged — a replayed batch that overlaps
-// the applied prefix (reconnect-resume mid-batch) emits only its
-// unseen suffix. A server that predates v3 treats 'W' as an unknown
-// frame and drops the connection; the client interprets that as "speak
-// v2" and redials with the old HELLO, so mixed-version deployments
-// keep working. v2 'D' frames remain valid on a v3 connection.
+// Peers that predate this format (the per-tuple 'H'/'D' frames, or a
+// HELLO3 asking for a version other than 3) are not accepted: the
+// server treats them like any unknown frame and drops the connection.
+//
+// Sequence numbers count tuples, start at 1 and are contiguous: a batch
+// frame covers [firstSeq, firstSeq+count-1]. The server applies the
+// batch that starts at lastSeq+1, discards one wholly at or below
+// lastSeq as a duplicate (replay after reconnect), emits only the unseen
+// suffix of one that overlaps it (a resume that landed mid-batch), and
+// treats a gap or a corrupt frame as a dead connection — the client
+// redials, the HELLO3ACK tells it the last sequence the server applied,
+// and it resends only the tail. Delivery is exactly-once per stream as
+// long as the client's replay buffer covers the unacknowledged window
+// (it blocks before the bound is hit).
 //
 // Control frames are request/response — the server only writes when
 // asked, and answers in the order it was asked — but the client does
 // not wait for each answer: it pipelines heartbeats behind its data and
 // a per-connection reader consumes the cumulative acks (reconnect.go),
-// so unread acks cannot fill the socket buffers either. Sequence
-// numbers start at 1 and are contiguous; the server applies frame
-// seq == lastSeq+1, discards seq <= lastSeq as a duplicate (replay
-// after reconnect), and treats a gap or a corrupt frame as a dead
-// connection — the client redials, the HELLOACK tells it the last
-// sequence the server applied, and it resends only the tail. Delivery
-// is exactly-once per stream as long as the client's replay buffer
-// covers the unacknowledged window (it blocks before the bound is hit).
+// so unread acks cannot fill the socket buffers either.
 
 import (
 	"bufio"
@@ -66,35 +58,25 @@ import (
 	"streamdb/internal/tuple"
 )
 
-// Frame type bytes (v2).
-const (
-	frameHello     = 'H'
-	frameData      = 'D'
-	frameHeartbeat = 'B'
-	frameEOS       = 'E'
-	frameHelloAck  = 'h'
-	frameAck       = 'a'
-	frameEOSAck    = 'e'
-)
-
-// Frame type bytes (v3).
+// Frame type bytes.
 const (
 	frameHello3    = 'W'
 	frameHello3Ack = 'w'
 	frameBatch     = 'P'
+	frameHeartbeat = 'B'
+	frameEOS       = 'E'
+	frameAck       = 'a'
+	frameEOSAck    = 'e'
 )
 
-// Wire protocol versions.
-const (
-	wireV2 = 2
-	wireV3 = 3
-)
+// wireV3 is the protocol version HELLO3 requests and the server grants.
+const wireV3 = 3
 
-// maxStreamID bounds the HELLO identifier so a corrupt length varint
+// maxStreamID bounds the HELLO3 identifier so a corrupt length varint
 // cannot trigger a huge allocation.
 const maxStreamID = 256
 
-// maxFramePayload bounds DATA payloads for the same reason.
+// maxFramePayload bounds BATCH payloads for the same reason.
 const maxFramePayload = 16 << 20
 
 // maxBatchTuples bounds the tuple count a BATCH frame may claim.
@@ -115,37 +97,16 @@ func writeUvarint(w *bufio.Writer, v uint64) error {
 	return err
 }
 
-// dataCRC covers the sequence number and the payload, so corruption
-// anywhere in a DATA frame (type byte aside) is detected.
-func dataCRC(seq uint64, payload []byte) uint32 {
+// batchCRC covers a BATCH frame's first sequence number and payload; a
+// corrupt count fails the decode's length check instead.
+func batchCRC(firstSeq uint64, payload []byte) uint32 {
 	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], seq)
+	n := binary.PutUvarint(buf[:], firstSeq)
 	c := crc32.Update(0, crc32.IEEETable, buf[:n])
 	return crc32.Update(c, crc32.IEEETable, payload)
 }
 
-// writeDataFrame appends one DATA frame to w.
-func writeDataFrame(w *bufio.Writer, seq uint64, payload []byte) error {
-	if err := w.WriteByte(frameData); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, seq); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, uint64(len(payload))); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], dataCRC(seq, payload))
-	_, err := w.Write(crc[:])
-	return err
-}
-
-// writeBatchFrame appends one v3 BATCH frame to w. The CRC covers the
-// first sequence number and the payload, like a DATA frame's.
+// writeBatchFrame appends one BATCH frame to w.
 func writeBatchFrame(w *bufio.Writer, firstSeq, count uint64, payload []byte) error {
 	if err := w.WriteByte(frameBatch); err != nil {
 		return err
@@ -163,7 +124,7 @@ func writeBatchFrame(w *bufio.Writer, firstSeq, count uint64, payload []byte) er
 		return err
 	}
 	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], dataCRC(firstSeq, payload))
+	binary.LittleEndian.PutUint32(crc[:], batchCRC(firstSeq, payload))
 	_, err := w.Write(crc[:])
 	return err
 }
@@ -176,19 +137,6 @@ func writeSeqFrame(w *bufio.Writer, typ byte, seq uint64) error {
 	return writeUvarint(w, seq)
 }
 
-// readSeqFrame reads the expected control frame type and its uvarint,
-// failing on any other frame.
-func readSeqFrame(r *bufio.Reader, want byte) (uint64, error) {
-	typ, err := r.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	if typ != want {
-		return 0, fmt.Errorf("dsms: expected frame %q, got %q", want, typ)
-	}
-	return binary.ReadUvarint(r)
-}
-
 // SessionConfig tunes the server side of the session protocol.
 type SessionConfig struct {
 	// IdleTimeout closes a connection that delivers no frame for this
@@ -198,11 +146,6 @@ type SessionConfig struct {
 	// Logf, when non-nil, receives session churn events (attach,
 	// resume, complete, connection errors).
 	Logf func(format string, args ...interface{})
-	// MaxWireVersion caps the protocol version the server grants. 0 or
-	// 3 = full v3; 2 emulates a server that predates batch frames (the
-	// HELLO3 frame is treated as unknown and drops the connection,
-	// exactly as an old binary would).
-	MaxWireVersion int
 	// ZeroCopy recycles batch decode arenas through a pool: the tuples
 	// passed to emit are only valid for the duration of the call. Leave
 	// false when the consumer retains tuples (windows, joins, buffers).
@@ -214,21 +157,14 @@ type SessionConfig struct {
 	// the checkpoint has not made durable.
 	InitialSeqs map[string]uint64
 	// DurableSeq, when set, caps every acknowledged sequence number
-	// (HELLOACK, HELLO3ACK, heartbeat ACK) at the stream's durable floor
-	// — typically the last committed checkpoint's position. The client
+	// (HELLO3ACK, heartbeat ACK) at the stream's durable floor —
+	// typically the last committed checkpoint's position. The client
 	// then retains everything past the floor in its replay buffer, which
 	// is what makes a crash recoverable: the restarted server can roll
 	// the stream back to the checkpoint and the client still holds the
 	// frames to replay. Already-applied replays are discarded as
 	// duplicates, so delivery stays exactly-once.
 	DurableSeq func(streamID string) uint64
-}
-
-func (c *SessionConfig) maxWire() int {
-	if c.MaxWireVersion == 0 {
-		return wireV3
-	}
-	return c.MaxWireVersion
 }
 
 func (c *SessionConfig) idle() time.Duration {
@@ -245,13 +181,12 @@ func (c *SessionConfig) idle() time.Duration {
 // SessionStats aggregates server-side protocol counters.
 type SessionStats struct {
 	Sessions   int64 // distinct streams attached
-	Reconnects int64 // HELLOs for an already-known stream
-	Frames     int64 // tuples applied (v2: one per DATA frame)
-	Batches    int64 // v3 BATCH frames applied (at least one fresh tuple)
+	Reconnects int64 // HELLO3s for an already-known stream
+	Frames     int64 // tuples applied
+	Batches    int64 // BATCH frames applied (at least one fresh tuple)
 	Dupes      int64 // tuples discarded as replays
-	Corrupt    int64 // frames rejected by CRC or parse failure
+	Corrupt    int64 // frames rejected: CRC, parse, gap, unknown type or version
 	Completed  int64 // streams that reached EOS
-	V3Conns    int64 // connections negotiated to wire v3
 }
 
 // session is the durable per-stream state that outlives connections.
@@ -270,14 +205,13 @@ type SessionServer struct {
 	schema *tuple.Schema
 	cfg    SessionConfig
 
-	mu        sync.Mutex
-	sessions  map[string]*session
-	stats     SessionStats
-	done      chan struct{}
-	target    int
-	emit      func(streamID string, t *tuple.Tuple)
-	emitBatch func(streamID string, tuples []*tuple.Tuple, arena *tuple.Arena)
-	arenas    *tuple.ArenaPool
+	mu       sync.Mutex
+	sessions map[string]*session
+	stats    SessionStats
+	done     chan struct{}
+	target   int
+	emit     func(streamID string, tuples []*tuple.Tuple, arena *tuple.Arena)
+	arenas   *tuple.ArenaPool
 }
 
 // NewSessionServer wraps a listener; schema describes the tuples every
@@ -309,30 +243,29 @@ func (s *SessionServer) logf(format string, args ...interface{}) {
 // delivered tuple, in per-stream sequence order; calls for different
 // streams may be concurrent.
 func (s *SessionServer) Serve(streams int, emit func(streamID string, t *tuple.Tuple)) error {
+	var sink func(string, []*tuple.Tuple, *tuple.Arena)
+	if emit != nil {
+		sink = func(id string, tuples []*tuple.Tuple, _ *tuple.Arena) {
+			for _, t := range tuples {
+				emit(id, t)
+			}
+		}
+	}
+	return s.ServeBatches(streams, sink)
+}
+
+// ServeBatches is Serve with a batch-granular sink: each BATCH frame
+// delivers its fresh tuples in one call. The slice is only valid for the
+// duration of the call. Under SessionConfig.ZeroCopy the tuples alias
+// the pooled decode arena passed alongside them: a sink that keeps them
+// past the call must Retain the arena (and Release once done) or copy
+// the tuples out before returning; arena is nil when the tuples are
+// independently heap-allocated (ZeroCopy off) and no pinning is needed.
+func (s *SessionServer) ServeBatches(streams int, emit func(streamID string, tuples []*tuple.Tuple, arena *tuple.Arena)) error {
 	s.mu.Lock()
 	s.target = streams
 	s.emit = emit
 	s.mu.Unlock()
-	return s.serve(streams)
-}
-
-// ServeBatches is Serve with a batch-granular sink: v3 BATCH frames
-// deliver their fresh tuples in one call, v2 DATA frames arrive as
-// one-tuple slices. The slice is only valid for the duration of the
-// call. Under SessionConfig.ZeroCopy the tuples alias the pooled decode
-// arena passed alongside them: a sink that keeps them past the call
-// must Retain the arena (and Release once done) or copy the tuples out
-// before returning; arena is nil when the tuples are independently
-// heap-allocated (v2 frames, ZeroCopy off) and no pinning is needed.
-func (s *SessionServer) ServeBatches(streams int, emit func(streamID string, tuples []*tuple.Tuple, arena *tuple.Arena)) error {
-	s.mu.Lock()
-	s.target = streams
-	s.emitBatch = emit
-	s.mu.Unlock()
-	return s.serve(streams)
-}
-
-func (s *SessionServer) serve(streams int) error {
 	go func() {
 		<-s.done
 		s.ln.Close()
@@ -358,7 +291,7 @@ func (s *SessionServer) serve(streams int) error {
 	}
 }
 
-// attach resolves (or creates) the session for a HELLO and reads its
+// attach resolves (or creates) the session for a HELLO3 and reads its
 // resume point. The read takes the session's own lock: a connection the
 // client has given up on may still be applying frames it had buffered.
 func (s *SessionServer) attach(id string) (*session, uint64) {
@@ -444,8 +377,6 @@ func (s *SessionServer) handle(conn net.Conn) {
 	bw := bufio.NewWriter(conn)
 	var sess *session
 	var payload []byte
-	wire := wireV2
-	var scratch [1]*tuple.Tuple // v2 frames into the batch sink
 	for {
 		if idle > 0 {
 			conn.SetReadDeadline(time.Now().Add(idle))
@@ -458,45 +389,14 @@ func (s *SessionServer) handle(conn net.Conn) {
 			return
 		}
 		switch typ {
-		case frameHello:
-			n, err := binary.ReadUvarint(br)
-			if err != nil || n == 0 || n > maxStreamID {
-				s.countCorrupt()
-				return
-			}
-			idb := make([]byte, n)
-			if _, err := io.ReadFull(br, idb); err != nil {
-				s.countCorrupt()
-				return
-			}
-			// The CRC keeps a corrupted HELLO from attaching a ghost
-			// session: a flipped streamID byte would otherwise answer
-			// HELLOACK 0 and accept replayed frames as fresh,
-			// double-counting them into the merge.
-			var crc [4]byte
-			if _, err := io.ReadFull(br, crc[:]); err != nil ||
-				binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(idb) {
-				s.countCorrupt()
-				return
-			}
-			var last uint64
-			sess, last = s.attach(string(idb))
-			if err := writeSeqFrame(bw, frameHelloAck, s.ackFloor(sess, last)); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-
 		case frameHello3:
-			if s.cfg.maxWire() < wireV3 {
-				// Emulate a pre-v3 binary: unknown frame, drop the
-				// connection. The client falls back to the v2 HELLO.
-				s.countCorrupt()
-				return
-			}
+			// Version 3 is the only wire: a peer asking for another is
+			// treated like any unknown frame. Checking before the id
+			// also stops a corrupted version byte, which swallows the
+			// length that follows it, from leaving the handshake
+			// waiting for id bytes that never come.
 			ver, err := binary.ReadUvarint(br)
-			if err != nil {
+			if err != nil || ver != wireV3 {
 				s.countCorrupt()
 				return
 			}
@@ -510,22 +410,22 @@ func (s *SessionServer) handle(conn net.Conn) {
 				s.countCorrupt()
 				return
 			}
+			// The CRC keeps a corrupted HELLO3 from attaching a ghost
+			// session: a flipped streamID byte would otherwise answer
+			// resume point 0 and accept replayed frames as fresh,
+			// double-counting them into the merge.
 			var crc [4]byte
 			if _, err := io.ReadFull(br, crc[:]); err != nil ||
 				binary.LittleEndian.Uint32(crc[:]) != hello3CRC(ver, idb) {
 				s.countCorrupt()
 				return
 			}
-			granted := uint64(wireV3)
-			if ver < granted {
-				granted = ver
-			}
 			var last uint64
 			sess, last = s.attach(string(idb))
 			if err := bw.WriteByte(frameHello3Ack); err != nil {
 				return
 			}
-			if err := writeUvarint(bw, granted); err != nil {
+			if err := writeUvarint(bw, wireV3); err != nil {
 				return
 			}
 			if err := writeUvarint(bw, s.ackFloor(sess, last)); err != nil {
@@ -534,15 +434,9 @@ func (s *SessionServer) handle(conn net.Conn) {
 			if err := bw.Flush(); err != nil {
 				return
 			}
-			wire = int(granted)
-			if wire >= wireV3 {
-				s.mu.Lock()
-				s.stats.V3Conns++
-				s.mu.Unlock()
-			}
 
 		case frameBatch:
-			if sess == nil || wire < wireV3 {
+			if sess == nil {
 				s.countCorrupt()
 				return
 			}
@@ -574,47 +468,11 @@ func (s *SessionServer) handle(conn net.Conn) {
 				s.countCorrupt()
 				return
 			}
-			if binary.LittleEndian.Uint32(crc[:]) != dataCRC(firstSeq, payload) {
+			if binary.LittleEndian.Uint32(crc[:]) != batchCRC(firstSeq, payload) {
 				s.countCorrupt()
 				return
 			}
 			if !s.applyBatch(sess, firstSeq, count, payload) {
-				return
-			}
-
-		case frameData:
-			if sess == nil {
-				s.countCorrupt()
-				return
-			}
-			seq, err := binary.ReadUvarint(br)
-			if err != nil {
-				s.countCorrupt()
-				return
-			}
-			ln, err := binary.ReadUvarint(br)
-			if err != nil || ln > maxFramePayload {
-				s.countCorrupt()
-				return
-			}
-			if uint64(cap(payload)) < ln {
-				payload = make([]byte, ln)
-			}
-			payload = payload[:ln]
-			if _, err := io.ReadFull(br, payload); err != nil {
-				s.countCorrupt()
-				return
-			}
-			var crc [4]byte
-			if _, err := io.ReadFull(br, crc[:]); err != nil {
-				s.countCorrupt()
-				return
-			}
-			if binary.LittleEndian.Uint32(crc[:]) != dataCRC(seq, payload) {
-				s.countCorrupt()
-				return
-			}
-			if !s.apply(sess, seq, payload, &scratch) {
 				return
 			}
 
@@ -670,46 +528,6 @@ func (s *SessionServer) handle(conn net.Conn) {
 	}
 }
 
-// apply delivers one DATA frame into the session: exactly-once by
-// sequence number. Returns false when the connection must drop (gap or
-// undecodable tuple).
-func (s *SessionServer) apply(sess *session, seq uint64, payload []byte, scratch *[1]*tuple.Tuple) bool {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	switch {
-	case seq == sess.lastSeq+1:
-		t, _, err := tuple.DecodeChecked(payload, s.schema)
-		if err != nil {
-			s.countCorrupt()
-			return false
-		}
-		sess.lastSeq = seq
-		s.mu.Lock()
-		s.stats.Frames++
-		emit := s.emit
-		emitBatch := s.emitBatch
-		s.mu.Unlock()
-		if emitBatch != nil {
-			scratch[0] = t
-			emitBatch(sess.id, scratch[:], nil) // heap tuple: no arena to pin
-			scratch[0] = nil
-		} else if emit != nil {
-			emit(sess.id, t)
-		}
-		return true
-	case seq <= sess.lastSeq:
-		sess.dupes++
-		s.mu.Lock()
-		s.stats.Dupes++
-		s.mu.Unlock()
-		return true
-	default:
-		// A gap means this connection lost frames; force a resume.
-		s.countCorrupt()
-		return false
-	}
-}
-
 // applyBatch delivers one BATCH frame: tuples [firstSeq, firstSeq+
 // count-1], exactly-once at tuple granularity. A batch fully behind the
 // session's high-water mark is a replay; one that overlaps it (resume
@@ -753,14 +571,9 @@ func (s *SessionServer) applyBatch(sess *session, firstSeq, count uint64, payloa
 	s.stats.Dupes += int64(skip)
 	s.stats.Batches++
 	emit := s.emit
-	emitBatch := s.emitBatch
 	s.mu.Unlock()
-	if emitBatch != nil {
-		emitBatch(sess.id, fresh, pooled)
-	} else if emit != nil {
-		for _, t := range fresh {
-			emit(sess.id, t)
-		}
+	if emit != nil {
+		emit(sess.id, fresh, pooled)
 	}
 	return true
 }

@@ -1,9 +1,8 @@
 package dsms
 
-// Wire-level ablation benchmarks for the v3 protocol: raw transport
-// throughput and bytes/tuple for v2 per-tuple frames vs v3 schema-coded
-// batches on the netmon Traffic schema, and the steady-state batch
-// decode path (which must not allocate per tuple).
+// Wire benchmarks on the netmon Traffic schema: session-protocol
+// throughput and bytes/tuple at increasing batch sizes, and the
+// steady-state batch decode path (which must not allocate per tuple).
 
 import (
 	"net"
@@ -29,125 +28,22 @@ func benchTuples(n int) []*tuple.Tuple {
 	return ts
 }
 
-// runRawFraming ships b.N tuples over a loopback TCP pair through the
-// raw framed transport (no session protocol) and reports tuples/s and
-// bytes/tuple.
-func runRawFraming(b *testing.B, batch int) {
-	sch := stream.TrafficSchema("Traffic")
-	ts := benchTuples(4096)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ln.Close()
-	connCh := make(chan net.Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			panic(err)
-		}
-		connCh <- c
-	}()
-	client, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	server := <-connCh
-	defer client.Close()
-	defer server.Close()
-
-	var w *Writer
-	var r *Reader
-	if batch > 1 {
-		w, r = NewBatchWriter(client, sch), NewBatchReader(server, sch)
-	} else {
-		w, r = NewWriter(client), NewReader(server, sch)
-	}
-	drained := make(chan int64, 1)
-	go func() {
-		if batch > 1 {
-			dst := make([]stream.Element, 0, 1024)
-			for {
-				out, more := r.NextBatch(dst[:0], 1024)
-				_ = out
-				if !more {
-					break
-				}
-			}
-		} else {
-			for {
-				if _, ok := r.Next(); !ok {
-					break
-				}
-			}
-		}
-		drained <- r.Received
-	}()
-
-	b.ResetTimer()
-	b.ReportAllocs()
-	if batch > 1 {
-		for sent := 0; sent < b.N; {
-			n := batch
-			if rem := b.N - sent; n > rem {
-				n = rem
-			}
-			if n > len(ts) {
-				n = len(ts)
-			}
-			if err := w.SendBatch(ts[:n]); err != nil {
-				b.Fatal(err)
-			}
-			sent += n
-		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			if err := w.Send(ts[i%len(ts)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-	got := <-drained
-	b.StopTimer()
-	if got != int64(b.N) {
-		b.Fatalf("reader drained %d tuples, want %d", got, b.N)
-	}
-	b.ReportMetric(float64(w.Bytes)/float64(b.N), "bytes/tuple")
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
-}
-
-// BenchmarkRawFraming isolates frame encode/decode with both wires
-// behind the same bufio buffering. The encodings are within ~2x here;
-// the protocol-level win (BenchmarkTransportWire) comes from amortizing
-// the session layer's per-frame lock, CRC, sequence, and flush.
-func BenchmarkRawFraming(b *testing.B) {
-	b.Run("v2/pertuple", func(b *testing.B) { runRawFraming(b, 1) })
-	b.Run("v3/batch64", func(b *testing.B) { runRawFraming(b, 64) })
-	b.Run("v3/batch256", func(b *testing.B) { runRawFraming(b, 256) })
-}
-
 // BenchmarkTransportWire measures the wire the distributed tier
-// actually runs: the full session protocol (HELLO, sequencing, CRCs,
-// acks every 4096 tuples) end to end over loopback TCP, v2 per-tuple
-// frames vs v3 schema-coded batches.
+// actually runs: the full session protocol (HELLO3, sequencing, CRCs,
+// acks every 4096 tuples) end to end over loopback TCP, one tuple per
+// frame vs batched frames.
 func BenchmarkTransportWire(b *testing.B) {
-	run := func(b *testing.B, v3 bool, batch int) {
+	run := func(b *testing.B, batch int) {
 		ts := benchTuples(4096)
 		addr, _, wait := benchServer(b)
-		cfg := ReconnectConfig{
-			StreamID: "s1",
-			Dial:     func() (net.Conn, error) { return net.Dial("tcp", addr) },
-			AckEvery: 4096,
-		}
-		if v3 {
-			cfg.Schema = stream.TrafficSchema("Traffic")
-			cfg.WireBatch = batch
-			cfg.FlushInterval = -1
-		}
-		w, err := NewReconnectWriter(cfg)
+		w, err := NewReconnectWriter(ReconnectConfig{
+			StreamID:      "s1",
+			Dial:          func() (net.Conn, error) { return net.Dial("tcp", addr) },
+			Schema:        stream.TrafficSchema("Traffic"),
+			WireBatch:     batch,
+			FlushInterval: -1,
+			AckEvery:      4096,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,10 +65,10 @@ func BenchmarkTransportWire(b *testing.B) {
 		b.ReportMetric(float64(w.Stats().Bytes)/float64(b.N), "bytes/tuple")
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
 	}
-	b.Run("v2/pertuple", func(b *testing.B) { run(b, false, 1) })
-	b.Run("v3/batch16", func(b *testing.B) { run(b, true, 16) })
-	b.Run("v3/batch64", func(b *testing.B) { run(b, true, 64) })
-	b.Run("v3/batch256", func(b *testing.B) { run(b, true, 256) })
+	b.Run("batch1", func(b *testing.B) { run(b, 1) })
+	b.Run("batch16", func(b *testing.B) { run(b, 16) })
+	b.Run("batch64", func(b *testing.B) { run(b, 64) })
+	b.Run("batch256", func(b *testing.B) { run(b, 256) })
 }
 
 // benchServer starts a counting session server; wait blocks for stream

@@ -1,15 +1,15 @@
 package dsms
 
-// Wire protocol v3 coverage: negotiation and byte-level interop with
-// v2-only peers, batch-granular replay under chaos, mid-batch resume
-// dedupe, transport counters, and the BulkSource path into the batched
-// execution engine.
+// Batch-frame coverage: batch-granular replay under chaos, mid-batch
+// resume dedupe, frame bounds, transport counters, and the BulkSource
+// path into the batched execution engine.
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,101 +55,15 @@ func TestWireV3RoundTrip(t *testing.T) {
 	if !bytes.Equal(encodeAll(got), encodeAll(sent)) {
 		t.Fatalf("v3 delivered %d tuples differing from %d sent", len(got), len(sent))
 	}
-	if v := w.NegotiatedWire(); v != wireV3 {
-		t.Errorf("negotiated wire %d, want 3", v)
-	}
 	st := srv.Stats()
-	if st.V3Conns == 0 || st.Batches == 0 {
-		t.Errorf("server saw no v3 activity: %+v", st)
+	if st.Batches != 7 {
+		t.Errorf("server applied %d batch frames, want 7: %+v", st.Batches, st)
 	}
 	if st.Frames != 100 || st.Dupes != 0 {
 		t.Errorf("server stats: %+v", st)
 	}
 	if ws := w.Stats(); ws.Sent != 100 || ws.Bytes == 0 {
 		t.Errorf("client stats: %+v", ws)
-	}
-}
-
-func TestWireV3ClientAgainstV2OnlyServerDowngrades(t *testing.T) {
-	// A server that predates v3 (emulated by MaxWireVersion) drops the
-	// HELLO3 connection; the client must fall back to v2 and deliver an
-	// identical tuple sequence.
-	addr, srv, wait := testServer(t, 1, SessionConfig{MaxWireVersion: 2})
-	w, err := NewReconnectWriter(ReconnectConfig{
-		StreamID:      "s1",
-		Dial:          func() (net.Conn, error) { return net.Dial("tcp", addr) },
-		Schema:        sch,
-		WireBatch:     16,
-		FlushInterval: -1,
-		BaseBackoff:   time.Millisecond,
-		MaxBackoff:    2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sent := sendAll(t, w, 100)
-	got := wait()["s1"]
-	if !bytes.Equal(encodeAll(got), encodeAll(sent)) {
-		t.Fatalf("downgraded delivery differs: %d vs %d tuples", len(got), len(sent))
-	}
-	if v := w.NegotiatedWire(); v != wireV2 {
-		t.Errorf("negotiated wire %d, want 2", v)
-	}
-	st := srv.Stats()
-	if st.V3Conns != 0 || st.Batches != 0 {
-		t.Errorf("v2-only server recorded v3 activity: %+v", st)
-	}
-	if st.Frames != 100 {
-		t.Errorf("server applied %d tuples, want 100", st.Frames)
-	}
-}
-
-func TestWireV2ClientAgainstV3Server(t *testing.T) {
-	// The reverse direction: a client without a schema speaks plain v2
-	// to a v3-capable server.
-	addr, srv, wait := testServer(t, 1, SessionConfig{})
-	w, err := NewReconnectWriter(ReconnectConfig{
-		StreamID: "s1",
-		Dial:     func() (net.Conn, error) { return net.Dial("tcp", addr) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sent := sendAll(t, w, 100)
-	got := wait()["s1"]
-	if !bytes.Equal(encodeAll(got), encodeAll(sent)) {
-		t.Fatal("v2 client against v3 server: delivery differs")
-	}
-	if st := srv.Stats(); st.V3Conns != 0 || st.Batches != 0 || st.Frames != 100 {
-		t.Errorf("server stats: %+v", st)
-	}
-}
-
-func TestWireForcedV2StillBatchesSends(t *testing.T) {
-	// WireVersion 2 with WireBatch set: the coalescing buffer still
-	// amortizes locking but frames degrade to per-tuple v2 DATA.
-	addr, srv, wait := testServer(t, 1, SessionConfig{})
-	w, err := NewReconnectWriter(ReconnectConfig{
-		StreamID:      "s1",
-		Dial:          func() (net.Conn, error) { return net.Dial("tcp", addr) },
-		Schema:        sch,
-		WireVersion:   2,
-		WireBatch:     16,
-		FlushInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sent := sendAll(t, w, 100)
-	got := wait()["s1"]
-	if !bytes.Equal(encodeAll(got), encodeAll(sent)) {
-		t.Fatal("forced-v2 delivery differs")
-	}
-	if v := w.NegotiatedWire(); v != wireV2 {
-		t.Errorf("negotiated wire %d, want 2", v)
-	}
-	if st := srv.Stats(); st.Batches != 0 || st.Frames != 100 {
-		t.Errorf("server stats: %+v", st)
 	}
 }
 
@@ -224,8 +138,8 @@ func TestWireAutoBatchTimerFlush(t *testing.T) {
 func TestWireBatchChaosExactlyOnce(t *testing.T) {
 	// E17-style chaos over batched frames: drops and corruption force
 	// reconnects; batch-granular replay must still deliver exactly once
-	// in order. Faults start on the second dial so the version
-	// negotiation itself is clean and the whole run stays on v3.
+	// in order. Faults start on the second dial, so the run begins on a
+	// healthy connection that the test then cuts.
 	addr, srv, wait := testServer(t, 1, SessionConfig{})
 	var dials int
 	w, err := NewReconnectWriter(ReconnectConfig{
@@ -280,9 +194,6 @@ func TestWireBatchChaosExactlyOnce(t *testing.T) {
 	if ws.Reconnects == 0 {
 		t.Error("no reconnects; chaos ineffective")
 	}
-	if v := w.NegotiatedWire(); v != wireV3 {
-		t.Errorf("run degraded to wire v%d", v)
-	}
 	st := srv.Stats()
 	if st.Batches == 0 {
 		t.Error("no batch frames applied")
@@ -310,57 +221,22 @@ func TestWireResumeMidBatch(t *testing.T) {
 	}()
 	ts := mkTuples(12)
 
-	dial := func() (net.Conn, *bufio.Writer, *bufio.Reader, uint64) {
-		t.Helper()
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		bw, br := bufio.NewWriter(conn), bufio.NewReader(conn)
-		granted, last, err := handshake3(conn, bw, br, "s1", time.Second)
-		if err != nil || granted != wireV3 {
-			t.Fatalf("handshake3: granted %d, err %v", granted, err)
-		}
-		return conn, bw, br, last
-	}
-	sendBatch := func(bw *bufio.Writer, br *bufio.Reader, first uint64, batch []*tuple.Tuple) uint64 {
-		t.Helper()
-		payload, err := tuple.AppendEncodeBatch(nil, sch, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := writeBatchFrame(bw, first, uint64(len(batch)), payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.WriteByte(frameHeartbeat); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		acked, err := readSeqFrame(br, frameAck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return acked
-	}
-
-	conn, bw, br, last := dial()
+	conn, bw, br, last := rawSession(t, ln.Addr().String(), "s1")
 	if last != 0 {
 		t.Fatalf("fresh session resumed at %d", last)
 	}
-	if acked := sendBatch(bw, br, 1, ts[0:8]); acked != 8 {
+	if acked := sendRawBatch(t, bw, br, 1, ts[0:8]); acked != 8 {
 		t.Fatalf("acked %d, want 8", acked)
 	}
 	conn.Close() // die mid-stream
 
-	conn, bw, br, last = dial()
+	conn, bw, br, last = rawSession(t, ln.Addr().String(), "s1")
 	if last != 8 {
 		t.Fatalf("resume point %d, want 8", last)
 	}
 	// Replay a batch that starts before the resume point: seqs 5..12,
 	// of which 5..8 are already applied.
-	if acked := sendBatch(bw, br, 5, ts[4:12]); acked != 12 {
+	if acked := sendRawBatch(t, bw, br, 5, ts[4:12]); acked != 12 {
 		t.Fatalf("acked %d, want 12", acked)
 	}
 	if err := writeSeqFrame(bw, frameEOS, 12); err != nil {
@@ -402,14 +278,7 @@ func TestWireBatchGapForcesResume(t *testing.T) {
 	go srv.Serve(1, nil)
 	defer ln.Close()
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw, br := bufio.NewWriter(conn), bufio.NewReader(conn)
-	if _, _, err := handshake3(conn, bw, br, "s1", time.Second); err != nil {
-		t.Fatal(err)
-	}
+	conn, bw, br, _ := rawSession(t, ln.Addr().String(), "s1")
 	ts := mkTuples(4)
 	payload, err := tuple.AppendEncodeBatch(nil, sch, ts)
 	if err != nil {
@@ -421,10 +290,7 @@ func TestWireBatchGapForcesResume(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := br.ReadByte(); err == nil {
-		t.Fatal("server kept a gapped connection alive")
-	}
+	expectDropped(t, conn, br)
 	if st := srv.Stats(); st.Corrupt == 0 || st.Frames != 0 {
 		t.Errorf("stats after gap: %+v", st)
 	}
@@ -493,22 +359,25 @@ func TestSessionSourceFeedsBatchedEngine(t *testing.T) {
 }
 
 func TestTransportCountersAndPeerDeath(t *testing.T) {
-	// Satellite coverage: Writer.Send/Reader.Next counters and
-	// Reader.Close error propagation when the peer dies mid-stream, in
-	// both per-tuple and batch modes.
-	for _, batch := range []bool{false, true} {
+	// Writer counters and the receiving source's end state, one tuple
+	// per frame and batched: a clean Close completes the stream, a
+	// writer whose connection dies without EOS leaves it unfinished.
+	for _, batch := range []int{1, 16} {
 		name := "pertuple"
-		if batch {
+		if batch > 1 {
 			name = "batch"
 		}
 		t.Run(name+"/clean", func(t *testing.T) {
-			client, server := pipeConn(t)
-			var w *Writer
-			var r *Reader
-			if batch {
-				w, r = NewBatchWriter(client, sch), NewBatchReader(server, sch)
-			} else {
-				w, r = NewWriter(client), NewReader(server, sch)
+			ln, srv, src := sourceServer(t)
+			w, err := NewReconnectWriter(ReconnectConfig{
+				StreamID:      "s1",
+				Dial:          func() (net.Conn, error) { return net.Dial("tcp", ln.Addr().String()) },
+				Schema:        sch,
+				WireBatch:     batch,
+				FlushInterval: -1,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 			ts := mkTuples(40)
 			if err := w.SendBatch(ts[:30]); err != nil {
@@ -519,31 +388,35 @@ func TestTransportCountersAndPeerDeath(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if w.Sent != 40 || w.Bytes == 0 {
-				t.Errorf("writer counters: Sent=%d Bytes=%d", w.Sent, w.Bytes)
-			}
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			got := stream.DrainTuples(r)
+			if st := w.Stats(); st.Sent != 40 || st.Bytes == 0 {
+				t.Errorf("writer counters: %+v", st)
+			}
+			got := stream.DrainTuples(src)
 			if !bytes.Equal(encodeAll(got), encodeAll(ts)) {
 				t.Fatalf("delivered %d tuples differ", len(got))
 			}
-			if r.Received != 40 {
-				t.Errorf("reader Received=%d, want 40", r.Received)
-			}
-			if err := r.Close(); err != nil {
+			if err := src.Err(); err != nil {
 				t.Errorf("clean EOS reported error: %v", err)
+			}
+			if st := srv.Stats(); st.Frames != 40 || st.Completed != 1 {
+				t.Errorf("server stats: %+v", st)
 			}
 		})
 		t.Run(name+"/peerdeath", func(t *testing.T) {
-			client, server := pipeConn(t)
-			var w *Writer
-			var r *Reader
-			if batch {
-				w, r = NewBatchWriter(client, sch), NewBatchReader(server, sch)
-			} else {
-				w, r = NewWriter(client), NewReader(server, sch)
+			ln, srv, src := sourceServer(t)
+			d := &cutDialer{addr: ln.Addr().String()}
+			w, err := NewReconnectWriter(ReconnectConfig{
+				StreamID:      "s1",
+				Dial:          d.dial,
+				Schema:        sch,
+				WireBatch:     batch,
+				FlushInterval: -1,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 			if err := w.SendBatch(mkTuples(5)); err != nil {
 				t.Fatal(err)
@@ -551,65 +424,90 @@ func TestTransportCountersAndPeerDeath(t *testing.T) {
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			client.Close() // die without the EOS frame
-			if got := stream.DrainTuples(r); len(got) != 5 {
+			d.cutLast() // die without the EOS frame
+			ln.Close()
+			if got := stream.DrainTuples(src); len(got) != 5 {
 				t.Fatalf("got %d tuples before death", len(got))
 			}
-			if err := r.Close(); err == nil {
+			if err := src.Err(); err == nil {
 				t.Error("mid-stream peer death reported as clean EOS")
 			}
-			if r.Received != 5 {
-				t.Errorf("Received=%d, want 5", r.Received)
+			if st := srv.Stats(); st.Frames != 5 || st.Completed != 0 {
+				t.Errorf("server stats: %+v", st)
 			}
 		})
 	}
 }
 
 func TestReaderRejectsOversizedFrame(t *testing.T) {
-	// Regression: a corrupt length varint must not drive an unbounded
-	// allocation; the frame is rejected against maxFramePayload.
-	client, server := pipeConn(t)
-	var hdr []byte
-	hdr = appendUvarintBytes(hdr, maxFramePayload+1)
-	if _, err := client.Write(hdr); err != nil {
-		t.Fatal(err)
+	// Regression: a corrupt length or count varint must not drive an
+	// unbounded allocation, and a peer speaking an older wire must not
+	// attach. Each frame drops the connection, counts as corrupt and
+	// emits nothing.
+	batch := func(count, ln uint64) []byte {
+		b := binary.AppendUvarint([]byte{frameBatch}, 1)
+		b = binary.AppendUvarint(b, count)
+		return binary.AppendUvarint(b, ln)
 	}
-	client.Close()
-	r := NewReader(server, sch)
-	if _, ok := r.Next(); ok {
-		t.Fatal("oversized frame yielded a tuple")
+	longID := string(bytes.Repeat([]byte{'x'}, maxStreamID+1))
+	v2Hello := binary.LittleEndian.AppendUint32([]byte{'H', 2, 's', '1'}, crc32.ChecksumIEEE([]byte("s1")))
+	for _, tc := range []struct {
+		name     string
+		attached bool // send a valid HELLO3 first
+		frame    []byte
+	}{
+		{"batch-length", true, batch(1, maxFramePayload+1)},
+		{"batch-count-zero", true, batch(0, 1)},
+		{"batch-count-over", true, batch(maxBatchTuples+1, 1)},
+		{"hello3-long-id", false, hello3Frame(wireV3, longID)},
+		{"hello3-old-version", false, hello3Frame(2, "s1")},
+		{"hello3-other-version", false, hello3Frame(4, "s1")},
+		{"v2-hello", false, v2Hello},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, srv, src := sourceServer(t)
+			var conn net.Conn
+			var br *bufio.Reader
+			if tc.attached {
+				conn, _, br, _ = rawSession(t, ln.Addr().String(), "s1")
+			} else {
+				c, err := net.Dial("tcp", ln.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				conn, br = c, bufio.NewReader(c)
+			}
+			if _, err := conn.Write(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			expectDropped(t, conn, br)
+			ln.Close()
+			if got := stream.DrainTuples(src); len(got) != 0 {
+				t.Errorf("rejected frame yielded %d tuples", len(got))
+			}
+			if st := srv.Stats(); st.Corrupt != 1 || st.Frames != 0 {
+				t.Errorf("stats: %+v", st)
+			}
+		})
 	}
-	if r.Err == nil || !strings.Contains(r.Err.Error(), "exceeds limit") {
-		t.Errorf("oversized frame error: %v", r.Err)
-	}
-}
-
-func appendUvarintBytes(buf []byte, v uint64) []byte {
-	for v >= 0x80 {
-		buf = append(buf, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(buf, byte(v))
 }
 
 func TestReconnectCountersBothWires(t *testing.T) {
-	// Client counters must behave identically under v2 and v3
-	// negotiation: Sent counts tuples, Bytes counts wire bytes, and the
-	// v3 encoding must come in strictly smaller for the same tuples.
-	run := func(v3 bool) ReconnectStats {
-		streams := 1
-		addr, _, wait := testServer(t, streams, SessionConfig{})
-		cfg := ReconnectConfig{
+	// Client counters must behave the same for one tuple per frame and
+	// for batched frames: Sent counts tuples, Bytes counts wire bytes,
+	// and batching must come in well below per-tuple framing for the
+	// same tuples.
+	run := func(batch int) ReconnectStats {
+		addr, _, wait := testServer(t, 1, SessionConfig{})
+		w, err := NewReconnectWriter(ReconnectConfig{
 			StreamID:      "s1",
 			Dial:          func() (net.Conn, error) { return net.Dial("tcp", addr) },
+			Schema:        sch,
+			WireBatch:     batch,
 			AckEvery:      64,
 			FlushInterval: -1,
-		}
-		if v3 {
-			cfg.Schema = sch
-			cfg.WireBatch = 64
-		}
-		w, err := NewReconnectWriter(cfg)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -620,18 +518,18 @@ func TestReconnectCountersBothWires(t *testing.T) {
 		}
 		return w.Stats()
 	}
-	v2 := run(false)
-	v3 := run(true)
-	if v2.Sent != 256 || v3.Sent != 256 {
-		t.Errorf("Sent: v2=%d v3=%d, want 256", v2.Sent, v3.Sent)
+	one := run(1)
+	batched := run(64)
+	if one.Sent != 256 || batched.Sent != 256 {
+		t.Errorf("Sent: batch1=%d batch64=%d, want 256", one.Sent, batched.Sent)
 	}
-	if v2.Bytes == 0 || v3.Bytes == 0 {
-		t.Fatalf("Bytes not counted: v2=%d v3=%d", v2.Bytes, v3.Bytes)
+	if one.Bytes == 0 || batched.Bytes == 0 {
+		t.Fatalf("Bytes not counted: batch1=%d batch64=%d", one.Bytes, batched.Bytes)
 	}
-	if float64(v3.Bytes) > 0.7*float64(v2.Bytes) {
-		t.Errorf("v3 wire bytes %d not ≥30%% below v2's %d", v3.Bytes, v2.Bytes)
+	if float64(batched.Bytes) > 0.7*float64(one.Bytes) {
+		t.Errorf("batch-64 wire bytes %d not ≥30%% below batch-1's %d", batched.Bytes, one.Bytes)
 	}
-	t.Logf("bytes/tuple: v2=%.1f v3=%.1f", float64(v2.Bytes)/256, float64(v3.Bytes)/256)
+	t.Logf("bytes/tuple: batch1=%.1f batch64=%.1f", float64(one.Bytes)/256, float64(batched.Bytes)/256)
 }
 
 func TestWireBatchReplayBufferBounded(t *testing.T) {

@@ -199,9 +199,11 @@ func atomicMax(addr *int64, v int64) {
 // (plus replicas), batched channels between them — with the given
 // options. Returns when all sources are exhausted and the pipeline has
 // flushed. maxElements bounds the elements drawn per source (< 0 =
-// unbounded). Results are element-for-element identical to
-// RunConcurrent at any batch size; only interleaving across independent
-// branches varies, as it already does between concurrent runs.
+// unbounded). Results are element-for-element identical at any batch
+// size; only interleaving across independent branches varies, as it
+// already does between concurrent runs. Arrival order across different
+// sources is not deterministic; use Run for experiments that depend on
+// interleaving.
 func (g *Graph) RunWith(maxElements int64, opts RunOptions) {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = DefaultBatchSize

@@ -202,13 +202,13 @@ func runConcurrentWithTimeout(t *testing.T, g *Graph, d time.Duration) {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
-		g.RunConcurrent(-1, 8)
+		g.RunWith(-1, RunOptions{ChanCap: 8})
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(d):
-		t.Fatal("RunConcurrent deadlocked after operator panic")
+		t.Fatal("concurrent run deadlocked after operator panic")
 	}
 }
 

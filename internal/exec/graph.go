@@ -517,13 +517,3 @@ func (g *Graph) safeFlush(id NodeID, n *node) {
 	}()
 	n.op.Flush(n.emit)
 }
-
-// RunConcurrent executes the graph with one goroutine per operator and
-// batched channels between them (see RunWith). Arrival order across
-// different sources is not deterministic; use Run for experiments that
-// depend on interleaving. Returns when all sources are exhausted and
-// the pipeline has flushed. maxElements < 0 = unbounded; chanCap is the
-// per-edge channel capacity in batches (<= 0 uses the default).
-func (g *Graph) RunConcurrent(maxElements int64, chanCap int) {
-	g.RunWith(maxElements, RunOptions{ChanCap: chanCap})
-}

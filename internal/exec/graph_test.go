@@ -241,7 +241,7 @@ func TestRunConcurrentMatchesSequentialCounts(t *testing.T) {
 	var seq int64
 	mkGraph(func(stream.Element) { seq++ }).Run(-1)
 	var conc int64
-	mkGraph(func(stream.Element) { atomic.AddInt64(&conc, 1) }).RunConcurrent(-1, 16)
+	mkGraph(func(stream.Element) { atomic.AddInt64(&conc, 1) }).RunWith(-1, RunOptions{ChanCap: 16})
 	if seq == 0 || seq != conc {
 		t.Errorf("sequential %d != concurrent %d", seq, conc)
 	}
@@ -278,7 +278,7 @@ func TestRunConcurrentJoinCompleteness(t *testing.T) {
 	if err := g.ConnectOut(nj); err != nil {
 		t.Fatal(err)
 	}
-	g.RunConcurrent(-1, 8)
+	g.RunWith(-1, RunOptions{ChanCap: 8})
 	// 200 tuples each side, 10 keys, 20 per key: 10 * 20 * 20 = 4000.
 	if n != 4000 {
 		t.Errorf("join results = %d, want 4000", n)

@@ -44,8 +44,8 @@ func E17FaultTolerance(scale Scale) *Table {
 
 	var baseline []byte
 	for _, rate := range []float64{0, 0.02, 0.05, 0.10} {
-		// wirebatch 1 ships v2 per-tuple DATA frames; 16 ships v3
-		// schema-coded batch frames. Exactly-once must hold for both.
+		// wirebatch 1 ships one tuple per frame; 16 ships batch frames
+		// of 16. Exactly-once must hold for both.
 		for _, wirebatch := range []int{1, 16} {
 			fp, frames, cs, ss := runChaosSession(d, nodes, n, rate, wirebatch)
 			if baseline == nil {
@@ -63,7 +63,7 @@ func E17FaultTolerance(scale Scale) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"expected shape: reconnects and resends grow with the drop rate; results stay byte-identical to the zero-fault run (exactly-once)",
-		"wirebatch>1 rows negotiate wire v3 and replay at batch granularity; resume may land mid-batch, counted under dupes",
+		"wirebatch>1 rows replay at batch granularity; resume may land mid-batch, counted under dupes",
 		"drops/stalls/corruption injected client-side per write with a per-node deterministic seed")
 	return t
 }
@@ -125,11 +125,10 @@ func runChaosSession(d *dsms.Decomposition, nodes, n int, dropRate float64, wire
 				MaxBackoff:  20 * time.Millisecond,
 				Timeout:     10 * time.Second,
 				Seed:        int64(node + 1),
-			}
-			if wirebatch > 1 {
-				cfg.Schema = d.PartialSchema()
-				cfg.WireBatch = wirebatch
-				cfg.FlushInterval = -1 // size-only: keep the run deterministic
+				Schema:      d.PartialSchema(),
+				WireBatch:   wirebatch,
+				// Size-only flushing keeps the run deterministic.
+				FlushInterval: -1,
 			}
 			w, err := dsms.NewReconnectWriter(cfg)
 			if err != nil {

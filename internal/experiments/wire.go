@@ -11,21 +11,21 @@ import (
 	"streamdb/internal/tuple"
 )
 
-// E21TransportWire is the wire-protocol ablation for the distributed
-// tier: the same netmon tuple stream shipped low->high over loopback
-// with (a) the v2 per-tuple self-describing frames and (b) the v3
-// schema-coded batch frames at increasing batch sizes. The claim under
-// test is the Gigascope/GS-tool transfer argument: once both ends share
-// the schema, the wire does not need to re-describe every value, and
+// E21TransportWire is the wire ablation for the distributed tier: the
+// same netmon tuple stream shipped low->high over loopback in
+// schema-coded batch frames of increasing size. The claim under test is
+// the Gigascope/GS-tool transfer argument: once both ends share the
+// schema, the wire does not need to re-describe every value, and
 // batching amortizes framing, locking, and checksums — so bytes/tuple
 // and CPU/tuple both drop while the delivered tuple sequence stays
-// byte-identical.
+// byte-identical. The self-describing per-tuple encoding
+// (tuple.AppendEncode) of the same tuples is the reference.
 func E21TransportWire(scale Scale) *Table {
 	t := &Table{
 		ID:    "E21",
-		Title: "wire protocol ablation: v2 per-tuple vs v3 schema-coded batches",
-		Header: []string{"wire", "batch", "tuples", "bytes/tuple", "ktuples/s",
-			"speedup", "exact"},
+		Title: "wire ablation: schema-coded batch frames vs the self-describing encoding",
+		Header: []string{"batch", "tuples", "bytes/tuple", "payload/tuple", "selfdesc/tuple",
+			"ktuples/s", "speedup", "exact"},
 	}
 
 	n := scale.N(100000)
@@ -41,43 +41,46 @@ func E21TransportWire(scale Scale) *Table {
 		}
 	}
 	baseline := fingerprintTuples(sent)
+	perTuple := func(bytes int) float64 { return float64(bytes) / float64(len(sent)) }
+	selfDesc := perTuple(len(baseline))
 
-	configs := []struct {
-		wire  string
-		batch int
-	}{
-		{"v2", 1}, {"v3", 1}, {"v3", 16}, {"v3", 64}, {"v3", 256},
-	}
-	var v2PerTuple float64
-	for _, c := range configs {
-		elapsed, bytes, got := runWireSession(sent, c.wire == "v3", c.batch)
-		perTuple := elapsed.Seconds() / float64(len(sent))
-		if c.wire == "v2" {
-			v2PerTuple = perTuple
+	sch := stream.TrafficSchema("Traffic")
+	var batch1 float64
+	for _, batch := range []int{1, 16, 64, 256} {
+		payload := 0
+		for i := 0; i < len(sent); i += batch {
+			p, err := tuple.AppendEncodeBatch(nil, sch, sent[i:min(i+batch, len(sent))])
+			if err != nil {
+				panic(err)
+			}
+			payload += len(p)
 		}
-		t.AddRow(c.wire, c.batch, len(sent),
-			float64(bytes)/float64(len(sent)),
+		elapsed, bytes, got := runWireSession(sch, sent, batch)
+		secs := elapsed.Seconds() / float64(len(sent))
+		if batch == 1 {
+			batch1 = secs
+		}
+		t.AddRow(batch, len(sent), perTuple(int(bytes)), perTuple(payload), selfDesc,
 			float64(len(sent))/elapsed.Seconds()/1e3,
-			fmt.Sprintf("%.1fx", v2PerTuple/perTuple),
+			fmt.Sprintf("%.1fx", batch1/secs),
 			string(fingerprintTuples(got)) == string(baseline))
 	}
 	t.Notes = append(t.Notes,
-		"same loopback session protocol for every row (acks, CRCs, exactly-once); only the framing differs",
-		"v3 batch=1 isolates the schema-coded encoding; larger batches add framing/lock/CRC amortization",
-		"server decodes batches into pooled arenas: steady-state decode allocates nothing per tuple")
+		"same loopback session protocol for every row (acks, CRCs, exactly-once); only the batch size differs",
+		"bytes/tuple counts whole frames; payload/tuple the schema-coded batches alone; selfdesc/tuple the self-describing per-tuple encoding of the same tuples",
+		"speedup is against batch 1; server decodes batches into pooled arenas: steady-state decode allocates nothing per tuple")
 	return t
 }
 
 // runWireSession ships the tuples over one loopback session and returns
 // the wall-clock send time, wire bytes written, and the delivered
 // tuples.
-func runWireSession(sent []*tuple.Tuple, v3 bool, batch int) (elapsed time.Duration, bytes int64, got []*tuple.Tuple) {
+func runWireSession(sch *tuple.Schema, sent []*tuple.Tuple, batch int) (elapsed time.Duration, bytes int64, got []*tuple.Tuple) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
 	}
 	defer ln.Close()
-	sch := stream.TrafficSchema("Traffic")
 	srv := dsms.NewSessionServer(ln, sch, dsms.SessionConfig{
 		IdleTimeout: 10 * time.Second,
 	})
@@ -91,18 +94,15 @@ func runWireSession(sent []*tuple.Tuple, v3 bool, batch int) (elapsed time.Durat
 		})
 	}()
 
-	cfg := dsms.ReconnectConfig{
-		StreamID: "e21",
-		Dial:     func() (net.Conn, error) { return net.Dial("tcp", ln.Addr().String()) },
-		AckEvery: 4096,
-		Timeout:  10 * time.Second,
-	}
-	if v3 {
-		cfg.Schema = sch
-		cfg.WireBatch = batch
-		cfg.FlushInterval = -1
-	}
-	w, err := dsms.NewReconnectWriter(cfg)
+	w, err := dsms.NewReconnectWriter(dsms.ReconnectConfig{
+		StreamID:      "e21",
+		Dial:          func() (net.Conn, error) { return net.Dial("tcp", ln.Addr().String()) },
+		AckEvery:      4096,
+		Timeout:       10 * time.Second,
+		Schema:        sch,
+		WireBatch:     batch,
+		FlushInterval: -1,
+	})
 	if err != nil {
 		panic(err)
 	}

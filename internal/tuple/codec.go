@@ -7,14 +7,14 @@ import (
 )
 
 // The binary tuple encoding is used by the XJoin disk-spill partitions
-// (slide 31), the Hancock persistent signature store, and the distributed
-// 3-level architecture's TCP transport (slide 55). Layout:
+// (slide 31) and the checkpoint codec; the distributed transport ships
+// the schema-coded batch encoding instead (batchcodec.go). Layout:
 //
 //	varint ts | varint nvals | per value: kind byte + payload
 //
 // Integral payloads are varints; floats are 8 fixed bytes; strings are
 // length-prefixed. The format is self-describing so readers do not need
-// the schema, but schema-checked decoding is available via DecodeChecked.
+// the schema.
 
 // AppendEncode appends the encoding of t to buf and returns the extended
 // slice.
@@ -94,23 +94,4 @@ func Decode(buf []byte) (*Tuple, int, error) {
 		}
 	}
 	return &Tuple{Ts: ts, Vals: vals}, off, nil
-}
-
-// DecodeChecked decodes a tuple and verifies it against the schema: arity
-// must match and every non-NULL value must have the declared kind.
-func DecodeChecked(buf []byte, s *Schema) (*Tuple, int, error) {
-	t, n, err := Decode(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(t.Vals) != s.Arity() {
-		return nil, 0, fmt.Errorf("tuple: arity %d does not match schema %s", len(t.Vals), s)
-	}
-	for i, v := range t.Vals {
-		if v.Kind != KindNull && v.Kind != s.Fields[i].Kind {
-			return nil, 0, fmt.Errorf("tuple: field %s is %s, schema wants %s",
-				s.Fields[i].Name, v.Kind, s.Fields[i].Kind)
-		}
-	}
-	return t, n, nil
 }

@@ -308,26 +308,6 @@ func TestCodecTruncation(t *testing.T) {
 	}
 }
 
-func TestDecodeChecked(t *testing.T) {
-	s := NewSchema("S", Field{Name: "a", Kind: KindInt}, Field{Name: "b", Kind: KindString})
-	good := AppendEncode(nil, New(1, Int(1), String("x")))
-	if _, _, err := DecodeChecked(good, s); err != nil {
-		t.Errorf("good tuple rejected: %v", err)
-	}
-	badArity := AppendEncode(nil, New(1, Int(1)))
-	if _, _, err := DecodeChecked(badArity, s); err == nil {
-		t.Error("bad arity accepted")
-	}
-	badKind := AppendEncode(nil, New(1, Int(1), Int(2)))
-	if _, _, err := DecodeChecked(badKind, s); err == nil {
-		t.Error("bad kind accepted")
-	}
-	withNull := AppendEncode(nil, New(1, Null, String("x")))
-	if _, _, err := DecodeChecked(withNull, s); err != nil {
-		t.Errorf("NULL rejected: %v", err)
-	}
-}
-
 func TestMemSize(t *testing.T) {
 	small := New(0, Int(1)).MemSize()
 	big := New(0, Int(1), String("this string occupies space")).MemSize()
