@@ -2,8 +2,8 @@
 // architecture (slides 14, 54-55). A high-level node listens for
 // partial-aggregate streams from low-level nodes and prints merged
 // per-minute results; a low-level node generates (or would tap) raw
-// traffic, runs the decomposed filter + bounded partial aggregation,
-// and ships the reduced stream upward.
+// traffic, runs the decomposed filter + slot-bounded partial
+// aggregation (query.Decompose), and ships the reduced stream upward.
 //
 // The uplink is the fault-tolerant session transport (DESIGN.md
 // "Fault tolerance"): low-level nodes ride out connection loss by
@@ -59,7 +59,7 @@ func logf(format string, args ...interface{}) {
 const decomposeSQL = `select srcIP, count(*) as pkts, sum(length) as bytes
 	from Traffic [range 60] where length > 512 group by srcIP`
 
-func decomposition() *dsms.Decomposition {
+func decomposition() *query.Decomposition {
 	cat := query.NewCatalog()
 	cat.Register("Traffic", stream.TrafficSchema("Traffic"))
 	d, err := query.Decompose(decomposeSQL, cat, 4096)
@@ -77,14 +77,13 @@ type lowConfig struct {
 	timeout   time.Duration // per-frame I/O deadline
 	faultRate float64       // injected drop rate (demo chaos)
 	wireBatch int           // tuples per uplink batch frame
-	columnar  bool          // filter via selection-vector kernels over column batches
 }
 
 // runLow runs one observation point: raw traffic through the
 // decomposed low-level plan, partials shipped over a ReconnectWriter.
 // Transient uplink errors are retried inside the writer; only
 // exhausting every attempt surfaces as an error here.
-func runLow(d *dsms.Decomposition, cfg lowConfig, n int, seed int64) (raw, partials int64, st dsms.ReconnectStats, err error) {
+func runLow(d *query.Decomposition, cfg lowConfig, n int, seed int64) (raw, partials int64, st dsms.ReconnectStats, err error) {
 	dials := 0
 	rcfg := dsms.ReconnectConfig{
 		StreamID: fmt.Sprintf("low-%d", seed),
@@ -111,67 +110,16 @@ func runLow(d *dsms.Decomposition, cfg lowConfig, n int, seed int64) (raw, parti
 	if err != nil {
 		return 0, 0, st, err
 	}
-	ll, err := d.NewLowLevel("lfta")
-	if err != nil {
-		return 0, 0, st, err
-	}
-	var sendErr error
-	emit := func(e stream.Element) {
-		if sendErr == nil {
-			sendErr = w.Send(e.Tuple)
-		}
-	}
 	src := stream.Limit(stream.NewTrafficStream(seed, 100000, 5000), n)
-	if cfg.columnar {
-		// Columnar A/B lane (-columnar, the default): raw tuples
-		// transpose into column batches and the filter runs its
-		// selection-vector kernel; output is identical to the row loop
-		// below on the same input.
-		pool := stream.NewColPool(src.Schema(), 256)
-		cur := pool.Get()
-		flush := func() {
-			if cur.Rows() > 0 {
-				ll.PushBatch(cur, emit)
-				cur = pool.Get()
-			}
-		}
-		for {
-			e, ok := src.Next()
-			if !ok || sendErr != nil {
-				break
-			}
-			if e.IsPunct() {
-				flush()
-				ll.Push(e, emit)
-				continue
-			}
-			cur.AppendRow(e.Tuple)
-			if cur.Rows() >= pool.Size() {
-				flush()
-			}
-		}
-		flush()
-		cur.Release()
-	} else {
-		for {
-			e, ok := src.Next()
-			if !ok || sendErr != nil {
-				break
-			}
-			ll.Push(e, emit)
-		}
-	}
-	if sendErr == nil {
-		ll.Flush(emit)
-	}
-	if sendErr != nil {
+	raw, partials, err = d.RunLow(src, w.Send)
+	if err != nil {
 		w.Close()
-		return ll.RawIn, ll.PartialsOut, w.Stats(), fmt.Errorf("send: %w", sendErr)
+		return raw, partials, w.Stats(), fmt.Errorf("send: %w", err)
 	}
 	if err := w.Close(); err != nil {
-		return ll.RawIn, ll.PartialsOut, w.Stats(), fmt.Errorf("close: %w", err)
+		return raw, partials, w.Stats(), fmt.Errorf("close: %w", err)
 	}
-	return ll.RawIn, ll.PartialsOut, w.Stats(), nil
+	return raw, partials, w.Stats(), nil
 }
 
 func reportLow(seed int64, raw, partials int64, st dsms.ReconnectStats) {
@@ -197,8 +145,11 @@ type highConfig struct {
 
 // runHigh runs the merge point: a SessionServer that dedupes resumed
 // streams feeds the high-level merge plan through a push-fed execution
-// graph. Session churn (connects, resumes, dead peers) is logged to
-// stderr as it happens.
+// graph. The wire carries partial records only, so a query.Progress
+// rebuilds event-time progress from them and the merge plan closes a
+// window once every low-level node has moved past it or ended. Session
+// churn (connects, resumes, dead peers) is logged to stderr as it
+// happens.
 //
 // Ingest is micro-batched per stream: partials accumulate in a
 // per-stream buffer and enter the merge plan `batch` at a time, so the
@@ -207,36 +158,34 @@ type highConfig struct {
 // punctuation, and the merge plan advances on watermarks, so batching
 // only adds bounded ingest latency — final results are unchanged.
 //
-// With -checkpoint-dir set, the graph's state (the merging aggregator)
+// With -checkpoint-dir set, the graph's state (the merge operator)
 // is checkpointed to a durable store every -checkpoint-interval partial
 // records, together with each session's applied sequence number at that
 // cut. Session acknowledgements are capped at the last committed floor
 // (DurableSeq), so clients keep the un-checkpointed tail in their
-// replay buffers; a restarted process restores the aggregator, seeds
+// replay buffers; a restarted process restores the merge operator, seeds
 // sessions at the committed floors (InitialSeqs), and receives exactly
 // the tail again — no loss, and duplicates past the floor are deduped
 // by the session layer. Micro-batched ingest stays crash-safe because
 // the per-stream cut counts only tuples actually fed to the graph:
 // buffered-but-unfed partials are never acknowledged past the floor.
-func runHigh(d *dsms.Decomposition, ln net.Listener, cfg highConfig) {
-	high, err := d.NewHighLevel("hfta")
-	if err != nil {
-		fatalf("%v", err)
-	}
+func runHigh(d *query.Decomposition, ln net.Listener, cfg highConfig) {
 	var finals int64
 	g := exec.NewGraph(func(e stream.Element) {
 		finals++
 		t := e.Tuple
-		bucket, _ := t.Vals[0].AsTime()
+		wend, _ := t.Vals[0].AsTime()
 		ip, _ := t.Vals[1].AsUint()
 		pkts, _ := t.Vals[2].AsInt()
 		bytes, _ := t.Vals[3].AsFloat()
+		// decomposeSQL's windows are one minute long: print the start.
 		fmt.Printf("minute %4d  src %-15s  pkts %6d  bytes %12.0f\n",
-			bucket/(60*stream.Second), tuple.FormatIPv4(uint32(ip)), pkts, bytes)
+			wend/(60*stream.Second)-1, tuple.FormatIPv4(uint32(ip)), pkts, bytes)
 	})
 	q := stream.NewQueue(d.PartialSchema())
+	prog := query.NewProgress(cfg.nodes)
 	si := g.AddSource(q)
-	hid := g.AddOp(high)
+	hid := g.AddOp(d.NewHigh())
 	if err := g.ConnectSource(si, hid, 0); err != nil {
 		fatalf("%v", err)
 	}
@@ -251,6 +200,7 @@ func runHigh(d *dsms.Decomposition, ln net.Listener, cfg highConfig) {
 	durable := map[string]uint64{} // per-stream floor of the last committed checkpoint
 	var durMu sync.Mutex
 	if cfg.ckptDir != "" {
+		var err error
 		store, err = ckpt.Open(cfg.ckptDir)
 		if err != nil {
 			fatalf("checkpoint store: %v", err)
@@ -347,12 +297,22 @@ func runHigh(d *dsms.Decomposition, ln net.Listener, cfg highConfig) {
 	}
 	var bufMu sync.Mutex
 	bufs := map[string][]*tuple.Tuple{}
-	push := func(id string, tps []*tuple.Tuple) {
+	// push feeds one stream's partials; ended marks the stream's last
+	// call, after which it no longer holds progress back.
+	push := func(id string, tps []*tuple.Tuple, ended bool) {
 		mu.Lock()
 		received += int64(len(tps))
 		seqs[id] += uint64(len(tps))
 		for _, tp := range tps {
 			q.Feed(stream.Tup(tp))
+			if pu := prog.Observe(id, tp); pu != nil {
+				q.Feed(stream.Punct(pu))
+			}
+		}
+		if ended {
+			if pu := prog.End(id); pu != nil {
+				q.Feed(stream.Punct(pu))
+			}
 		}
 		g.Pump(-1)
 		if store != nil {
@@ -365,13 +325,21 @@ func runHigh(d *dsms.Decomposition, ln net.Listener, cfg highConfig) {
 		mu.Unlock()
 	}
 	// ServeBatches hands over whole decoded wire batches: one callback
-	// (and one buffer append) per frame instead of per tuple. This
-	// server does not enable ZeroCopy, so
-	// the tuples are heap-allocated and safe to hold in the ingest
-	// buffers without pinning the (always-nil) decode arena.
-	err = srv.ServeBatches(cfg.nodes, func(id string, tps []*tuple.Tuple, _ *tuple.Arena) {
+	// (and one buffer append) per frame instead of per tuple, and one
+	// empty call when a stream ends. This server does not enable
+	// ZeroCopy, so the tuples are heap-allocated and safe to hold in the
+	// ingest buffers without pinning the (always-nil) decode arena.
+	err := srv.ServeBatches(cfg.nodes, func(id string, tps []*tuple.Tuple, _ *tuple.Arena) {
+		if len(tps) == 0 {
+			bufMu.Lock()
+			rest := bufs[id]
+			delete(bufs, id)
+			bufMu.Unlock()
+			push(id, rest, true)
+			return
+		}
 		if batch == 1 {
-			push(id, tps)
+			push(id, tps, false)
 			return
 		}
 		bufMu.Lock()
@@ -383,20 +351,14 @@ func runHigh(d *dsms.Decomposition, ln net.Listener, cfg highConfig) {
 		}
 		bufMu.Unlock()
 		if full != nil {
-			push(id, full)
+			push(id, full, false)
 		}
 	})
 	if err != nil {
 		fatalf("serve: %v", err)
 	}
-	// All sessions are done: drain every open ingest buffer before the
-	// closing punctuation so no partial is left behind.
-	bufMu.Lock()
-	for id, b := range bufs {
-		push(id, b)
-	}
-	bufs = nil
-	bufMu.Unlock()
+	// All sessions are done, and each ended stream's ingest buffer was
+	// fed at its end.
 	mu.Lock()
 	q.Feed(stream.Punct(&stream.Punctuation{Ts: 1 << 62}))
 	g.Pump(-1)
@@ -534,7 +496,6 @@ func main() {
 	faultRate := flag.Float64("faultrate", 0, "demo: injected connection-drop rate per write (chaos)")
 	ingestBatch := flag.Int("ingestbatch", 64, "high/demo: partial records buffered per stream before entering the merge plan (1 = per-tuple)")
 	wireBatch := flag.Int("wirebatch", 16, "low/demo: tuples per batch frame on the uplink (1 = one tuple per frame)")
-	columnar := flag.Bool("columnar", true, "low/demo: run the low-level filter through the columnar selection-vector kernel (false = row-at-a-time; output is identical). The same lane drives exec-engine window joins: every equijoin over time windows vectorizes, whatever its key kind or width (a single INT/UINT/TIME/IP key hashes by payload, others by the generic column hash); only rows-windows, MaxTuples caps and keyless theta joins fall back to the row path — observable per node via NodeStats.Batches/RowFallbacks")
 	ckptDir := flag.String("checkpoint-dir", "", "high/demo: durable checkpoint directory (empty = disabled); on restart the merge state is recovered and sessions replay from the committed floor")
 	ckptEvery := flag.Int("checkpoint-interval", 5000, "high/demo: partial records between checkpoints")
 	stats := flag.Duration("stats", 0, "high/demo: period between per-node NodeStats JSON dumps on stderr (0 = disabled); each line snapshots In/Out/MaxQueue/MaxMemory/Routed/Batches/RowFallbacks plus the adaptive controller's live BatchTarget, Replicas, ShedRate and Rescales")
@@ -556,7 +517,7 @@ func main() {
 		fmt.Printf("high-level node on %s, awaiting %d low-level nodes\n", ln.Addr(), *nodes)
 		runHigh(d, ln, highConfig{nodes: *nodes, idle: 2 * *timeout, batch: *ingestBatch, ckptDir: *ckptDir, ckptEvery: *ckptEvery, statsEvery: *stats})
 	case "low":
-		cfg := lowConfig{addr: *connect, retry: *retry, timeout: *timeout, wireBatch: *wireBatch, columnar: *columnar}
+		cfg := lowConfig{addr: *connect, retry: *retry, timeout: *timeout, wireBatch: *wireBatch}
 		raw, partials, st, err := runLow(d, cfg, *n, *seed)
 		if err != nil {
 			fatalf("%v", err)
@@ -568,11 +529,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		defer ln.Close()
-		if *columnar {
-			fmt.Println("columnar lane on: low-level filters run selection-vector kernels;" +
-				" engine window equijoins vectorize on any key; rows-windows, MaxTuples caps" +
-				" and keyless joins fall back to the row path (see NodeStats.Batches/RowFallbacks)")
-		}
 		var wg sync.WaitGroup
 		for i := 0; i < *nodes; i++ {
 			wg.Add(1)
@@ -584,7 +540,6 @@ func main() {
 					timeout:   *timeout,
 					faultRate: *faultRate,
 					wireBatch: *wireBatch,
-					columnar:  *columnar,
 				}
 				raw, partials, st, err := runLow(d, cfg, *n, seed)
 				if err != nil {

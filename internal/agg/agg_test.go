@@ -1,11 +1,13 @@
 package agg
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"streamdb/internal/ckpt"
 	"streamdb/internal/expr"
 	"streamdb/internal/stream"
 	"streamdb/internal/tuple"
@@ -361,29 +363,36 @@ func TestGroupByMaxGroupsTracksCardinality(t *testing.T) {
 	g.Flush(emit)
 }
 
+// newBounded builds a tumbling GroupBy over sch and its slot-bounded
+// partial replica.
+func newBounded(t *testing.T, groupBy []expr.Expr, groupNames []string, aggs []Spec, spec window.Spec, slots int) (*GroupBy, *BoundedReplica) {
+	t.Helper()
+	g, err := NewGroupBy("agg", sch, groupBy, groupNames, aggs, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := g.BoundedPartial(slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, r
+}
+
 func TestPartialFinalEquivalence(t *testing.T) {
-	// Property: partial aggregation through a tiny slot table followed by
-	// final aggregation equals direct aggregation, for any input order.
+	// Property: a bounded partial replica with a tiny slot table followed
+	// by the combiner equals direct aggregation.
 	rng := rand.New(rand.NewSource(13))
 	gcol := expr.MustColumn(sch, "g")
 	vcol := expr.MustColumn(sch, "v")
-	mkSpecs := func() []Spec {
-		return []Spec{
-			{Fn: mustFn(t, "count", false), Name: "cnt"},
-			{Fn: mustFn(t, "sum", false), Arg: vcol, Name: "total"},
-			{Fn: mustFn(t, "avg", false), Arg: vcol, Name: "mean"},
-			{Fn: mustFn(t, "min", false), Arg: vcol, Name: "lo"},
-			{Fn: mustFn(t, "max", false), Arg: vcol, Name: "hi"},
-		}
+	specs := []Spec{
+		{Fn: mustFn(t, "count", false), Name: "cnt"},
+		{Fn: mustFn(t, "sum", false), Arg: vcol, Name: "total"},
+		{Fn: mustFn(t, "avg", false), Arg: vcol, Name: "mean"},
+		{Fn: mustFn(t, "min", false), Arg: vcol, Name: "lo"},
+		{Fn: mustFn(t, "max", false), Arg: vcol, Name: "hi"},
 	}
-	pa, err := NewPartialAgg("lfta", sch, []expr.Expr{gcol}, []string{"g"}, mkSpecs(), 4, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fa, err := NewFinalAgg("hfta", pa)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, low := newBounded(t, []expr.Expr{gcol}, []string{"g"}, specs, window.Tumbling(100), 4)
+	high := g.Combiner().(*PaneCombiner)
 
 	// Direct reference computation.
 	type ref struct {
@@ -391,25 +400,25 @@ func TestPartialFinalEquivalence(t *testing.T) {
 		sum    float64
 		lo, hi float64
 	}
-	truth := map[int64]map[int64]*ref{} // bucket -> group -> ref
+	truth := map[int64]map[int64]*ref{} // window end -> group -> ref
 
 	var finals []*tuple.Tuple
 	emitFinal := func(e stream.Element) { finals = append(finals, e.Tuple) }
-	emitPartial := func(e stream.Element) { fa.Push(0, e, emitFinal) }
+	emitPartial := func(e stream.Element) { high.Push(0, e, emitFinal) }
 
 	for i := 0; i < 3000; i++ {
 		ts := int64(i)
 		grp := rng.Int63n(40) // 40 groups through 4 slots: heavy eviction
 		v := rng.Float64() * 100
-		pa.Push(0, row(ts, grp, v), emitPartial)
-		bucket := (ts / 100) * 100
-		if truth[bucket] == nil {
-			truth[bucket] = map[int64]*ref{}
+		low.Push(0, row(ts, grp, v), emitPartial)
+		end := (ts/100)*100 + 100
+		if truth[end] == nil {
+			truth[end] = map[int64]*ref{}
 		}
-		r := truth[bucket][grp]
+		r := truth[end][grp]
 		if r == nil {
 			r = &ref{lo: math.Inf(1), hi: math.Inf(-1)}
-			truth[bucket][grp] = r
+			truth[end][grp] = r
 		}
 		r.cnt++
 		r.sum += v
@@ -420,21 +429,20 @@ func TestPartialFinalEquivalence(t *testing.T) {
 			r.hi = v
 		}
 	}
-	pa.Flush(emitPartial)
-	fa.Flush(emitFinal)
+	low.Flush(emitPartial)
+	high.Flush(emitFinal)
 
-	absorbed, emitted, evictions := pa.Stats()
-	if absorbed != 3000 || emitted == 0 || evictions == 0 {
-		t.Fatalf("stats: absorbed=%d emitted=%d evictions=%d", absorbed, emitted, evictions)
+	if low.Emitted() == 0 || low.Evictions() == 0 {
+		t.Fatalf("stats: emitted=%d evictions=%d", low.Emitted(), low.Evictions())
 	}
 	// Verify every final row against the reference.
 	seen := 0
 	for _, f := range finals {
-		bucket, _ := f.Vals[0].AsTime()
+		end, _ := f.Vals[0].AsTime()
 		grp, _ := f.Vals[1].AsInt()
-		r := truth[bucket][grp]
+		r := truth[end][grp]
 		if r == nil {
-			t.Fatalf("unexpected group %d@%d", grp, bucket)
+			t.Fatalf("unexpected group %d@%d", grp, end)
 		}
 		seen++
 		cnt, _ := f.Vals[2].AsInt()
@@ -444,7 +452,7 @@ func TestPartialFinalEquivalence(t *testing.T) {
 		hi, _ := f.Vals[6].AsFloat()
 		if cnt != r.cnt || math.Abs(sum-r.sum) > 1e-6 || math.Abs(mean-r.sum/float64(r.cnt)) > 1e-6 ||
 			lo != r.lo || hi != r.hi {
-			t.Fatalf("group %d@%d: got (%d, %f, %f, %f, %f), want %+v", grp, bucket, cnt, sum, mean, lo, hi, r)
+			t.Fatalf("group %d@%d: got (%d, %f, %f, %f, %f), want %+v", grp, end, cnt, sum, mean, lo, hi, r)
 		}
 	}
 	want := 0
@@ -454,44 +462,113 @@ func TestPartialFinalEquivalence(t *testing.T) {
 	if seen != want {
 		t.Errorf("final rows = %d, want %d", seen, want)
 	}
-	if fa.MergeErrors() != 0 {
-		t.Errorf("merge errors: %d", fa.MergeErrors())
+	if high.MergeErrors() != 0 {
+		t.Errorf("merge errors: %d", high.MergeErrors())
 	}
 }
 
 func TestPartialAggRejectsHolistic(t *testing.T) {
 	med := mustFn(t, "median", false)
-	_, err := NewPartialAgg("p", sch, nil, nil,
-		[]Spec{{Fn: med, Arg: expr.MustColumn(sch, "v"), Name: "m"}}, 8, 100)
-	if err == nil {
+	g, err := NewGroupBy("p", sch, nil, nil,
+		[]Spec{{Fn: med, Arg: expr.MustColumn(sch, "v"), Name: "m"}}, window.Tumbling(100), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.BoundedPartial(8); err == nil {
 		t.Error("holistic aggregate accepted for partial aggregation")
 	}
 }
 
 func TestPartialAggBoundedMemory(t *testing.T) {
+	// 10000 distinct keys in one window through 16 slots: live groups
+	// never exceed the slot count.
 	cnt := mustFn(t, "count", false)
-	pa, err := NewPartialAgg("p", sch, []expr.Expr{expr.MustColumn(sch, "g")}, []string{"g"},
-		[]Spec{{Fn: cnt, Name: "c"}}, 16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, low := newBounded(t, []expr.Expr{expr.MustColumn(sch, "g")}, []string{"g"},
+		[]Spec{{Fn: cnt, Name: "c"}}, window.Tumbling(1<<40), 16)
 	emit := func(stream.Element) {}
-	base := pa.MemSize()
 	for i := int64(0); i < 10000; i++ {
-		pa.Push(0, row(i, i, 1), emit)
+		low.Push(0, row(i, i, 1), emit)
 	}
-	if pa.MemSize() > base*4 {
-		t.Errorf("low-level memory grew: %d -> %d", base, pa.MemSize())
+	if m := low.MaxGroups(); m > 16 {
+		t.Errorf("live groups peaked at %d, slots 16", m)
+	}
+	if ev := low.Evictions(); ev != 10000-16 {
+		t.Errorf("evictions = %d, want %d", ev, 10000-16)
 	}
 }
 
 func TestPartialAggValidation(t *testing.T) {
 	cnt := mustFn(t, "count", false)
-	if _, err := NewPartialAgg("p", sch, nil, nil, []Spec{{Fn: cnt, Name: "c"}}, 0, 0); err == nil {
-		t.Error("zero slots accepted")
+	spec := []Spec{{Fn: cnt, Name: "c"}}
+	for _, slots := range []int{0, -1} {
+		g, err := NewGroupBy("p", sch, nil, nil, spec, window.Tumbling(100), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.BoundedPartial(slots); err == nil {
+			t.Errorf("%d slots accepted", slots)
+		}
 	}
-	if _, err := NewPartialAgg("p", sch, []expr.Expr{expr.MustColumn(sch, "g")}, nil,
-		[]Spec{{Fn: cnt, Name: "c"}}, 4, 0); err == nil {
-		t.Error("group name mismatch accepted")
+	for _, w := range []window.Spec{{Kind: window.KindTime, Range: 100, Slide: 10}, {}, window.Landmark(10)} {
+		g, err := NewGroupBy("p", sch, nil, nil, spec, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.BoundedPartial(4); err == nil {
+			t.Errorf("window %s accepted for a slot bound", w)
+		}
+	}
+}
+
+func TestBoundedPartialSnapshotRestore(t *testing.T) {
+	// A bounded replica restored mid-window rebuilds its slot directory
+	// and goes on emitting exactly the records of an uninterrupted run.
+	gcol := expr.MustColumn(sch, "g")
+	specs := []Spec{
+		{Fn: mustFn(t, "count", false), Name: "cnt"},
+		{Fn: mustFn(t, "sum", false), Arg: expr.MustColumn(sch, "v"), Name: "total"},
+	}
+	g, whole := newBounded(t, []expr.Expr{gcol}, []string{"g"}, specs, window.Tumbling(100), 4)
+	rng := rand.New(rand.NewSource(29))
+	var in []stream.Element
+	for ts := int64(0); ts < 1000; ts++ {
+		in = append(in, row(ts, rng.Int63n(40), float64(rng.Intn(100))))
+		if ts == 450 {
+			in = append(in, stream.Punct(&stream.Punctuation{Ts: 500}))
+		}
+	}
+	run := func(r *BoundedReplica, els []stream.Element, flush bool) []byte {
+		var out []byte
+		emit := func(e stream.Element) {
+			if !e.IsPunct() {
+				out = tuple.AppendEncode(out, e.Tuple)
+			}
+		}
+		for _, e := range els {
+			r.Push(0, e, emit)
+		}
+		if flush {
+			r.Flush(emit)
+		}
+		return out
+	}
+	want := run(whole, in, true)
+	for _, cut := range []int{2, 37, 537, 871} {
+		first, err := g.BoundedPartial(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := run(first, in[:cut], false)
+		resumed, err := g.BoundedPartial(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resumed.Restore(ckpt.NewDecoder(snapshotBytes(t, first.GroupBy))); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, run(resumed, in[cut:], true)...)
+		if !bytes.Equal(got, want) {
+			t.Errorf("cut %d: resumed records differ from the uninterrupted run", cut)
+		}
 	}
 }

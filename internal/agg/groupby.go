@@ -486,7 +486,8 @@ func (g *GroupBy) emitGroup(end int64, grp *group, emit ops.Emit) {
 // on plain grouping columns, every group matching them is complete —
 // emit it immediately and release its state, without waiting for a
 // window boundary. Only exact-column group expressions participate;
-// computed groupings are conservatively left open.
+// computed groupings are conservatively left open. Like advancePanes, on
+// a partial replica it removes no group without emitting it.
 func (g *GroupBy) closeGroups(p *stream.Punctuation, emit ops.Emit) {
 	if len(p.Fields) == 0 || len(g.groupBy) == 0 {
 		return

@@ -13,7 +13,9 @@
 // The same partial-record plumbing doubles as the engine's intra-operator
 // parallelism hook: a pane-path GroupBy can be cloned into N partial
 // replicas (ClonePartial) whose outputs a PaneCombiner merges back into
-// the exact single-copy result stream (see exec.RunWith).
+// the exact single-copy result stream (see exec.RunWith), and as the
+// distributed low level: a slot-bounded replica per observation point
+// (BoundedPartial, partial.go; see query.Decompose).
 
 package agg
 
@@ -208,7 +210,8 @@ func (g *GroupBy) foldLateClosed(t *tuple.Tuple) {
 // retires panes no open window will reference again. Open windows never
 // lose panes: a pane of window [ws, ws+Range) retires only once the
 // watermark reaches paneStart+Range >= ws+Range, which closes the
-// window first.
+// window first. On a partial replica every group it removes is emitted
+// (and counted in emitted) first, which BoundedReplica relies on.
 func (g *GroupBy) advancePanes(now int64, emit ops.Emit) {
 	// Fast exit on the per-tuple path: nothing can be due before the
 	// earliest open window end, and late-reopened side tables force the
@@ -674,7 +677,8 @@ func (g *GroupBy) closeGroupsPanes(end int64, bounds []keyBound, emit ops.Emit) 
 }
 
 // flushPanes emits every registered window (and late-reopened side
-// table) and clears pane state.
+// table) and clears pane state. Like advancePanes, on a partial replica
+// it removes no group without emitting it.
 func (g *GroupBy) flushPanes(emit ops.Emit) {
 	var starts []int64
 	for ws := range g.paneWins {
@@ -716,11 +720,11 @@ func (g *GroupBy) emitProgress(emit ops.Emit) {
 	}
 }
 
-// partialSchema is the wire schema of partial-replica output:
+// PartialSchema is the schema of partial-replica output:
 // [wend, wstart, keys..., flattened partial columns]. wstart
 // disambiguates punctuation-closed group records from different windows
 // sharing the same close timestamp.
-func (g *GroupBy) partialSchema() *tuple.Schema {
+func (g *GroupBy) PartialSchema() *tuple.Schema {
 	fields := make([]tuple.Field, 0, 2+len(g.groupBy)+len(g.aggs)*2)
 	fields = append(fields,
 		tuple.Field{Name: "wend", Kind: tuple.KindTime, Ordering: true},
@@ -770,7 +774,7 @@ func (g *GroupBy) ClonePartial() ops.Operator {
 	clone := &GroupBy{
 		name: g.name, groupBy: g.groupBy, groupName: g.groupName,
 		keyCols: g.keyCols, aggs: g.aggs, spec: g.spec,
-		out:      g.partialSchema(),
+		out:      g.PartialSchema(),
 		windows:  make(map[int64]*groupTable),
 		scratch:  make([]tuple.Value, 0, len(g.groupBy)),
 		paneAsn:  g.paneAsn,

@@ -2,8 +2,9 @@ package agg
 
 import (
 	"fmt"
+	"slices"
 
-	"streamdb/internal/expr"
+	"streamdb/internal/ckpt"
 	"streamdb/internal/ops"
 	"streamdb/internal/stream"
 	"streamdb/internal/tuple"
@@ -124,338 +125,187 @@ func (s *stddevState) MergePartial(vals []tuple.Value) error {
 	return nil
 }
 
-// PartialAgg is the low-level half of Gigascope's two-level aggregation
-// (slide 37): a fixed-size direct-mapped group table sized for the
-// resource-limited observation point. On a slot collision the incumbent
-// partial is emitted downstream and the slot is recycled — "bounded
-// number of groups maintained at low level, unbounded number of groups
-// maintainable at high level". Slots also flush when the tuple's time
-// bucket advances past theirs.
-type PartialAgg struct {
-	name      string
-	groupBy   []expr.Expr
-	aggs      []Spec
-	bucketLen int64 // time-bucket width; 0 disables bucket flushing
-	slots     []*pslot
-	out       *tuple.Schema
-	curBucket int64
+// ---- Slot-bounded partial replica -------------------------------------
+//
+// The low-level half of Gigascope's two-level aggregation (slide 37):
+// "bounded number of groups maintained at low level, unbounded number of
+// groups maintainable at high level". A BoundedReplica is a partial
+// replica (ClonePartial) whose live groups sit in a direct-mapped
+// directory of fixed size. A tuple whose slot holds a different key, or a
+// group of a different window, first evicts that occupant as a partial
+// record; the PaneCombiner above merges every record of a (window, key)
+// back into one row.
+
+// BoundedReplica is a slot-bounded partial replica (see BoundedPartial).
+// It drives its GroupBy only through the methods below; everything else
+// (Flush, Snapshot, Emitted, MaxGroups, ...) is the GroupBy's own.
+//
+// The directory is derived from the group tables and never snapshotted:
+// slot h % len(slots), with h the chain hash evalKeys computes, holds at
+// most one live group. Apart from an eviction, a group leaves a partial
+// replica's tables only as an emitted partial record (a window close in
+// advancePanes, a punctuation close in closeGroups, flushPanes), so the
+// directory is stale exactly when the emitted count has moved since it
+// was last in step.
+type BoundedReplica struct {
+	*GroupBy
+	slots     []slotEntry
+	synced    int64 // the replica's emitted count when slots last matched its tables
 	evictions int64
-	emitted   int64
-	absorbed  int64
 }
 
-type pslot struct {
-	keys   []tuple.Value
-	bucket int64
-	states []Partializable
-	used   bool
+// slotEntry is one occupied slot: a live group and the table holding it.
+type slotEntry struct {
+	tbl *groupTable
+	grp *group
 }
 
-// NewPartialAgg builds the low-level aggregator with the given slot
-// count. Every aggregate must be partializable.
-func NewPartialAgg(name string, in *tuple.Schema, groupBy []expr.Expr, groupNames []string, aggs []Spec, slots int, bucketLen int64) (*PartialAgg, error) {
+// CheckBound reports why g cannot run as a replica bounded to slots
+// live groups, or nil if it can. The window must be tumbling, so a
+// group's window is its one pane; an unwindowed query has no pane to
+// bound.
+func (g *GroupBy) CheckBound(slots int) error {
 	if slots <= 0 {
-		return nil, fmt.Errorf("agg: partial aggregation needs positive slot count")
+		return fmt.Errorf("agg: a bounded partial replica needs a positive slot count, got %d", slots)
 	}
-	if len(groupBy) != len(groupNames) {
-		return nil, fmt.Errorf("agg: %d group exprs, %d names", len(groupBy), len(groupNames))
-	}
-	fields := []tuple.Field{{Name: "bucket", Kind: tuple.KindTime, Ordering: true}}
-	for i, g := range groupBy {
-		fields = append(fields, tuple.Field{Name: groupNames[i], Kind: g.Kind()})
-	}
-	for _, a := range aggs {
-		st := a.Fn.New()
-		p, ok := st.(Partializable)
-		if !ok {
-			return nil, fmt.Errorf("agg: %s (%s) cannot be partially aggregated", a.Fn.Name, a.Fn.Class)
-		}
-		for j, k := range p.PartialKinds() {
-			fields = append(fields, tuple.Field{Name: fmt.Sprintf("%s#%d", a.Name, j), Kind: k})
+	for _, a := range g.aggs {
+		if _, ok := a.Fn.New().(Partializable); !ok {
+			return fmt.Errorf("agg: %s (%s) cannot be partially aggregated", a.Fn.Name, a.Fn.Class)
 		}
 	}
-	pa := &PartialAgg{
-		name: name, groupBy: groupBy, aggs: aggs, bucketLen: bucketLen,
-		slots: make([]*pslot, slots),
-		out:   tuple.NewSchema(name, fields...),
+	if !g.CanPartial() || g.spec.Range != g.spec.Slide {
+		return fmt.Errorf("agg: a slot bound needs a tumbling time window, got %s", g.spec)
 	}
-	for i := range pa.slots {
-		pa.slots[i] = &pslot{}
-	}
-	return pa, nil
+	return nil
 }
 
-// Name implements ops.Operator.
-func (p *PartialAgg) Name() string { return p.name }
+// BoundedPartial returns a partial replica that holds at most slots live
+// groups (see CheckBound).
+func (g *GroupBy) BoundedPartial(slots int) (*BoundedReplica, error) {
+	if err := g.CheckBound(slots); err != nil {
+		return nil, err
+	}
+	// synced -1: the first fold builds the directory.
+	return &BoundedReplica{GroupBy: g.ClonePartial().(*GroupBy), slots: make([]slotEntry, slots), synced: -1}, nil
+}
 
-// OutSchema implements ops.Operator.
-func (p *PartialAgg) OutSchema() *tuple.Schema { return p.out }
+// Evictions reports the partial records emitted early because another
+// key or window took their slot.
+func (b *BoundedReplica) Evictions() int64 { return b.evictions }
 
-// NumInputs implements ops.Operator.
-func (p *PartialAgg) NumInputs() int { return 1 }
+// MemSize is the GroupBy's estimate plus the directory.
+func (b *BoundedReplica) MemSize() int { return b.GroupBy.MemSize() + 16*len(b.slots) }
 
 // Push implements ops.Operator.
-func (p *PartialAgg) Push(_ int, e stream.Element, emit ops.Emit) {
+func (b *BoundedReplica) Push(port int, e stream.Element, emit ops.Emit) {
 	if e.IsPunct() {
+		b.GroupBy.Push(port, e, emit)
 		return
 	}
-	t := e.Tuple
-	bucket := int64(0)
-	if p.bucketLen > 0 {
-		bucket = (t.Ts / p.bucketLen) * p.bucketLen
-	}
-	// Bucket boundary: flush every slot still holding an older bucket,
-	// so the high level can finalize a bucket as soon as it sees a
-	// partial from a newer one.
-	if bucket > p.curBucket {
-		for _, slot := range p.slots {
-			if slot.used && slot.bucket < bucket {
-				p.flushSlot(slot, emit)
-			}
+	b.pushRow(e.Tuple, emit)
+}
+
+// ProcessBatch implements ops.BatchOperator row by row: every row takes
+// the slot fold.
+func (b *BoundedReplica) ProcessBatch(_ int, bt *stream.Batch, _ ops.EmitBatch, emit ops.Emit) {
+	if bt.Sel != nil {
+		for _, r := range bt.Sel {
+			b.pushRow(b.gatherColRow(bt, int(r)), emit)
 		}
-		p.curBucket = bucket
-	}
-	keys := make([]tuple.Value, len(p.groupBy))
-	h := uint64(1469598103934665603)
-	for i, ge := range p.groupBy {
-		keys[i] = ge.Eval(t)
-		h ^= keys[i].Hash()
-		h *= 1099511628211
-	}
-	slot := p.slots[h%uint64(len(p.slots))]
-	if slot.used && (slot.bucket != bucket || !keysEqual(slot.keys, keys)) {
-		p.flushSlot(slot, emit)
-		p.evictions++
-	}
-	if !slot.used {
-		slot.used = true
-		slot.keys = keys
-		slot.bucket = bucket
-		slot.states = make([]Partializable, len(p.aggs))
-		for i, a := range p.aggs {
-			slot.states[i] = a.Fn.New().(Partializable)
+	} else {
+		for r := 0; r < bt.Rows(); r++ {
+			b.pushRow(b.gatherColRow(bt, r), emit)
 		}
 	}
-	for i, a := range p.aggs {
+	bt.Release()
+}
+
+// Restore restores the GroupBy; the next fold rebuilds the directory.
+func (b *BoundedReplica) Restore(dec *ckpt.Decoder) error {
+	b.synced = -1
+	return b.GroupBy.Restore(dec)
+}
+
+// pushRow is GroupBy.pushRow with the slot fold. The tuple's group lives
+// in the open pane or, once its window has closed, in the window's late
+// side table, as on foldPane's path.
+func (b *BoundedReplica) pushRow(t *tuple.Tuple, emit ops.Emit) {
+	g := b.GroupBy
+	if t.Ts > g.watermark {
+		g.advance(t.Ts, emit)
+	}
+	if b.synced != g.emitted {
+		b.syncSlots()
+	}
+	var tbl *groupTable
+	if p := g.locatePane(t.Ts); p != nil {
+		tbl = &p.groupTable
+	} else {
+		ws := g.paneAsn.Pane(t.Ts).Start
+		if tbl = g.windows[ws]; tbl == nil {
+			tbl = &groupTable{end: ws + g.spec.Range, groups: make(map[uint64][]*group)}
+			g.windows[ws] = tbl
+		}
+	}
+	keys, h := g.evalKeys(t)
+	s := &b.slots[h%uint64(len(b.slots))]
+	if s.grp != nil && (s.tbl != tbl || !keysEqual(s.grp.keys, keys)) {
+		b.evict(s, emit)
+	}
+	if s.grp == nil {
+		s.tbl, s.grp = tbl, g.locateGroup(tbl, keys, h)
+	}
+	for i, a := range g.aggs {
 		if a.Arg == nil {
-			slot.states[i].Add(tuple.Int(1))
+			s.grp.states[i].Add(tuple.Int(1))
 		} else {
-			slot.states[i].Add(a.Arg.Eval(t))
+			s.grp.states[i].Add(a.Arg.Eval(t))
 		}
 	}
-	p.absorbed++
+	g.emitProgress(emit)
 }
 
-func (p *PartialAgg) flushSlot(slot *pslot, emit ops.Emit) {
-	vals := []tuple.Value{tuple.Time(slot.bucket)}
-	vals = append(vals, slot.keys...)
-	for _, st := range slot.states {
-		vals = append(vals, st.PartialVals()...)
+// evict emits a slot's occupant as a partial record and drops it from its
+// table.
+func (b *BoundedReplica) evict(s *slotEntry, emit ops.Emit) {
+	g, tbl, grp := b.GroupBy, s.tbl, s.grp
+	g.trackGroups()
+	g.emitPartialGroups(tbl.end-g.spec.Range, tbl.end, []*group{grp}, emit)
+	h := chainHash(grp.keys)
+	chain := tbl.groups[h]
+	i := slices.Index(chain, grp)
+	chain[i] = chain[len(chain)-1]
+	chain[len(chain)-1] = nil
+	if chain = chain[:len(chain)-1]; len(chain) == 0 {
+		delete(tbl.groups, h)
+	} else {
+		tbl.groups[h] = chain
 	}
-	p.emitted++
-	emit(stream.Tup(tuple.New(slot.bucket, vals...)))
-	slot.used = false
-	slot.keys = nil
-	slot.states = nil
+	tbl.n--
+	if len(g.groupFree) < 1<<14 && resetStates(grp.states) {
+		g.groupFree = append(g.groupFree, grp)
+	}
+	*s = slotEntry{}
+	b.evictions++
+	b.synced = g.emitted
 }
 
-// Flush implements ops.Operator.
-func (p *PartialAgg) Flush(emit ops.Emit) {
-	for _, slot := range p.slots {
-		if slot.used {
-			p.flushSlot(slot, emit)
-		}
-	}
-}
-
-// MemSize implements ops.Operator: fixed by construction — the whole
-// point of the low-level design.
-func (p *PartialAgg) MemSize() int {
-	n := 64
-	for _, slot := range p.slots {
-		n += 24
-		if slot.used {
-			for _, k := range slot.keys {
-				n += k.MemSize()
-			}
-			for _, st := range slot.states {
-				n += st.MemSize()
-			}
-		}
-	}
-	return n
-}
-
-// Stats reports (tuples absorbed, partials emitted, evictions). The
-// data-reduction factor of experiment E8 is absorbed/emitted.
-func (p *PartialAgg) Stats() (absorbed, emitted, evictions int64) {
-	return p.absorbed, p.emitted, p.evictions
-}
-
-// FinalAgg is the high-level half: it re-groups partial records on the
-// group keys and merges their partial values, emitting final results
-// when the time bucket advances (or at Flush).
-type FinalAgg struct {
-	name      string
-	in        *tuple.Schema
-	nkeys     int
-	aggs      []Spec
-	out       *tuple.Schema
-	groups    map[uint64][]*fgroup
-	n         int
-	watermk   int64
-	emitted   int64
-	mergeErrs int64
-}
-
-type fgroup struct {
-	bucket int64
-	keys   []tuple.Value
-	states []Partializable
-}
-
-// NewFinalAgg builds the combiner for partial records produced by a
-// PartialAgg with the same group and aggregate specification.
-func NewFinalAgg(name string, partial *PartialAgg) (*FinalAgg, error) {
-	in := partial.OutSchema()
-	nkeys := len(partial.groupBy)
-	fields := []tuple.Field{{Name: "bucket", Kind: tuple.KindTime, Ordering: true}}
-	fields = append(fields, in.Fields[1:1+nkeys]...)
-	for _, a := range partial.aggs {
-		argKind := tuple.KindInt
-		if a.Arg != nil {
-			argKind = a.Arg.Kind()
-		}
-		fields = append(fields, tuple.Field{Name: a.Name, Kind: a.Fn.Result(argKind)})
-	}
-	return &FinalAgg{
-		name: name, in: in, nkeys: nkeys, aggs: partial.aggs,
-		out:    tuple.NewSchema(name, fields...),
-		groups: make(map[uint64][]*fgroup),
-	}, nil
-}
-
-// Name implements ops.Operator.
-func (f *FinalAgg) Name() string { return f.name }
-
-// OutSchema implements ops.Operator.
-func (f *FinalAgg) OutSchema() *tuple.Schema { return f.out }
-
-// NumInputs implements ops.Operator.
-func (f *FinalAgg) NumInputs() int { return 1 }
-
-// Push implements ops.Operator.
-func (f *FinalAgg) Push(_ int, e stream.Element, emit ops.Emit) {
-	if e.IsPunct() {
-		f.advance(e.Punct.Ts, emit)
-		return
-	}
-	t := e.Tuple
-	bucket, _ := t.Vals[0].AsTime()
-	keys := t.Vals[1 : 1+f.nkeys]
-	h := uint64(bucket) * 1099511628211
-	for _, k := range keys {
-		h ^= k.Hash()
-		h *= 1099511628211
-	}
-	var grp *fgroup
-	for _, cand := range f.groups[h] {
-		if cand.bucket == bucket && keysEqual(cand.keys, keys) {
-			grp = cand
-			break
-		}
-	}
-	if grp == nil {
-		grp = &fgroup{bucket: bucket, keys: append([]tuple.Value(nil), keys...),
-			states: make([]Partializable, len(f.aggs))}
-		for i, a := range f.aggs {
-			grp.states[i] = a.Fn.New().(Partializable)
-		}
-		f.groups[h] = append(f.groups[h], grp)
-		f.n++
-	}
-	off := 1 + f.nkeys
-	for i := range f.aggs {
-		arity := len(grp.states[i].PartialKinds())
-		if err := grp.states[i].MergePartial(t.Vals[off : off+arity]); err != nil {
-			f.mergeErrs++
-		}
-		off += arity
-	}
-	// Buckets strictly older than the incoming partial's bucket are
-	// complete once the low level has moved on.
-	if bucket > f.watermk {
-		f.advance(bucket, emit)
-	}
-}
-
-func (f *FinalAgg) advance(now int64, emit ops.Emit) {
-	if now <= f.watermk {
-		return
-	}
-	f.watermk = now
-	for h, chain := range f.groups {
-		keep := chain[:0]
-		for _, grp := range chain {
-			if grp.bucket < now {
-				f.emitGroup(grp, emit)
-				f.n--
-			} else {
-				keep = append(keep, grp)
-			}
-		}
-		if len(keep) == 0 {
-			delete(f.groups, h)
-		} else {
-			f.groups[h] = keep
-		}
-	}
-}
-
-func (f *FinalAgg) emitGroup(grp *fgroup, emit ops.Emit) {
-	vals := []tuple.Value{tuple.Time(grp.bucket)}
-	vals = append(vals, grp.keys...)
-	for _, st := range grp.states {
-		vals = append(vals, st.Result())
-	}
-	f.emitted++
-	emit(stream.Tup(tuple.New(grp.bucket, vals...)))
-}
-
-// Flush implements ops.Operator.
-func (f *FinalAgg) Flush(emit ops.Emit) {
-	for _, chain := range f.groups {
-		for _, grp := range chain {
-			f.emitGroup(grp, emit)
-		}
-	}
-	f.groups = make(map[uint64][]*fgroup)
-	f.n = 0
-}
-
-// MemSize implements ops.Operator.
-func (f *FinalAgg) MemSize() int {
-	n := 64
-	for _, chain := range f.groups {
-		for _, grp := range chain {
-			n += 32
-			for _, k := range grp.keys {
-				n += k.MemSize()
-			}
-			for _, st := range grp.states {
-				n += st.MemSize()
+// syncSlots rebuilds the directory from the live tables.
+func (b *BoundedReplica) syncSlots() {
+	clear(b.slots)
+	n := uint64(len(b.slots))
+	add := func(tbl *groupTable) {
+		for h, chain := range tbl.groups {
+			for _, grp := range chain {
+				b.slots[h%n] = slotEntry{tbl: tbl, grp: grp}
 			}
 		}
 	}
-	return n
+	for _, p := range b.panes {
+		add(&p.groupTable)
+	}
+	for _, tbl := range b.windows {
+		add(tbl)
+	}
+	b.synced = b.emitted
 }
-
-// Groups reports the number of live final groups.
-func (f *FinalAgg) Groups() int { return f.n }
-
-// Emitted reports final rows produced.
-func (f *FinalAgg) Emitted() int64 { return f.emitted }
-
-// MergeErrors reports partial records that failed to merge (malformed
-// input, e.g. a stream not produced by the matching PartialAgg).
-func (f *FinalAgg) MergeErrors() int64 { return f.mergeErrs }

@@ -3,9 +3,10 @@
 // partial tables, watermarks, counters — in a deterministic order, so
 // identical runs produce identical checkpoint bytes. Restore rebuilds
 // the hash-chained tables by recomputing the fold hashes from the
-// decoded key values; the recycling freelists, scratch buffers and the
-// running window table are deliberately not captured (they are
-// performance state, not logical state).
+// decoded key values; the recycling freelists, scratch buffers, the
+// running window table and a bounded replica's slot directory are
+// deliberately not captured (they are derived state, not logical
+// state).
 package agg
 
 import (
@@ -329,128 +330,6 @@ func (c *PaneCombiner) Restore(dec *ckpt.Decoder) error {
 		}
 		c.groups[h] = append(c.groups[h], grp)
 		c.n++
-	}
-	return dec.Err()
-}
-
-// Snapshot implements ckpt.Snapshotter for the low-level partial
-// aggregator: slot contents are positional (direct-mapped), so the
-// table geometry must match at restore.
-func (p *PartialAgg) Snapshot(enc *ckpt.Encoder) error {
-	enc.Uvarint(uint64(len(p.slots)))
-	enc.Varint(p.curBucket)
-	enc.Varint(p.evictions)
-	enc.Varint(p.emitted)
-	enc.Varint(p.absorbed)
-	used := 0
-	for _, s := range p.slots {
-		if s.used {
-			used++
-		}
-	}
-	enc.Uvarint(uint64(used))
-	for i, s := range p.slots {
-		if !s.used {
-			continue
-		}
-		enc.Int(i)
-		enc.Varint(s.bucket)
-		enc.Values(s.keys)
-		for _, st := range s.states {
-			if err := encodeState(enc, st); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Restore implements ckpt.Snapshotter.
-func (p *PartialAgg) Restore(dec *ckpt.Decoder) error {
-	if n := dec.Uvarint(); n != uint64(len(p.slots)) {
-		return fmt.Errorf("agg: snapshot has %d slots, operator %d", n, len(p.slots))
-	}
-	p.curBucket = dec.Varint()
-	p.evictions = dec.Varint()
-	p.emitted = dec.Varint()
-	p.absorbed = dec.Varint()
-	used := dec.Uvarint()
-	for i := uint64(0); i < used && dec.Err() == nil; i++ {
-		idx := dec.Int()
-		if idx < 0 || idx >= len(p.slots) {
-			return fmt.Errorf("agg: snapshot slot %d out of range", idx)
-		}
-		s := p.slots[idx]
-		s.used = true
-		s.bucket = dec.Varint()
-		s.keys = dec.Values()
-		s.states = make([]Partializable, len(p.aggs))
-		for j, a := range p.aggs {
-			s.states[j] = a.Fn.New().(Partializable)
-			if err := decodeState(dec, s.states[j]); err != nil {
-				return err
-			}
-		}
-	}
-	return dec.Err()
-}
-
-// Snapshot implements ckpt.Snapshotter for the high-level combiner.
-func (f *FinalAgg) Snapshot(enc *ckpt.Encoder) error {
-	enc.Varint(f.watermk)
-	enc.Varint(f.emitted)
-	enc.Varint(f.mergeErrs)
-	grps := make([]*fgroup, 0, f.n)
-	for _, chain := range f.groups {
-		grps = append(grps, chain...)
-	}
-	sort.Slice(grps, func(i, j int) bool {
-		a, b := grps[i], grps[j]
-		if a.bucket != b.bucket {
-			return a.bucket < b.bucket
-		}
-		for k := range a.keys {
-			if cv := a.keys[k].Compare(b.keys[k]); cv != 0 {
-				return cv < 0
-			}
-		}
-		return false
-	})
-	enc.Uvarint(uint64(len(grps)))
-	for _, grp := range grps {
-		enc.Varint(grp.bucket)
-		enc.Values(grp.keys)
-		for _, st := range grp.states {
-			if err := encodeState(enc, st); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Restore implements ckpt.Snapshotter.
-func (f *FinalAgg) Restore(dec *ckpt.Decoder) error {
-	f.watermk = dec.Varint()
-	f.emitted = dec.Varint()
-	f.mergeErrs = dec.Varint()
-	n := dec.Uvarint()
-	for i := uint64(0); i < n && dec.Err() == nil; i++ {
-		grp := &fgroup{bucket: dec.Varint(), keys: dec.Values()}
-		grp.states = make([]Partializable, len(f.aggs))
-		for j, a := range f.aggs {
-			grp.states[j] = a.Fn.New().(Partializable)
-			if err := decodeState(dec, grp.states[j]); err != nil {
-				return err
-			}
-		}
-		h := uint64(grp.bucket) * 1099511628211
-		for _, k := range grp.keys {
-			h ^= k.Hash()
-			h *= 1099511628211
-		}
-		f.groups[h] = append(f.groups[h], grp)
-		f.n++
 	}
 	return dec.Err()
 }

@@ -8,8 +8,7 @@ import (
 	"sync"
 	"testing"
 
-	"streamdb/internal/agg"
-	"streamdb/internal/expr"
+	"streamdb/internal/query"
 	"streamdb/internal/stream"
 	"streamdb/internal/tuple"
 )
@@ -85,17 +84,18 @@ func TestTransportSchemaMismatch(t *testing.T) {
 	}
 }
 
-func mkDecomposition(t *testing.T) *Decomposition {
+// decompose splits an aggregate over sch into its two levels.
+func decompose(t *testing.T, sql string, slots int) (*query.Decomposition, error) {
 	t.Helper()
-	cnt, _ := agg.Lookup("count", false)
-	sum, _ := agg.Lookup("sum", false)
-	filter, _ := expr.NewBin(expr.OpGe, expr.MustColumn(sch, "v"), expr.Constant(tuple.Int(0)))
-	d, err := NewDecomposition(sch, filter,
-		[]expr.Expr{expr.MustColumn(sch, "g")}, []string{"g"},
-		[]agg.Spec{
-			{Fn: cnt, Name: "cnt"},
-			{Fn: sum, Arg: expr.MustColumn(sch, "v"), Name: "total"},
-		}, 8, 1000)
+	cat := query.NewCatalog()
+	cat.Register("S", sch)
+	return query.Decompose(sql, cat, slots)
+}
+
+func mkDecomposition(t *testing.T) *query.Decomposition {
+	t.Helper()
+	d, err := decompose(t, `select g, count(*) as cnt, sum(v) as total
+		from S [range 1000 ns] where v >= 0 group by g`, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,44 +104,45 @@ func mkDecomposition(t *testing.T) *Decomposition {
 
 func TestDecompositionEndToEnd(t *testing.T) {
 	// 3 low-level nodes partially aggregate disjoint slices; the high
-	// level merges. The result must equal a direct global aggregation.
+	// level merges. The result must equal a direct global aggregation,
+	// window by window.
 	d := mkDecomposition(t)
-	high, err := d.NewHighLevel("hfta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var finals []*tuple.Tuple
-	emitFinal := func(e stream.Element) { finals = append(finals, e.Tuple) }
-
 	rng := rand.New(rand.NewSource(21))
-	truth := map[int64]map[int64]float64{} // bucket -> group -> sum
+	truth := map[int64]map[int64]float64{} // window end -> group -> sum
 	counts := map[int64]map[int64]int64{}
-	var lows []*LowLevel
-	for n := 0; n < 3; n++ {
-		ll, err := d.NewLowLevel("lfta")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lows = append(lows, ll)
-	}
+	inputs := make([][]*tuple.Tuple, 3)
 	for i := 0; i < 3000; i++ {
 		ts := int64(i)
 		g := rng.Int63n(30)
 		v := rng.Float64() * 10
-		node := lows[i%3]
-		node.Push(row(ts, g, v), func(e stream.Element) { high.Push(0, e, emitFinal) })
-		b := (ts / 1000) * 1000
-		if truth[b] == nil {
-			truth[b] = map[int64]float64{}
-			counts[b] = map[int64]int64{}
+		inputs[i%3] = append(inputs[i%3], row(ts, g, v).Tuple)
+		end := (ts/1000)*1000 + 1000
+		if truth[end] == nil {
+			truth[end] = map[int64]float64{}
+			counts[end] = map[int64]int64{}
 		}
-		truth[b][g] += v
-		counts[b][g]++
+		truth[end][g] += v
+		counts[end][g]++
 	}
-	for _, ll := range lows {
-		ll.Flush(func(e stream.Element) { high.Push(0, e, emitFinal) })
-		if ll.ReductionFactor() <= 1 {
-			t.Errorf("no data reduction: %v", ll.ReductionFactor())
+
+	high := d.NewHigh()
+	prog := query.NewProgress(len(inputs))
+	var finals []*tuple.Tuple
+	emitFinal := func(e stream.Element) { finals = append(finals, e.Tuple) }
+	for n, in := range inputs {
+		id := fmt.Sprintf("low-%d", n)
+		raw, partials, err := d.RunLow(stream.FromTuples(sch, in...), func(rec *tuple.Tuple) error {
+			high.Push(0, stream.Tup(rec), emitFinal)
+			if pu := prog.Observe(id, rec); pu != nil {
+				high.Push(0, stream.Punct(pu), emitFinal)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw <= partials {
+			t.Errorf("no data reduction: %d raw -> %d partials", raw, partials)
 		}
 	}
 	high.Flush(emitFinal)
@@ -154,12 +155,12 @@ func TestDecompositionEndToEnd(t *testing.T) {
 		t.Fatalf("final rows = %d, want %d", len(finals), want)
 	}
 	for _, f := range finals {
-		b, _ := f.Vals[0].AsTime()
+		end, _ := f.Vals[0].AsTime()
 		g, _ := f.Vals[1].AsInt()
 		c, _ := f.Vals[2].AsInt()
 		s, _ := f.Vals[3].AsFloat()
-		if c != counts[b][g] || math.Abs(s-truth[b][g]) > 1e-6 {
-			t.Fatalf("group %d@%d: got (%d, %v), want (%d, %v)", g, b, c, s, counts[b][g], truth[b][g])
+		if c != counts[end][g] || math.Abs(s-truth[end][g]) > 1e-6 {
+			t.Fatalf("group %d@%d: got (%d, %v), want (%d, %v)", g, end, c, s, counts[end][g], truth[end][g])
 		}
 	}
 }
@@ -168,7 +169,7 @@ func TestDecompositionOverTCP(t *testing.T) {
 	// Full slide-55 shape: 2 low-level nodes ship partials over TCP to
 	// a high-level session server.
 	d := mkDecomposition(t)
-	high, _ := d.NewHighLevel("hfta")
+	high := d.NewHigh()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -177,14 +178,18 @@ func TestDecompositionOverTCP(t *testing.T) {
 
 	const nodes = 2
 	srv := NewSessionServer(ln, d.PartialSchema(), SessionConfig{})
+	prog := query.NewProgress(nodes)
 	var mu sync.Mutex
 	var finals []*tuple.Tuple
 	emitFinal := func(out stream.Element) { finals = append(finals, out.Tuple) }
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- srv.Serve(nodes, func(_ string, tp *tuple.Tuple) {
+		serveDone <- srv.Serve(nodes, func(id string, tp *tuple.Tuple) {
 			mu.Lock()
 			high.Push(0, stream.Tup(tp), emitFinal)
+			if pu := prog.Observe(id, tp); pu != nil {
+				high.Push(0, stream.Punct(pu), emitFinal)
+			}
 			mu.Unlock()
 		})
 	}()
@@ -203,17 +208,11 @@ func TestDecompositionOverTCP(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			ll, _ := d.NewLowLevel("lfta")
-			var sendErr error
-			emit := func(e stream.Element) {
-				if sendErr == nil {
-					sendErr = w.Send(e.Tuple)
-				}
-			}
+			var in []*tuple.Tuple
 			for i := 0; i < 500; i++ {
-				ll.Push(row(int64(i), int64(i%7), 1), emit)
+				in = append(in, row(int64(i), int64(i%7), 1).Tuple)
 			}
-			ll.Flush(emit)
+			_, _, sendErr := d.RunLow(stream.FromTuples(sch, in...), w.Send)
 			if sendErr == nil {
 				sendErr = w.Close()
 			}
@@ -240,13 +239,14 @@ func TestDecompositionOverTCP(t *testing.T) {
 }
 
 func TestDecompositionValidation(t *testing.T) {
-	med, _ := agg.Lookup("median", false)
-	if _, err := NewDecomposition(sch, nil, nil, nil,
-		[]agg.Spec{{Fn: med, Arg: expr.MustColumn(sch, "v"), Name: "m"}}, 8, 0); err == nil {
+	if _, err := decompose(t, "select median(v) as m from S [range 1000 ns]", 8); err == nil {
 		t.Error("holistic aggregate accepted for decomposition")
 	}
-	if _, err := NewDecomposition(sch, expr.MustColumn(sch, "v"), nil, nil, nil, 8, 0); err == nil {
+	if _, err := decompose(t, "select count(*) from S [range 1000 ns] where v", 8); err == nil {
 		t.Error("non-boolean filter accepted")
+	}
+	if _, err := decompose(t, "select count(*) from S [range 1000 ns]", 0); err == nil {
+		t.Error("zero slots accepted")
 	}
 }
 

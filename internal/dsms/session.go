@@ -255,12 +255,14 @@ func (s *SessionServer) Serve(streams int, emit func(streamID string, t *tuple.T
 }
 
 // ServeBatches is Serve with a batch-granular sink: each BATCH frame
-// delivers its fresh tuples in one call. The slice is only valid for the
-// duration of the call. Under SessionConfig.ZeroCopy the tuples alias
-// the pooled decode arena passed alongside them: a sink that keeps them
-// past the call must Retain the arena (and Release once done) or copy
-// the tuples out before returning; arena is nil when the tuples are
-// independently heap-allocated (ZeroCopy off) and no pinning is needed.
+// delivers its fresh tuples in one call, and a stream's completion is
+// one more call with no tuples, after its last. The slice is only valid
+// for the duration of the call. Under SessionConfig.ZeroCopy the tuples
+// alias the pooled decode arena passed alongside them: a sink that
+// keeps them past the call must Retain the arena (and Release once done)
+// or copy the tuples out before returning; arena is nil when the tuples
+// are independently heap-allocated (ZeroCopy off) and no pinning is
+// needed.
 func (s *SessionServer) ServeBatches(streams int, emit func(streamID string, tuples []*tuple.Tuple, arena *tuple.Arena)) error {
 	s.mu.Lock()
 	s.target = streams
@@ -349,9 +351,15 @@ func (s *SessionServer) SessionSeqs() map[string]uint64 {
 	return out
 }
 
-// complete records a finished stream, releasing Serve when the target
-// count is reached.
+// complete records a finished stream: its sink gets the empty end call,
+// then Serve is released when the target count is reached.
 func (s *SessionServer) complete(sess *session) {
+	s.mu.Lock()
+	emit := s.emit
+	s.mu.Unlock()
+	if emit != nil {
+		emit(sess.id, nil, nil)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Completed++

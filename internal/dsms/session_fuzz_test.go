@@ -58,8 +58,9 @@ func endsWithEOS(consumed []byte) bool {
 // FuzzSessionFrames attaches a stream with a valid HELLO3 and feeds the
 // session server arbitrary bytes after it. The server must not panic,
 // must not allocate past what the frame bounds allow, must emit tuples
-// only in contiguous sequence from 1, and must count in Corrupt every
-// frame it stops on other than an EOS.
+// only in contiguous sequence from 1, must emit an empty batch only as a
+// completed stream's last call, and must count in Corrupt every frame it
+// stops on other than an EOS.
 func FuzzSessionFrames(f *testing.F) {
 	payload := func(ts []*tuple.Tuple) []byte {
 		p, err := tuple.AppendEncodeBatch(nil, sch, ts)
@@ -91,10 +92,12 @@ func FuzzSessionFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		srv := NewSessionServer(nil, sch, SessionConfig{IdleTimeout: -1})
 		emitted := map[string]uint64{}
+		ended := map[string]bool{} // streams that got their empty end call
 		srv.emit = func(id string, tuples []*tuple.Tuple, _ *tuple.Arena) {
-			if len(tuples) == 0 {
-				t.Error("empty emit")
+			if ended[id] {
+				t.Errorf("stream %q: emit after its end call", id)
 			}
+			ended[id] = len(tuples) == 0
 			emitted[id] += uint64(len(tuples))
 		}
 		conn := &byteConn{in: append(append([]byte(nil), hello...), data...)}
@@ -118,6 +121,16 @@ func FuzzSessionFrames(f *testing.F) {
 		}
 		if total != uint64(st.Frames) {
 			t.Errorf("emitted %d tuples, Frames %d", total, st.Frames)
+		}
+		// An empty emit is a stream's completion and nothing else.
+		var ends int64
+		for _, e := range ended {
+			if e {
+				ends++
+			}
+		}
+		if ends != st.Completed {
+			t.Errorf("%d end calls, %d streams completed", ends, st.Completed)
 		}
 		if conn.pos < len(conn.in) && st.Corrupt == 0 && !endsWithEOS(conn.in[:conn.pos]) {
 			t.Errorf("server stopped at byte %d of %d without counting a corrupt frame", conn.pos, len(conn.in))

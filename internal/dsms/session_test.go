@@ -667,3 +667,79 @@ func TestReaderSchemaMismatchSurfacesThroughClose(t *testing.T) {
 		t.Errorf("stats: %+v", st)
 	}
 }
+
+// TestServeBatchesEndCall: ServeBatches signals each stream's completion
+// with exactly one empty call, after the stream's last tuple, also for a
+// stream that sent nothing and when faults make the client resend its
+// EOS.
+func TestServeBatchesEndCall(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewSessionServer(ln, sch, SessionConfig{})
+	var mu sync.Mutex
+	calls := map[string][]int{} // stream -> tuples per call
+	done := make(chan error, 1)
+	go func() {
+		done <- srv.ServeBatches(2, func(id string, tps []*tuple.Tuple, _ *tuple.Arena) {
+			mu.Lock()
+			calls[id] = append(calls[id], len(tps))
+			mu.Unlock()
+		})
+	}()
+	sizes := map[string]int{"empty": 0, "full": 300}
+	var wg sync.WaitGroup
+	for id, n := range sizes {
+		wg.Add(1)
+		go func(id string, n int) {
+			defer wg.Done()
+			var dials int
+			w, err := NewReconnectWriter(ReconnectConfig{
+				StreamID: id,
+				Schema:   sch,
+				Dial: func() (net.Conn, error) {
+					c, err := net.Dial("tcp", ln.Addr().String())
+					if err != nil {
+						return nil, err
+					}
+					dials++
+					return InjectFaults(c, FaultConfig{Seed: int64(n + dials), DropRate: 0.04}), nil
+				},
+				BaseBackoff: time.Millisecond,
+				MaxBackoff:  5 * time.Millisecond,
+				Timeout:     2 * time.Second,
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, tp := range mkTuples(n) {
+				if err := w.Send(tp); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Error(err)
+			}
+		}(id, n)
+	}
+	wg.Wait()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for id, n := range sizes {
+		c := calls[id]
+		total, ends := 0, 0
+		for _, k := range c {
+			total += k
+			if k == 0 {
+				ends++
+			}
+		}
+		if total != n || ends != 1 || c[len(c)-1] != 0 {
+			t.Errorf("stream %s: calls %v, want %d tuples then one empty call", id, c, n)
+		}
+	}
+}

@@ -72,9 +72,9 @@ func E2BoundedMemoryAgg(scale Scale) *Table {
 }
 
 // E8PartialAggregation reproduces slide 37's two-level aggregation:
-// a bounded low-level group table absorbs the raw stream and ships
-// partials; the high level holds the unbounded group set. Sweeps the
-// low-level table size.
+// a slot-bounded partial replica of the query's GroupBy absorbs the raw
+// stream and ships partials; the GroupBy's combiner holds the unbounded
+// group set. Sweeps the low-level table size.
 func E8PartialAggregation(scale Scale) *Table {
 	t := &Table{
 		ID:     "E8",
@@ -90,19 +90,20 @@ func E8PartialAggregation(scale Scale) *Table {
 		sum, _ := agg.Lookup("sum", false)
 		srcIP := expr.MustColumn(sch, "srcIP")
 		length := expr.MustColumn(sch, "length")
-		pa, err := agg.NewPartialAgg("lfta", sch, []expr.Expr{srcIP}, []string{"srcIP"},
+		gb, err := agg.NewGroupBy("e8", sch, []expr.Expr{srcIP}, []string{"srcIP"},
 			[]agg.Spec{{Fn: cnt, Name: "cnt"}, {Fn: sum, Arg: length, Name: "bytes"}},
-			slots, 60*stream.Second)
+			window.Tumbling(60*stream.Second), nil)
 		if err != nil {
 			panic(err)
 		}
-		fa, err := agg.NewFinalAgg("hfta", pa)
+		low, err := gb.BoundedPartial(slots)
 		if err != nil {
 			panic(err)
 		}
+		high := gb.Combiner()
 		finals := 0
 		emitFinal := func(stream.Element) { finals++ }
-		emitPartial := func(e stream.Element) { fa.Push(0, e, emitFinal) }
+		emitPartial := func(e stream.Element) { high.Push(0, e, emitFinal) }
 
 		rng := rand.New(rand.NewSource(8))
 		zip := rand.NewZipf(rng, 1.1, 1, uint64(groups-1))
@@ -111,13 +112,13 @@ func E8PartialAggregation(scale Scale) *Table {
 			ip := tuple.IP(uint32(zip.Uint64()))
 			tp := tuple.New(ts, tuple.Time(ts), ip, tuple.IP(1), tuple.Uint(6),
 				tuple.Uint(uint64(40+rng.Intn(1461))))
-			pa.Push(0, stream.Tup(tp), emitPartial)
+			low.Push(0, stream.Tup(tp), emitPartial)
 		}
-		pa.Flush(emitPartial)
-		fa.Flush(emitFinal)
-		absorbed, emitted, evictions := pa.Stats()
-		red := float64(absorbed) / float64(emitted)
-		t.AddRow(slots, absorbed, emitted, red, evictions, finals, pa.MemSize()/1024)
+		stateKB := low.MemSize() / 1024
+		low.Flush(emitPartial)
+		high.Flush(emitFinal)
+		partials := low.Emitted()
+		t.AddRow(slots, n, partials, float64(n)/float64(partials), low.Evictions(), finals, stateKB)
 	}
 	t.Notes = append(t.Notes,
 		"expected shape: larger low-level tables evict less and reduce more; low-level state stays fixed while final groups are unbounded")

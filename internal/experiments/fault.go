@@ -71,7 +71,7 @@ func E17FaultTolerance(scale Scale) *Table {
 // runChaosSession runs one low->high session set under injected faults
 // and returns the fingerprint of the sorted final rows, the partial
 // frames shipped, and the summed client + server stats.
-func runChaosSession(d *dsms.Decomposition, nodes, n int, dropRate float64, wirebatch int) (fingerprint []byte, frames int64, cs dsms.ReconnectStats, ss dsms.SessionStats) {
+func runChaosSession(d *query.Decomposition, nodes, n int, dropRate float64, wirebatch int) (fingerprint []byte, frames int64, cs dsms.ReconnectStats, ss dsms.SessionStats) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
@@ -82,18 +82,19 @@ func runChaosSession(d *dsms.Decomposition, nodes, n int, dropRate float64, wire
 		IdleTimeout: 10 * time.Second,
 	})
 
-	high, err := d.NewHighLevel("hfta")
-	if err != nil {
-		panic(err)
-	}
+	high := d.NewHigh()
+	prog := query.NewProgress(nodes)
 	var mu sync.Mutex
 	var finals []*tuple.Tuple
 	emitFinal := func(e stream.Element) { finals = append(finals, e.Tuple) }
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- srv.Serve(nodes, func(_ string, tp *tuple.Tuple) {
+		serveDone <- srv.Serve(nodes, func(id string, tp *tuple.Tuple) {
 			mu.Lock()
 			high.Push(0, stream.Tup(tp), emitFinal)
+			if pu := prog.Observe(id, tp); pu != nil {
+				high.Push(0, stream.Punct(pu), emitFinal)
+			}
 			mu.Unlock()
 		})
 	}()
@@ -134,27 +135,9 @@ func runChaosSession(d *dsms.Decomposition, nodes, n int, dropRate float64, wire
 			if err != nil {
 				panic(err)
 			}
-			ll, err := d.NewLowLevel("lfta")
-			if err != nil {
-				panic(err)
-			}
-			var sendErr error
-			emit := func(e stream.Element) {
-				if sendErr == nil {
-					sendErr = w.Send(e.Tuple)
-				}
-			}
 			src := stream.Limit(stream.NewTrafficStream(int64(node+1), 100000, 5000), n)
-			for {
-				e, ok := src.Next()
-				if !ok {
-					break
-				}
-				ll.Push(e, emit)
-			}
-			ll.Flush(emit)
-			if sendErr != nil {
-				panic(sendErr)
+			if _, _, err := d.RunLow(src, w.Send); err != nil {
+				panic(err)
 			}
 			if err := w.Close(); err != nil {
 				panic(err)

@@ -111,13 +111,14 @@ func E10SystemProfiles(scale Scale) *Table {
 	// (S-in S-out, exact answers, decomposition avoids drops).
 	{
 		cnt, _ := agg.Lookup("count", false)
-		pa, _ := agg.NewPartialAgg("lfta", sch, []expr.Expr{srcIP}, []string{"srcIP"},
-			[]agg.Spec{{Fn: cnt, Name: "cnt"}}, 4096, int64(stream.Second))
-		fa, _ := agg.NewFinalAgg("hfta", pa)
+		gb, _ := agg.NewGroupBy("gigascope", sch, []expr.Expr{srcIP}, []string{"srcIP"},
+			[]agg.Spec{{Fn: cnt, Name: "cnt"}}, window.Tumbling(stream.Second), nil)
+		low, _ := gb.BoundedPartial(4096)
+		high := gb.Combiner()
 		answers := 0
 		peak := 0
 		emitF := func(stream.Element) { answers++ }
-		emitP := func(e stream.Element) { fa.Push(0, e, emitF) }
+		emitP := func(e stream.Element) { high.Push(0, e, emitF) }
 		src := mkSrc()
 		total, passed := 0, 0
 		for {
@@ -130,15 +131,15 @@ func E10SystemProfiles(scale Scale) *Table {
 				continue
 			}
 			passed++
-			pa.Push(0, e, emitP)
+			low.Push(0, e, emitP)
 			if total%1000 == 0 {
-				if m := pa.MemSize() / 1024; m > peak {
+				if m := low.MemSize() / 1024; m > peak {
 					peak = m
 				}
 			}
 		}
-		pa.Flush(emitP)
-		fa.Flush(emitF)
+		low.Flush(emitP)
+		high.Flush(emitF)
 		t.AddRow("Gigascope", answers, "exact (2-level)",
 			fmt.Sprintf("%.1f", 100*(1-float64(passed)/float64(total))), peak,
 			"decomposition, bounded low level")

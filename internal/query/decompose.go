@@ -2,24 +2,40 @@ package query
 
 import (
 	"fmt"
+	"math"
 
-	"streamdb/internal/dsms"
+	"streamdb/internal/agg"
 	"streamdb/internal/expr"
+	"streamdb/internal/ops"
+	"streamdb/internal/stream"
+	"streamdb/internal/tuple"
 	"streamdb/internal/window"
 )
 
+// Decomposition is an aggregate query split across the 3-level
+// architecture's two DSMS levels (slides 37, 54). Each low-level node
+// runs the WHERE filter and a slot-bounded partial replica of the
+// query's GroupBy; the high level merges the nodes' partial records
+// with that GroupBy's PaneCombiner. The wire between them carries
+// partial records of PartialSchema.
+type Decomposition struct {
+	in    *tuple.Schema
+	pred  expr.Expr    // WHERE; nil without one
+	gb    *agg.GroupBy // the query's aggregate, only ever cloned
+	slots int
+}
+
 // Decompose splits a single-stream aggregate query across the 3-level
 // architecture (slide 54: "how do we decompose a declarative (SQL)
-// query?" — "Gigascope does some automatic decomposition"). The WHERE
-// filter and a bounded-slot partial aggregation run at the low level;
-// group merging runs at the high level. Requirements: one stream, GROUP
-// BY with only distributive/algebraic aggregates, no HAVING (a HAVING
-// can only be evaluated on final groups; apply it downstream of the
-// high level).
-//
-// slots sizes the low-level group table; the time bucket comes from the
-// query's window (tumbling windows only), defaulting to 60 seconds.
-func Decompose(text string, cat *Catalog, slots int) (*dsms.Decomposition, error) {
+// query?" — "Gigascope does some automatic decomposition"). The query
+// is planned like any aggregate (Compile); the low level is its WHERE
+// filter plus a partial replica of its GroupBy holding at most slots
+// groups, and the high level is the GroupBy's combiner. Requirements:
+// one stream, GROUP BY with only distributive/algebraic aggregates, no
+// HAVING (a HAVING can only be evaluated on final groups; apply it
+// downstream of the high level), and a tumbling window or none, which
+// aggregates per 60-second tumbling window.
+func Decompose(text string, cat *Catalog, slots int) (*Decomposition, error) {
 	q, err := Parse(text)
 	if err != nil {
 		return nil, err
@@ -37,54 +53,147 @@ func Decompose(text string, cat *Catalog, slots int) (*dsms.Decomposition, error
 	if !ok {
 		return nil, fmt.Errorf("query: unknown stream %q", q.From[0].Stream)
 	}
-	streams := []*boundStream{{item: q.From[0], schema: sch}}
+	item := q.From[0]
+	switch w := item.Window; {
+	case w.Kind == window.KindNone:
+		item.Window = window.Tumbling(60 * stream.Second)
+	case w.Kind != window.KindTime || w.Landmark || w.Slide != w.Range:
+		return nil, fmt.Errorf("query: only tumbling windows decompose (got %s)", w)
+	}
+	pred, gb, _, _, err := bindAggregate(q, &boundStream{item: item, schema: sch})
+	if err != nil {
+		return nil, err
+	}
+	if err := gb.CheckBound(slots); err != nil {
+		return nil, err
+	}
+	return &Decomposition{in: sch, pred: pred, gb: gb, slots: slots}, nil
+}
 
-	b := &binder{streams: streams}
-	var pred expr.Expr
-	if q.Where != nil {
-		e, err := b.bind(q.Where)
-		if err != nil {
-			return nil, err
-		}
-		pred = e
-	}
+// PartialSchema is the wire schema between the levels: [wend, wstart,
+// group keys..., partial columns].
+func (d *Decomposition) PartialSchema() *tuple.Schema { return d.gb.PartialSchema() }
 
-	groupNames := make([]string, len(q.GroupBy))
-	groupExprs := make([]expr.Expr, len(q.GroupBy))
-	for i, gi := range q.GroupBy {
-		e, err := b.bind(gi.Expr)
-		if err != nil {
-			return nil, err
-		}
-		groupExprs[i] = e
-		groupNames[i] = groupItemName(gi, i)
-	}
+// NewHigh returns a fresh high-level merge operator. Its rows are the
+// query's GroupBy rows, [wend, group keys..., aggregates...]; it closes a
+// window when a progress punctuation (see Progress) or Flush passes its
+// end.
+func (d *Decomposition) NewHigh() ops.Operator { return d.gb.Combiner() }
 
-	aggBinder := &binder{streams: streams, approx: q.Approx}
-	for _, it := range q.Select {
-		if it.Star {
-			return nil, fmt.Errorf("query: * is not valid in a decomposed aggregate")
-		}
-		if err := collectAggs(it.Expr, aggBinder); err != nil {
-			return nil, err
+// RunLow drains src through one observation point's low level: column
+// batches through the WHERE filter's selection kernel into a fresh
+// slot-bounded partial replica. Every partial record goes to send; the
+// replica's progress punctuations stay behind, because the wire carries
+// tuples only. It returns the raw tuples read and the records sent, and
+// stops at the first send error.
+func (d *Decomposition) RunLow(src stream.Source, send func(*tuple.Tuple) error) (raw, partials int64, err error) {
+	low, err := d.gb.BoundedPartial(d.slots)
+	if err != nil {
+		return 0, 0, err
+	}
+	var filter *ops.Select
+	if d.pred != nil {
+		if filter, err = ops.NewSelect("where", d.in, d.pred, -1, 1); err != nil {
+			return 0, 0, err
 		}
 	}
-	if len(aggBinder.aggSpecs) == 0 {
-		return nil, fmt.Errorf("query: decomposition needs at least one aggregate")
+	emit := func(e stream.Element) {
+		if e.IsPunct() || err != nil {
+			return
+		}
+		if err = send(e.Tuple); err == nil {
+			partials++
+		}
 	}
+	fold := func(b *stream.Batch) { low.ProcessBatch(0, b, nil, emit) }
+	pool := stream.NewColPool(src.Schema(), 256)
+	cur := pool.Get()
+	flush := func() {
+		if cur.Rows() == 0 {
+			return
+		}
+		raw += int64(cur.Rows())
+		if filter != nil {
+			filter.ProcessBatch(0, cur, fold, emit)
+		} else {
+			fold(cur)
+		}
+		cur = pool.Get()
+	}
+	for err == nil {
+		e, ok := src.Next()
+		if !ok {
+			break
+		}
+		if e.IsPunct() {
+			flush()
+			low.Push(0, e, emit)
+			continue
+		}
+		cur.AppendRow(e.Tuple)
+		if cur.Rows() >= pool.Size() {
+			flush()
+		}
+	}
+	flush()
+	cur.Release()
+	if err == nil {
+		low.Flush(emit)
+	}
+	return raw, partials, err
+}
 
-	bucketLen := int64(60_000_000_000) // 60 virtual seconds
-	if q.From[0].HasWindow {
-		w := q.From[0].Window
-		switch {
-		case w.Kind == window.KindTime && !w.Landmark && w.Slide == w.Range:
-			bucketLen = w.Range
-		case w.Kind == window.KindNone:
-			// unbounded: keep the default bucket for periodic emission
-		default:
-			return nil, fmt.Errorf("query: only tumbling windows decompose (got %s)", w)
-		}
+// Progress rebuilds the high level's event-time progress from the
+// partial records themselves, since the wire carries no punctuations.
+// A low-level node over in-order input sends its records in window
+// order, so once it has sent a record of the window ending at e it has
+// nothing more for any window ending before e. Once every expected node
+// has sent a record or ended, every window ending before the smallest
+// latest end of the nodes still sending is complete. A node that stops
+// without ending (it died) holds progress back until the caller's final
+// Flush.
+type Progress struct {
+	nodes int
+	last  map[string]int64 // node -> wend of its latest record; MaxInt64 once ended
+	mark  int64            // the last progress handed out
+}
+
+// NewProgress tracks the given number of low-level nodes.
+func NewProgress(nodes int) *Progress {
+	return &Progress{nodes: nodes, last: make(map[string]int64, nodes)}
+}
+
+// Observe notes that node sent rec, and returns the progress
+// punctuation the merge operator may receive after it, or nil when
+// progress has not moved.
+func (p *Progress) Observe(node string, rec *tuple.Tuple) *stream.Punctuation {
+	wend, _ := rec.Vals[0].AsTime()
+	if prev, ok := p.last[node]; ok && wend <= prev {
+		return nil
 	}
-	return dsms.NewDecomposition(sch, pred, groupExprs, groupNames,
-		aggBinder.aggSpecs, slots, bucketLen)
+	return p.move(node, wend)
+}
+
+// End notes that node has sent its last record, so it no longer holds
+// progress back, and returns the progress punctuation this releases, as
+// Observe does.
+func (p *Progress) End(node string) *stream.Punctuation {
+	return p.move(node, math.MaxInt64)
+}
+
+func (p *Progress) move(node string, wend int64) *stream.Punctuation {
+	p.last[node] = wend
+	if len(p.last) < p.nodes {
+		return nil
+	}
+	low := int64(math.MaxInt64)
+	for _, e := range p.last {
+		low = min(low, e)
+	}
+	// Every node ended: the caller's Flush closes what is left.
+	if low == math.MaxInt64 || low-1 <= p.mark {
+		return nil
+	}
+	p.mark = low - 1
+	return &stream.Punctuation{Ts: p.mark}
 }

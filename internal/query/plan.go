@@ -399,73 +399,63 @@ func rewriteForOutput(n Node, groups []GroupItem, groupNames []string, aggNames 
 	return n
 }
 
-// compileAggregate plans windowed grouped aggregation (slides 34-38).
-func compileAggregate(q *Query, streams []*boundStream) (*Plan, error) {
-	s := streams[0]
-	if q.Distinct {
-		return nil, fmt.Errorf("query: DISTINCT with aggregation is not supported")
-	}
-
-	inputBinder := &binder{streams: streams}
-	var pred expr.Expr
+// bindAggregate binds an aggregate query over its one stream s: the WHERE
+// predicate (nil without one), the GroupBy over s's window, the binder
+// holding the aggregate calls, and the output column name of each call.
+// Compile plans through it, and so does Decompose.
+func bindAggregate(q *Query, s *boundStream) (pred expr.Expr, gb *agg.GroupBy, aggBinder *binder, aggNames map[string]string, err error) {
+	inputBinder := &binder{streams: []*boundStream{s}}
 	if q.Where != nil {
-		e, err := inputBinder.bind(q.Where)
-		if err != nil {
-			return nil, err
+		if pred, err = inputBinder.bind(q.Where); err != nil {
+			return nil, nil, nil, nil, err
 		}
-		if e.Kind() != tuple.KindBool {
-			return nil, fmt.Errorf("query: WHERE must be boolean")
+		if pred.Kind() != tuple.KindBool {
+			return nil, nil, nil, nil, fmt.Errorf("query: WHERE must be boolean")
 		}
-		pred = e
 	}
 
 	// Bind grouping expressions against the input.
 	groupNames := make([]string, len(q.GroupBy))
 	groupExprs := make([]expr.Expr, len(q.GroupBy))
-	groupASTs := make([]Node, len(q.GroupBy))
 	for i, gi := range q.GroupBy {
 		e, err := inputBinder.bind(gi.Expr)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, nil, err
 		}
 		groupExprs[i] = e
 		groupNames[i] = groupItemName(gi, i)
-		groupASTs[i] = gi.Expr
 	}
 
 	// Collect aggregate calls from SELECT and HAVING. Only the calls are
 	// bound here (their arguments reference the input schema); the
 	// surrounding expressions are bound later against the aggregation
 	// output, where grouping aliases like "tb" become real columns.
-	aggBinder := &binder{streams: streams, approx: q.Approx}
+	aggBinder = &binder{streams: []*boundStream{s}, approx: q.Approx}
 	for _, it := range q.Select {
 		if it.Star {
-			return nil, fmt.Errorf("query: * is not valid with GROUP BY")
+			return nil, nil, nil, nil, fmt.Errorf("query: * is not valid with GROUP BY")
 		}
 		if err := collectAggs(it.Expr, aggBinder); err != nil {
-			return nil, err
+			return nil, nil, nil, nil, err
 		}
 	}
 	if q.Having != nil {
 		if err := collectAggs(q.Having, aggBinder); err != nil {
-			return nil, err
+			return nil, nil, nil, nil, err
 		}
 	}
 	if len(aggBinder.aggSpecs) == 0 {
-		return nil, fmt.Errorf("query: GROUP BY without aggregates; use SELECT DISTINCT")
+		return nil, nil, nil, nil, fmt.Errorf("query: GROUP BY without aggregates; use SELECT DISTINCT")
 	}
-	aggNames := make(map[string]string, len(aggBinder.aggCalls))
+	aggNames = make(map[string]string, len(aggBinder.aggCalls))
 	for i, c := range aggBinder.aggCalls {
 		aggNames[strings.ToLower(Render(c))] = aggBinder.aggNames[i]
 	}
 
 	// Window from the FROM item (time windows only for aggregation).
-	spec := window.Spec{}
-	if s.item.HasWindow {
-		spec = s.item.Window
-		if spec.Kind == window.KindRows {
-			return nil, fmt.Errorf("query: row windows are not supported for aggregation")
-		}
+	spec := s.item.Window
+	if spec.Kind == window.KindRows {
+		return nil, nil, nil, nil, fmt.Errorf("query: row windows are not supported for aggregation")
 	}
 
 	havingBuilder := func(out *tuple.Schema) (expr.Expr, error) {
@@ -480,10 +470,26 @@ func compileAggregate(q *Query, streams []*boundStream) (*Plan, error) {
 		return hb.bind(rewritten)
 	}
 
-	gb, err := agg.NewGroupBy("aggregate", s.schema, groupExprs, groupNames,
+	gb, err = agg.NewGroupBy("aggregate", s.schema, groupExprs, groupNames,
 		aggBinder.aggSpecs, spec, havingBuilder)
+	return pred, gb, aggBinder, aggNames, err
+}
+
+// compileAggregate plans windowed grouped aggregation (slides 34-38).
+func compileAggregate(q *Query, streams []*boundStream) (*Plan, error) {
+	s := streams[0]
+	if q.Distinct {
+		return nil, fmt.Errorf("query: DISTINCT with aggregation is not supported")
+	}
+	pred, gb, aggBinder, aggNames, err := bindAggregate(q, s)
 	if err != nil {
 		return nil, err
+	}
+	groupNames := make([]string, len(q.GroupBy))
+	groupASTs := make([]Node, len(q.GroupBy))
+	for i, gi := range q.GroupBy {
+		groupNames[i] = groupItemName(gi, i)
+		groupASTs[i] = gi.Expr
 	}
 	gbOut := gb.OutSchema()
 
@@ -516,7 +522,7 @@ func compileAggregate(q *Query, streams []*boundStream) (*Plan, error) {
 		plan.steps = append(plan.steps, fmt.Sprintf("select %s", pred))
 	}
 	plan.steps = append(plan.steps,
-		fmt.Sprintf("group-by %v window %s aggregates %d, %s", groupNames, spec, len(aggBinder.aggSpecs), gb.CloseStrategy()),
+		fmt.Sprintf("group-by %v window %s aggregates %d, %s", groupNames, s.item.Window, len(aggBinder.aggSpecs), gb.CloseStrategy()),
 		"project result columns")
 
 	plan.build = func(g *exec.Graph, sources map[string]stream.Source) error {
