@@ -16,7 +16,7 @@
 //     (ops.PartialAggregable) lanes grow and shrink their active worker
 //     set instantly (replicas are stateless or mergeable, so assignment
 //     is free to change at any batch boundary); key-partitioned lanes
-//     (ops.KeyPartitionable / ColPartitionable) re-split live through
+//     (ops.KeyPartitionable) re-split live through
 //     the checkpoint path: the splitter quiesces the replicas, each one
 //     Snapshots, and every new active replica rebuilds its slice of the
 //     key space with ops.StateRescaler.RestorePartition;
@@ -57,10 +57,10 @@ import (
 
 // Lane kinds recorded per node for the controller.
 const (
-	laneStatic   = int8(iota) // runNode: not scalable
-	laneRepl                  // runReplicated: stateless clones
-	lanePartial               // runPartialReplicated: partial replicas + combiner
-	laneKeyPart               // runKeyPartitioned / runKeyPartitionedCol
+	laneStatic  = int8(iota) // runNode: not scalable
+	laneRepl                 // runReplicated: stateless clones
+	lanePartial              // runPartialReplicated: partial replicas + combiner
+	laneKeyPart              // runKeyPartitioned: hash-split join replicas
 )
 
 // AdaptConfig enables the adaptive controller in RunWith. Adaptation is

@@ -10,7 +10,7 @@ package exec
 
 import (
 	"fmt"
-	"sync"
+	"sort"
 	"testing"
 
 	"streamdb/internal/expr"
@@ -206,9 +206,10 @@ func TestColumnarDeepStragglers(t *testing.T) {
 	}
 }
 
-// TestColumnarFanout shards the sink per writer and fans one Select
-// output to two Projects, so shared column batches (Retain + WithSel
-// views) feed both branches; each branch must match its row-engine
+// TestColumnarFanout fans one Select output to two Projects (v×2 and
+// v×3), so shared column batches (Retain + WithSel views) feed both
+// branches. Both write the one merged sink; a row's branch is told
+// apart by its output value, and each branch must match its row-engine
 // sequence exactly.
 func TestColumnarFanout(t *testing.T) {
 	var elems []stream.Element
@@ -218,15 +219,25 @@ func TestColumnarFanout(t *testing.T) {
 			elems = append(elems, stream.Punct(stream.ProgressPunct(i, 0, tuple.Time(i))))
 		}
 	}
-	run := func(columnar bool) map[NodeID][]string {
-		// Per-writer sinks run on their writers' goroutines concurrently;
-		// the shared result map needs the lock even for distinct keys.
-		var mu sync.Mutex
-		got := map[NodeID][]string{}
-		g := NewGraph(nil)
+	run := func(columnar bool) map[string][]string {
+		got := map[string][]string{}
+		g := NewGraph(func(e stream.Element) {
+			if e.IsPunct() {
+				// Both branches forward every punctuation; the merged
+				// sink interleaves them, so only the multiset is fixed.
+				got["punct"] = append(got["punct"], e.String())
+				return
+			}
+			v, _ := e.Tuple.Vals[1].AsInt()
+			branch := "x3"
+			if v == 2*(e.Tuple.Ts%40) { // v > 10, so ×2 and ×3 never coincide
+				branch = "x2"
+			}
+			got[branch] = append(got[branch], e.String())
+		})
 		src := g.AddSource(stream.FromElements(sch, elems...))
 		sel := g.AddOp(mustSelect(t, 10))
-		mk := func(name string, factor int64) NodeID {
+		mk := func(name string, factor int64) {
 			outSch := tuple.NewSchema(name,
 				tuple.Field{Name: "time", Kind: tuple.KindTime, Ordering: true},
 				tuple.Field{Name: "v2", Kind: tuple.KindInt},
@@ -246,33 +257,23 @@ func TestColumnarFanout(t *testing.T) {
 			if err := g.ConnectOut(id); err != nil {
 				t.Fatal(err)
 			}
-			return id
 		}
 		mk("p2", 2)
 		mk("p3", 3)
 		if err := g.ConnectSource(src, sel, 0); err != nil {
 			t.Fatal(err)
 		}
-		g.RunWith(-1, RunOptions{
-			BatchSize: 32,
-			Columnar:  columnar,
-			SinkPerWriter: func(id NodeID) Sink {
-				return func(e stream.Element) {
-					mu.Lock()
-					got[id] = append(got[id], e.String())
-					mu.Unlock()
-				}
-			},
-		})
+		g.RunWith(-1, RunOptions{BatchSize: 32, Columnar: columnar})
+		sort.Strings(got["punct"])
 		return got
 	}
 	base := run(false)
 	got := run(true)
-	if len(base) != 2 || len(got) != 2 {
-		t.Fatalf("expected 2 sharded sinks, got %d and %d", len(base), len(got))
+	if len(base["x2"]) == 0 || len(base["x2"]) != len(base["x3"]) {
+		t.Fatalf("row engine branches: %d and %d rows, want equal and nonzero", len(base["x2"]), len(base["x3"]))
 	}
-	for id, want := range base {
-		sameSeq(t, fmt.Sprintf("branch %d", id), got[id], want)
+	for _, b := range []string{"x2", "x3", "punct"} {
+		sameSeq(t, "branch "+b, got[b], base[b])
 	}
 }
 

@@ -194,7 +194,7 @@ func TestColumnarJoinRowFallbackLane(t *testing.T) {
 // TestColumnarJoinCheckpointResume cuts checkpoints mid-stream through
 // the columnar join lane (E22-style), then restores — same mode and
 // cross-mode in both directions. The splitter snapshot encodes queued
-// batch rows in the row lane's element format, so the four cells must
+// batch rows as elements, whatever the mode, so the four cells must
 // all stitch byte-identically to the uninterrupted baseline.
 func TestColumnarJoinCheckpointResume(t *testing.T) {
 	left := pjStream(2400, 0, 6, 11)
@@ -273,7 +273,7 @@ func TestColumnarJoinCheckpointResume(t *testing.T) {
 
 // TestColumnarXJoinMultisetEquivalence: XJoin under the columnar
 // partition lane (multi-column generic hash, vectorized probe) keeps
-// the row lane's multiset guarantee, spills included.
+// the serial run's multiset guarantee, spills included.
 func TestColumnarXJoinMultisetEquivalence(t *testing.T) {
 	left := pjStream(800, 0, 5, 3)
 	right := pjStream(800, 1, 5, 4)

@@ -12,10 +12,10 @@
 // edge never reorder against each other.
 //
 // Consumers that implement ops.BatchOperator get batches natively —
-// behind the replicated, partial-aggregate and columnar key-partition
-// splitters too, which pass batches on whole; everything else —
-// row-only operators, the row-mode key-partition splitter, sink edges —
-// materializes rows through Batch.AppendRows at the boundary. Fan-out
+// behind the replicated and partial-aggregate splitters too, which pass
+// batches on whole, and the key-partition router routes batch rows by
+// index; everything else — row-only operators, sink edges without a
+// ColSink — materializes rows through Batch.AppendRows at the boundary. Fan-out
 // shares one batch across consumers by reference counting: each extra
 // edge retains, the last send transfers the producer's reference, and a
 // consumer holding a shared batch refines its selection through a view
@@ -39,9 +39,9 @@ func (r *concRun) sendToCol(to NodeID, port int, b *stream.Batch) {
 
 // addBatch forwards a column batch to every edge, consuming the
 // caller's reference. The open row buffer is flushed first so row
-// elements enqueued earlier keep their place; sink edges materialize
-// rows (the sink contract is row-shaped), node edges share the batch by
-// reference.
+// elements enqueued earlier keep their place; sink edges hand the batch
+// to the ColSink or materialize rows for the row-shaped Sink, node
+// edges share the batch by reference.
 func (w *edgeWriter) addBatch(b *stream.Batch) {
 	if len(w.edges) == 0 || b.N() == 0 {
 		b.Release()
@@ -51,7 +51,7 @@ func (w *edgeWriter) addBatch(b *stream.Batch) {
 	last := len(w.edges) - 1
 	for i, ed := range w.edges {
 		if ed.to < 0 {
-			if w.r.colSink != nil && w.sink == nil {
+			if w.r.colSink != nil {
 				// Columnar-aware sink: hand the batch over by reference,
 				// no row materialization at the output boundary.
 				if i < last {
@@ -60,15 +60,7 @@ func (w *edgeWriter) addBatch(b *stream.Batch) {
 				w.r.sinkCh <- sinkMsg{col: b}
 				continue
 			}
-			out := b.AppendRows(w.r.pool.Get())
-			if w.sink != nil {
-				for _, e := range out {
-					w.sink(e)
-				}
-				w.r.pool.Put(out)
-			} else {
-				w.r.sinkCh <- sinkMsg{col: nil, elems: out}
-			}
+			w.r.sinkCh <- sinkMsg{elems: b.AppendRows(w.r.pool.Get())}
 			if i == last {
 				b.Release()
 			}
@@ -116,13 +108,4 @@ func (cw *colWriter) flushCol() {
 	b := cw.cur
 	cw.cur = nil
 	cw.w.addBatch(b) // addBatch releases empty batches itself
-}
-
-// materialize converts a column batch message to a row batch for the
-// one lane that stays row-only (the row-mode key-partition splitter),
-// and drops the batch reference.
-func (r *concRun) materialize(m batchMsg) batchMsg {
-	elems := m.col.AppendRows(r.pool.Get())
-	m.col.Release()
-	return batchMsg{port: m.port, elems: elems}
 }

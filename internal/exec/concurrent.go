@@ -24,9 +24,7 @@
 //
 // Graph outputs are merged through a single consumer goroutine fed by
 // per-writer batches (no global lock on the emit path), so the Sink
-// callback is always invoked serially. RunOptions.SinkPerWriter opts
-// into sharded sinks instead: each output-writing node gets its own
-// sink, called only from that node's output goroutine.
+// callback is always invoked serially.
 package exec
 
 import (
@@ -77,17 +75,8 @@ type RunOptions struct {
 	// ChanCap is the per-edge channel capacity in batches; <= 0 uses
 	// DefaultChanCap.
 	ChanCap int
-	// SinkPerWriter, when set, shards graph output: every node with an
-	// edge to the graph output gets its own sink from this factory,
-	// invoked serially from that node's output goroutine, and the
-	// graph-level sink is bypassed. When nil, all output is merged
-	// through one consumer goroutine into the graph sink (which
-	// therefore needs no internal locking either).
-	SinkPerWriter func(NodeID) Sink
 	// Checkpoint enables barrier-aligned durable checkpoints (see
-	// exec/checkpoint.go). Incompatible with SinkPerWriter — sharded
-	// sinks have no single output cut — in which case checkpointing is
-	// disabled and OnCommit reports the conflict once.
+	// exec/checkpoint.go).
 	Checkpoint *CheckpointConfig
 	// Restore plays a checkpoint taken by a previous RunWith of the
 	// same graph shape and the same effective Parallelism /
@@ -95,13 +84,15 @@ type RunOptions struct {
 	// element flows, and fast-forwards each source past the elements
 	// the checkpointed run consumed.
 	Restore *ckpt.Checkpoint
-	// Columnar moves data tuples through the graph as column batches
-	// (see columnar.go): sources transpose (or decode, for
-	// stream.ColSource) into stream.Batch vectors, ops.BatchOperator
-	// nodes consume them natively, and row⇄column adapters bridge every
-	// other boundary. Punctuations and barriers always stay on the row
-	// path. Results are element-for-element identical to the row engine;
-	// checkpoints interoperate both ways.
+	// Columnar decides whether sources transpose (or decode, for
+	// stream.ColSource) their data tuples into stream.Batch column
+	// batches (see columnar.go); ops.BatchOperator nodes consume them
+	// natively, and row⇄column adapters bridge every other boundary.
+	// Punctuations and barriers always stay on the row path. A run with
+	// Columnar off can still carry column batches downstream of a
+	// key-partitioned join, whose router always emits them. Results are
+	// element-for-element identical either way; checkpoints interoperate
+	// both ways.
 	Columnar bool
 	// Adapt enables the feedback-driven adaptive controller (see
 	// adapt.go): per-edge micro-batch targets, live growth/shrink of
@@ -117,8 +108,7 @@ type RunOptions struct {
 	// stream order with row elements (punctuations, aggregate records,
 	// ...), which still go to the Sink. The batch is valid only for the
 	// duration of the call: the engine releases it afterwards, so a sink
-	// that keeps it must Retain. Ignored when SinkPerWriter is set (the
-	// sharded sinks are row-shaped).
+	// that keeps it must Retain.
 	ColSink func(*stream.Batch)
 }
 
@@ -150,8 +140,8 @@ type concRun struct {
 	memTick []int64 // per-node message count, for strided MemSize polls
 	writers []int
 	closeMu sync.Mutex
-	sinkCh  chan sinkMsg // nil when SinkPerWriter is set
-	colSink func(*stream.Batch)
+	sinkCh  chan sinkMsg
+	colSink func(*stream.Batch) // ColSink, with Columnar only
 
 	// Checkpointing state: ctl coordinates barrier epochs (nil when
 	// disabled), inw is the initial writer count per node (writers[]
@@ -276,62 +266,56 @@ func (g *Graph) RunWith(maxElements int64, opts RunOptions) {
 		}
 	}
 	if cfg := opts.Checkpoint; cfg != nil && cfg.Store != nil && cfg.Every > 0 {
-		if opts.SinkPerWriter != nil {
-			if cfg.OnCommit != nil {
-				cfg.OnCommit(0, fmt.Errorf("exec: checkpointing is incompatible with SinkPerWriter (no single output cut)"))
-			}
-		} else {
-			var first int64
-			if r.restore != nil {
-				first = r.restore.Epoch
-			}
-			r.ctl = newCkptCtl(cfg, map[string]uint64{
-				"par": uint64(opts.Parallelism),
-				"pj":  boolMeta(opts.PartitionJoins),
-			}, first)
-			g.failHook = func() { r.ctl.shutdown(fmt.Errorf("exec: node failure aborted the checkpoint epoch")) }
-			defer func() { g.failHook = nil }()
+		var first int64
+		if r.restore != nil {
+			first = r.restore.Epoch
 		}
+		r.ctl = newCkptCtl(cfg, map[string]uint64{
+			"par": uint64(opts.Parallelism),
+			"pj":  boolMeta(opts.PartitionJoins),
+		}, first)
+		g.failHook = func() { r.ctl.shutdown(fmt.Errorf("exec: node failure aborted the checkpoint epoch")) }
+		defer func() { g.failHook = nil }()
 	}
 
 	var sinkWG sync.WaitGroup
-	if opts.SinkPerWriter == nil {
-		r.sinkCh = make(chan sinkMsg, 2*len(g.nodes)+4)
+	r.sinkCh = make(chan sinkMsg, 2*len(g.nodes)+4)
+	if opts.Columnar {
 		r.colSink = opts.ColSink
-		sinkWG.Add(1)
-		go func() {
-			defer sinkWG.Done()
-			var delivered int64
-			sinkBars := 0
-			for m := range r.sinkCh {
-				if m.col != nil {
-					delivered += int64(m.col.N())
-					r.colSink(m.col)
-					m.col.Release()
+	}
+	sinkWG.Add(1)
+	go func() {
+		defer sinkWG.Done()
+		var delivered int64
+		sinkBars := 0
+		for m := range r.sinkCh {
+			if m.col != nil {
+				delivered += int64(m.col.N())
+				r.colSink(m.col)
+				m.col.Release()
+				continue
+			}
+			b := m.elems
+			for _, e := range b {
+				if e.IsBarrier() {
+					// Engine-internal: count the cut, never deliver.
+					sinkBars++
+					if sinkBars == r.outW {
+						sinkBars = 0
+						if r.ctl != nil {
+							r.ctl.sinkCut(e.Punct.Barrier, delivered)
+						} else {
+							r.flushDone(e.Punct.Barrier)
+						}
+					}
 					continue
 				}
-				b := m.elems
-				for _, e := range b {
-					if e.IsBarrier() {
-						// Engine-internal: count the cut, never deliver.
-						sinkBars++
-						if sinkBars == r.outW {
-							sinkBars = 0
-							if r.ctl != nil {
-								r.ctl.sinkCut(e.Punct.Barrier, delivered)
-							} else {
-								r.flushDone(e.Punct.Barrier)
-							}
-						}
-						continue
-					}
-					delivered++
-					g.sink(e)
-				}
-				r.pool.Put(b)
+				delivered++
+				g.sink(e)
 			}
-		}()
-	}
+			r.pool.Put(b)
+		}
+	}()
 
 	needSections := 0
 	var wg sync.WaitGroup
@@ -365,12 +349,6 @@ func (g *Graph) RunWith(maxElements int64, opts RunOptions) {
 				if r.adapt != nil {
 					r.adapt.kind[id] = laneKeyPart
 					_, r.adapt.rescaler[id] = n.op.(ops.StateRescaler)
-				}
-				if opts.Columnar {
-					if cp, ok := n.op.(ops.ColPartitionable); ok {
-						go r.runKeyPartitionedCol(NodeID(id), n, cp, &wg)
-						continue
-					}
 				}
 				go r.runKeyPartitioned(NodeID(id), n, kp, &wg)
 				continue
@@ -414,10 +392,8 @@ func (g *Graph) RunWith(maxElements int64, opts RunOptions) {
 	if r.adapt != nil {
 		r.adapt.stop()
 	}
-	if r.sinkCh != nil {
-		close(r.sinkCh)
-		sinkWG.Wait()
-	}
+	close(r.sinkCh)
+	sinkWG.Wait()
 	// Fold the sampled per-run maxima into the persistent node stats,
 	// plus each operator's own columnar-plan fallbacks (partition
 	// replicas fold theirs into the parent at Flush, so the delta over
@@ -522,7 +498,6 @@ func (r *concRun) sampleMemNow(id NodeID, op ops.Operator) {
 type edgeWriter struct {
 	r     *concRun
 	edges []edge
-	sink  Sink // per-writer sink for ed.to < 0; nil = merged sink channel
 	buf   []stream.Element
 	size  int
 	// tgt, when non-nil, is the adaptive controller's batch-target slot
@@ -536,14 +511,6 @@ func (r *concRun) newEdgeWriter(edges []edge, owner NodeID) *edgeWriter {
 	if r.adapt != nil && owner >= 0 {
 		w.tgt = &r.adapt.batchTgt[owner]
 		w.size = int(atomic.LoadInt64(w.tgt))
-	}
-	if r.opts.SinkPerWriter != nil {
-		for _, ed := range edges {
-			if ed.to < 0 {
-				w.sink = r.opts.SinkPerWriter(owner)
-				break
-			}
-		}
 	}
 	return w
 }
@@ -584,14 +551,7 @@ func (w *edgeWriter) flush() {
 			out = append(w.r.pool.Get(), b...)
 		}
 		if ed.to < 0 {
-			if w.sink != nil {
-				for _, e := range out {
-					w.sink(e)
-				}
-				w.r.pool.Put(out)
-			} else {
-				w.r.sinkCh <- sinkMsg{elems: out}
-			}
+			w.r.sinkCh <- sinkMsg{elems: out}
 		} else {
 			w.r.sendTo(ed.to, ed.port, out)
 		}
@@ -1312,529 +1272,6 @@ func (r *concRun) runPartialReplicated(id NodeID, n *node, pa ops.PartialAggrega
 		}()
 	}
 	r.sampleMemNow(id, comb)
-	w.flush()
-	r.closeDownstream(n.out)
-}
-
-// noSeq marks task elements (broadcast punctuations) that produce no
-// output and therefore occupy no slot in the output merge.
-const noSeq = ^uint64(0)
-
-// partTask is one routed run of the merged input destined for a single
-// join replica: parallel arrays of elements, their input ports and
-// their global data sequence numbers. A task with resc set instead asks
-// the worker to take part in a live re-split (see rescaleOp).
-type partTask struct {
-	elems []stream.Element
-	ports []uint8
-	seqs  []uint64
-	resc  *rescaleOp
-}
-
-// applyRescale is one pool worker's half of a live key-partition
-// re-split: snapshot the current replica into its section slot, signal
-// the splitter, wait for the full section set, then rebuild this
-// worker's slice of the key space at the new width with a fresh clone.
-// Errors and panics detach the node but always complete the handshake
-// (Done before any return), so the quiesced splitter cannot deadlock on
-// a failed replica. Workers beyond the new active width come back with
-// an empty clone — their old tuples now live under other replicas'
-// hashes.
-func (r *concRun) applyRescale(rs *rescaleOp, k int, id NodeID, n *node, op ops.Operator, clone func() ops.Operator, crashed *atomic.Bool) ops.Operator {
-	var data []byte
-	if !crashed.Load() {
-		func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					r.g.recordPanic(id, n, rec)
-					crashed.Store(true)
-				}
-			}()
-			if s, ok := op.(ckpt.Snapshotter); ok {
-				enc := &ckpt.Encoder{}
-				if err := s.Snapshot(enc); err != nil {
-					panic(err)
-				}
-				data = enc.Bytes()
-			}
-		}()
-	}
-	rs.sections[k] = data
-	rs.snapWG.Done()
-	<-rs.ready
-	if crashed.Load() {
-		return op
-	}
-	nop := clone()
-	if k < rs.newAct {
-		if sr, ok := nop.(ops.StateRescaler); ok {
-			func() {
-				defer func() {
-					if rec := recover(); rec != nil {
-						r.g.recordPanic(id, n, rec)
-						crashed.Store(true)
-					}
-				}()
-				if err := sr.RestorePartition(rs.sections, k, rs.newAct); err != nil {
-					panic(err)
-				}
-			}()
-			if crashed.Load() {
-				return op
-			}
-		}
-	}
-	return nop
-}
-
-// partReply carries one task's outputs back to the merger:
-// outs[ends[i-1]:ends[i]] is the output span of data element seqs[i].
-// A reply with flush set carries a replica's end-of-stream flush output
-// instead; one with barrier set reports that the replica snapshotted at
-// the given checkpoint barrier.
-type partReply struct {
-	worker  int
-	flush   bool
-	barrier bool
-	bar     stream.Element
-	seqs    []uint64
-	ends    []int
-	outs    []stream.Element
-	left    int // spans not yet delivered; outs recycles at zero
-}
-
-// runKeyPartitioned executes one two-input KeyPartitionable node (a
-// join) as P replicas behind a hash-split router — the third scale-out
-// lane, for equality-keyed stateful operators that neither Replicable
-// (stateless) nor PartialAggregable (single-input aggregation) covers.
-//
-// Three pieces make the routed run byte-identical to the serial engine:
-//
-//   - A timestamp-aware port merge. The serial engine interleaves
-//     sources by (head timestamp, source index); concurrent channels
-//     destroy that order across the two ports. The splitter therefore
-//     queues each port and re-derives the serial order: with both
-//     queues non-empty it releases the smaller head timestamp (ties to
-//     port 0, matching the source-index tie-break when port i is fed by
-//     source i); with one queue empty it may release only elements at
-//     or below the other port's punctuation watermark — the promise
-//     that nothing earlier is still in flight. A port that stays silent
-//     without punctuating buffers the other port until end-of-stream;
-//     the lane trades that latency for exactness.
-//
-//   - Key-hash routing with broadcast progress. Data elements go to
-//     replica hash(key) % P — both ports hash through the operator's
-//     own PartitionHash, so matching tuples meet — while punctuations
-//     are broadcast to every replica. When a late element is released
-//     below its port's running maximum timestamp, the splitter first
-//     broadcasts a synthesized punctuation at that maximum: replicas
-//     that missed the higher-timestamped elements (routed elsewhere)
-//     would otherwise under-expire the opposite window relative to the
-//     serial run, which derives its watermark from every arrival.
-//
-//   - A sequence-restoring output merge. Each released data element
-//     carries a global sequence number; workers report, per task, the
-//     output span of every data element, and the merger releases spans
-//     in sequence order. Punctuations produce no output by the
-//     KeyPartitionable contract, so they need no merge slot. Flush
-//     outputs (XJoin's cleanup phase) follow in replica order.
-//
-// Every data sequence number is reported exactly once — crashed
-// replicas still account for their assigned spans with empty output —
-// so the merge never stalls on a failed replica.
-func (r *concRun) runKeyPartitioned(id NodeID, n *node, kp ops.KeyPartitionable, wg *sync.WaitGroup) {
-	defer wg.Done()
-	p := r.poolWidth()
-	workCh := make([]chan partTask, p)
-	for i := range workCh {
-		workCh[i] = make(chan partTask, 2)
-	}
-	mergeCh := make(chan partReply, 2*p)
-	var crashed atomic.Bool
-
-	var workWG sync.WaitGroup
-	for k := 0; k < p; k++ {
-		workWG.Add(1)
-		go func(k int) {
-			defer workWG.Done()
-			op := kp.ClonePartition()
-			r.restoreOp(repName(id, k), op)
-			for t := range workCh[k] {
-				if t.resc != nil {
-					op = r.applyRescale(t.resc, k, id, n, op,
-						func() ops.Operator { return kp.ClonePartition() }, &crashed)
-					continue
-				}
-				outs := r.pool.Get()
-				seqs := make([]uint64, 0, len(t.elems))
-				ends := make([]int, 0, len(t.elems))
-				var bar stream.Element
-				i := 0
-				if !crashed.Load() {
-					func() {
-						defer func() {
-							if rec := recover(); rec != nil {
-								r.g.recordPanic(id, n, rec)
-								crashed.Store(true)
-							}
-						}()
-						for ; i < len(t.elems); i++ {
-							if e := t.elems[i]; e.IsBarrier() {
-								// Snapshot this partition at the aligned cut;
-								// the barrier itself is reported out-of-band so
-								// it occupies no slot in the sequence merge.
-								if r.ctl != nil {
-									r.ctl.addSnap(e.Punct.Barrier, repName(id, k), op)
-								}
-								bar = e
-								continue
-							}
-							op.Push(int(t.ports[i]), t.elems[i], func(o stream.Element) {
-								outs = append(outs, o)
-							})
-							if t.seqs[i] != noSeq {
-								seqs = append(seqs, t.seqs[i])
-								ends = append(ends, len(outs))
-							}
-						}
-					}()
-				}
-				// After a crash (here or earlier) the remaining sequence
-				// numbers still need empty spans: the merge must not stall.
-				for ; i < len(t.elems); i++ {
-					if t.seqs[i] != noSeq {
-						seqs = append(seqs, t.seqs[i])
-						ends = append(ends, len(outs))
-					}
-				}
-				r.pool.Put(t.elems)
-				mergeCh <- partReply{worker: k, seqs: seqs, ends: ends, outs: outs}
-				if bar.Punct != nil {
-					mergeCh <- partReply{worker: k, barrier: true, bar: bar}
-				}
-				r.sampleMem(id, op)
-			}
-			fout := r.pool.Get()
-			if !crashed.Load() {
-				func() {
-					defer func() {
-						if rec := recover(); rec != nil {
-							r.g.recordPanic(id, n, rec)
-							crashed.Store(true)
-						}
-					}()
-					op.Flush(func(o stream.Element) { fout = append(fout, o) })
-				}()
-			}
-			r.sampleMemNow(id, op)
-			mergeCh <- partReply{worker: k, flush: true, outs: fout}
-		}(k)
-	}
-	go func() {
-		workWG.Wait()
-		close(mergeCh)
-	}()
-
-	// Splitter: timestamp-aware port merge, then hash routing.
-	go func() {
-		type portQueue struct {
-			q    []stream.Element
-			head int
-		}
-		var qs [2]portQueue
-		pop := func(pt int) stream.Element {
-			pq := &qs[pt]
-			e := pq.q[pq.head]
-			pq.q[pq.head] = stream.Element{}
-			pq.head++
-			if pq.head == len(pq.q) {
-				pq.q, pq.head = pq.q[:0], 0
-			}
-			return e
-		}
-		pw := [2]int64{math.MinInt64, math.MinInt64}      // punctuation watermark per port
-		maxTs := [2]int64{math.MinInt64, math.MinInt64}   // max released data ts per port
-		synthed := [2]int64{math.MinInt64, math.MinInt64} // last synthesized watermark per port
-		var seq uint64
-		act := r.activeWidth(id)
-		open := make([]partTask, p)
-		add := func(k, port int, e stream.Element, s uint64) {
-			t := &open[k]
-			if t.elems == nil {
-				t.elems = r.pool.Get()
-			}
-			t.elems = append(t.elems, e)
-			t.ports = append(t.ports, uint8(port))
-			t.seqs = append(t.seqs, s)
-		}
-		flushTask := func(k int) {
-			if len(open[k].elems) == 0 {
-				return
-			}
-			workCh[k] <- open[k]
-			open[k] = partTask{}
-		}
-		broadcast := func(port int, e stream.Element) {
-			// Only active replicas need progress: idle workers' state is
-			// rebuilt wholesale (watermarks included) when a re-split brings
-			// them in.
-			for k := 0; k < act; k++ {
-				add(k, port, e, noSeq)
-				flushTask(k)
-			}
-		}
-		// doRescale quiesces the replica set and re-splits it at the new
-		// width: flush everything routed so far, hand every pool worker a
-		// rescale task, wait for all snapshots, then release the restore
-		// and route over the new active set. Nothing is routed while the
-		// handshake runs, so each old replica snapshots at a task boundary
-		// with no in-flight input — the same aligned-cut property the
-		// checkpoint path relies on.
-		doRescale := func(want int) {
-			for k := 0; k < p; k++ {
-				flushTask(k)
-			}
-			rs := &rescaleOp{sections: make([][]byte, p), newAct: want, ready: make(chan struct{})}
-			rs.snapWG.Add(p)
-			for k := 0; k < p; k++ {
-				workCh[k] <- partTask{resc: rs}
-			}
-			rs.snapWG.Wait()
-			close(rs.ready)
-			act = want
-			atomic.StoreInt32(&r.adapt.actP[id], int32(want))
-			n.stats.Replicas = want
-			n.stats.Rescales++
-		}
-		route := func(port int, e stream.Element) {
-			n.stats.In++
-			if e.IsPunct() {
-				if e.Punct.Ts > synthed[port] {
-					synthed[port] = e.Punct.Ts
-				}
-				broadcast(port, e)
-				return
-			}
-			ts := e.Tuple.Ts
-			if ts < maxTs[port] && maxTs[port] > synthed[port] {
-				// Late element: replicas owning other keys saw none of
-				// the higher timestamps — restore the implicit watermark
-				// the serial run would have derived from them.
-				synthed[port] = maxTs[port]
-				broadcast(port, stream.Punct(&stream.Punctuation{Ts: maxTs[port]}))
-			} else if ts > maxTs[port] {
-				maxTs[port] = ts
-			}
-			k := int(kp.PartitionHash(port, e.Tuple) % uint64(act))
-			n.stats.Routed[k]++
-			add(k, port, e, seq)
-			seq++
-			if len(open[k].elems) >= r.opts.BatchSize {
-				flushTask(k)
-			}
-		}
-		release := func(closed bool) {
-			for {
-				ok0, ok1 := qs[0].head < len(qs[0].q), qs[1].head < len(qs[1].q)
-				switch {
-				case ok0 && ok1:
-					if qs[1].q[qs[1].head].Ts() < qs[0].q[qs[0].head].Ts() {
-						route(1, pop(1))
-					} else {
-						route(0, pop(0))
-					}
-				case ok0:
-					if !closed && qs[0].q[qs[0].head].Ts() > pw[1] {
-						return
-					}
-					route(0, pop(0))
-				case ok1:
-					if !closed && qs[1].q[qs[1].head].Ts() > pw[0] {
-						return
-					}
-					route(1, pop(1))
-				default:
-					return
-				}
-			}
-		}
-		if r.restore != nil {
-			// The port-merge buffers are part of the cut: elements that had
-			// arrived but could not yet be released in serial order.
-			if data := r.restore.Section(splitName(id)); data != nil {
-				dec := ckpt.NewDecoder(data)
-				for pt := 0; pt < 2; pt++ {
-					cnt := int(dec.Uvarint())
-					for i := 0; i < cnt; i++ {
-						qs[pt].q = append(qs[pt].q, dec.Element())
-					}
-				}
-				for pt := 0; pt < 2; pt++ {
-					pw[pt] = dec.Varint()
-					maxTs[pt] = dec.Varint()
-					synthed[pt] = dec.Varint()
-				}
-				if dec.Err() != nil {
-					r.restoreFailed(fmt.Errorf("exec: restore %s: %w", splitName(id), dec.Err()))
-				}
-			}
-		}
-		kbars := 0
-		for m := range r.chans[id] {
-			if r.adapt != nil {
-				if want := int(atomic.LoadInt32(&r.adapt.wantP[id])); want != act && want >= 1 && want <= p {
-					doRescale(want)
-				}
-			}
-			if m.col != nil {
-				// Row-mode lane (no ColPartitionable, or Columnar off):
-				// materialize into the port merge.
-				atomic.AddInt64(&r.pending[id], -int64(m.col.N()))
-				n.stats.Batches++
-				n.stats.RowFallbacks++
-				m = r.materialize(m)
-			} else {
-				atomic.AddInt64(&r.pending[id], -int64(len(m.elems)))
-			}
-			for _, e := range m.elems {
-				if e.IsBarrier() {
-					kbars++
-					if kbars == r.inw[id] {
-						kbars = 0
-						// Push everything releasable to the replicas, then
-						// snapshot what must stay buffered and broadcast the
-						// barrier so each partition cuts after its share.
-						release(false)
-						if r.ctl != nil {
-							enc := &ckpt.Encoder{}
-							for pt := 0; pt < 2; pt++ {
-								q := qs[pt].q[qs[pt].head:]
-								enc.Uvarint(uint64(len(q)))
-								for _, qe := range q {
-									enc.Element(qe)
-								}
-							}
-							for pt := 0; pt < 2; pt++ {
-								enc.Varint(pw[pt])
-								enc.Varint(maxTs[pt])
-								enc.Varint(synthed[pt])
-							}
-							r.ctl.addBytes(e.Punct.Barrier, splitName(id), enc.Bytes())
-						}
-						for k := 0; k < p; k++ {
-							add(k, m.port, e, noSeq)
-							flushTask(k)
-						}
-					}
-					continue
-				}
-				if e.IsPunct() && e.Punct.Ts > pw[m.port] {
-					pw[m.port] = e.Punct.Ts
-				}
-				qs[m.port].q = append(qs[m.port].q, e)
-			}
-			r.pool.Put(m.elems)
-			release(false)
-		}
-		release(true)
-		for k := 0; k < p; k++ {
-			flushTask(k)
-		}
-		for _, c := range workCh {
-			close(c)
-		}
-	}()
-
-	// Merger: restore global data-sequence order across replicas.
-	w := r.newEdgeWriter(n.out, id)
-	type span struct {
-		rep    *partReply
-		lo, hi int
-	}
-	deliver := func(s span) {
-		for _, e := range s.rep.outs[s.lo:s.hi] {
-			n.stats.Out++
-			w.add(e)
-		}
-		s.rep.left--
-		if s.rep.left == 0 {
-			r.pool.Put(s.rep.outs)
-		}
-	}
-	held := make(map[uint64]span)
-	var next uint64
-	flushes := make([][]stream.Element, p)
-	kmbar := 0
-	merge := func(rep partReply) {
-		if rep.barrier {
-			kmbar++
-			if kmbar == p {
-				kmbar = 0
-				w.add(rep.bar)
-			}
-			return
-		}
-		if rep.flush {
-			flushes[rep.worker] = rep.outs
-			return
-		}
-		if len(rep.seqs) == 0 {
-			r.pool.Put(rep.outs)
-			return
-		}
-		rp := new(partReply)
-		*rp = rep
-		rp.left = len(rp.seqs)
-		lo := 0
-		for i, s := range rp.seqs {
-			sp := span{rep: rp, lo: lo, hi: rp.ends[i]}
-			lo = rp.ends[i]
-			if s != next {
-				held[s] = sp
-				continue
-			}
-			deliver(sp)
-			next++
-			for {
-				h, ok := held[next]
-				if !ok {
-					break
-				}
-				delete(held, next)
-				deliver(h)
-				next++
-			}
-		}
-	}
-	for rep := range mergeCh {
-		merge(rep)
-		if len(mergeCh) == 0 {
-			w.flush() // idle: see edgeWriter.flush
-		}
-	}
-	// Every sequence number is reported exactly once, so nothing is left
-	// held; be defensive anyway and drain in order.
-	for len(held) > 0 {
-		h, ok := held[next]
-		if !ok {
-			break
-		}
-		delete(held, next)
-		deliver(h)
-		next++
-	}
-	// Flush outputs last, in replica order: deterministic, and correct —
-	// a flush can only depend on the complete input, which precedes it.
-	for _, fo := range flushes {
-		if fo == nil {
-			continue
-		}
-		for _, e := range fo {
-			n.stats.Out++
-			w.add(e)
-		}
-		r.pool.Put(fo)
-	}
 	w.flush()
 	r.closeDownstream(n.out)
 }

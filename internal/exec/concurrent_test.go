@@ -341,54 +341,6 @@ func TestSinkSerializedByDefault(t *testing.T) {
 	}
 }
 
-// TestSinkPerWriterShards: with SinkPerWriter each output-writing node
-// gets a private sink called from one goroutine; per-branch order is
-// the branch's emit order.
-func TestSinkPerWriterShards(t *testing.T) {
-	var elems []stream.Element
-	for i := int64(0); i < 2000; i++ {
-		elems = append(elems, el(i, i))
-	}
-	g := NewGraph(func(stream.Element) { t.Error("graph sink must be bypassed") })
-	src := g.AddSource(stream.FromElements(sch, elems...))
-	b1 := g.AddOp(mustSelect(t, -1))
-	b2 := g.AddOp(mustSelect(t, 999)) // passes v in 1000..1999
-	// One slice per shard, fixed before the run: each sink is invoked
-	// from a single goroutine, so the appends need no synchronization,
-	// but the shards must not share a container.
-	shards := make([][]int64, 2)
-	shardOf := map[NodeID]int{b1: 0, b2: 1}
-	for _, id := range []NodeID{b1, b2} {
-		if err := g.ConnectSource(src, id, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.ConnectOut(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g.RunWith(-1, RunOptions{
-		BatchSize: 64,
-		SinkPerWriter: func(id NodeID) Sink {
-			slot := shardOf[id]
-			return func(e stream.Element) {
-				v, _ := e.Tuple.Vals[1].AsInt()
-				shards[slot] = append(shards[slot], v)
-			}
-		},
-	})
-	if len(shards[0]) != 2000 {
-		t.Errorf("branch 1 shard = %d, want 2000", len(shards[0]))
-	}
-	if len(shards[1]) != 1000 {
-		t.Errorf("branch 2 shard = %d, want 1000", len(shards[1]))
-	}
-	for i := 1; i < len(shards[0]); i++ {
-		if shards[0][i-1] >= shards[0][i] {
-			t.Fatalf("branch 1 order violated at %d", i)
-		}
-	}
-}
-
 func TestBatchedDegradeIsolatesPanic(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		var out int64

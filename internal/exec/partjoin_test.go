@@ -87,6 +87,15 @@ func pjJoin(t *testing.T, lm, rm ops.JoinMethod, residual bool) *ops.WindowJoin 
 // uses the serial deterministic Run.
 func runPartJoin(t *testing.T, j *ops.WindowJoin, left, right []stream.Element, opts *RunOptions) (NodeStats, []string) {
 	t.Helper()
+	st, _, got := runPartJoinDown(t, j, nil, left, right, opts)
+	return st, got
+}
+
+// runPartJoinDown is runPartJoin with an optional single-input operator
+// between the join and the sink (down == nil: none). The join's stats
+// are returned first, then the downstream operator's (zero without one).
+func runPartJoinDown(t *testing.T, j *ops.WindowJoin, down ops.Operator, left, right []stream.Element, opts *RunOptions) (NodeStats, NodeStats, []string) {
+	t.Helper()
 	var got []string
 	g := NewGraph(func(e stream.Element) {
 		if e.IsPunct() {
@@ -104,7 +113,14 @@ func runPartJoin(t *testing.T, j *ops.WindowJoin, left, right []stream.Element, 
 	if err := g.ConnectSource(sr, n, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.ConnectOut(n); err != nil {
+	last := n
+	if down != nil {
+		last = g.AddOp(down)
+		if err := g.Connect(n, last, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.ConnectOut(last); err != nil {
 		t.Fatal(err)
 	}
 	if opts == nil {
@@ -112,7 +128,35 @@ func runPartJoin(t *testing.T, j *ops.WindowJoin, left, right []stream.Element, 
 	} else {
 		g.RunWith(-1, *opts)
 	}
-	return g.Stats(n), got
+	var downSt NodeStats
+	if down != nil {
+		downSt = g.Stats(last)
+	}
+	return g.Stats(n), downSt, got
+}
+
+// pjDown builds the downstream shapes the partitioned-join matrix puts
+// after the join: none, a Select (an ops.BatchOperator, fed the
+// router's column batches natively) and a row-only pass-through (which
+// materializes them).
+func pjDown(t *testing.T, shape string) ops.Operator {
+	t.Helper()
+	switch shape {
+	case "select":
+		out := pjLeft.Concat(pjRight)
+		pred, err := expr.NewBin(expr.OpGt, expr.MustColumn(out, "lv"), expr.Constant(tuple.Int(400)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := ops.NewSelect("down", out, pred, -1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	case "rowonly":
+		return &fanOp{k: 1}
+	}
+	return nil
 }
 
 func pjData(elems []stream.Element) int64 {
@@ -126,9 +170,13 @@ func pjData(elems []stream.Element) int64 {
 }
 
 // TestPartitionedJoinEquivalenceMatrix: every (method pair × residual ×
-// RunOptions) cell must be byte-identical to the serial run of the same
-// join. The asymmetric cell pairs a hash index with a nested-loop scan,
-// the configuration [KNV03] motivates for rate-asymmetric inputs.
+// downstream shape × Columnar × RunOptions) cell must be byte-identical
+// to the serial run of the same graph. The asymmetric cell pairs a hash
+// index with a nested-loop scan, the configuration [KNV03] motivates
+// for rate-asymmetric inputs. The router emits column batches whatever
+// Columnar says, so the row-mode cells also cover column batches
+// flowing downstream of the join into a batch-native and a row-only
+// operator.
 func TestPartitionedJoinEquivalenceMatrix(t *testing.T) {
 	methods := []struct {
 		label  string
@@ -154,29 +202,41 @@ func TestPartitionedJoinEquivalenceMatrix(t *testing.T) {
 	data := pjData(left) + pjData(right)
 	for _, m := range methods {
 		for _, residual := range []bool{false, true} {
-			label := m.label
-			if residual {
-				label += "+residual"
-			}
-			_, base := runPartJoin(t, pjJoin(t, m.lm, m.rm, residual), left, right, nil)
-			if len(base) == 0 {
-				t.Fatalf("%s: serial baseline produced nothing", label)
-			}
-			for _, o := range matrix {
-				o := o
-				st, got := runPartJoin(t, pjJoin(t, m.lm, m.rm, residual), left, right, &o)
-				sameSeq(t, fmt.Sprintf("%s/%+v", label, o), got, base)
-				if o.PartitionJoins {
-					if st.Replicas != o.Parallelism {
-						t.Errorf("%s/%+v: Replicas = %d, want %d", label, o, st.Replicas, o.Parallelism)
-					}
-					var routed int64
-					for _, c := range st.Routed {
-						routed += c
-					}
-					if len(st.Routed) != o.Parallelism || routed != data {
-						t.Errorf("%s/%+v: Routed = %v (sum %d), want %d replicas summing %d",
-							label, o, st.Routed, routed, o.Parallelism, data)
+			for _, shape := range []string{"none", "select", "rowonly"} {
+				label := m.label
+				if residual {
+					label += "+residual"
+				}
+				label += "/" + shape
+				_, _, base := runPartJoinDown(t, pjJoin(t, m.lm, m.rm, residual), pjDown(t, shape), left, right, nil)
+				if len(base) == 0 {
+					t.Fatalf("%s: serial baseline produced nothing", label)
+				}
+				for _, o := range matrix {
+					for _, columnar := range []bool{false, true} {
+						o := o
+						o.Columnar = columnar
+						st, downSt, got := runPartJoinDown(t, pjJoin(t, m.lm, m.rm, residual), pjDown(t, shape), left, right, &o)
+						sameSeq(t, fmt.Sprintf("%s/%+v", label, o), got, base)
+						// The join's column batches reach the next node in
+						// either mode: natively, or through the row fallback.
+						if shape == "select" && downSt.Batches == 0 {
+							t.Errorf("%s/%+v: Select saw no column batches", label, o)
+						}
+						if shape == "rowonly" && downSt.RowFallbacks == 0 {
+							t.Errorf("%s/%+v: row-only operator saw no column batches", label, o)
+						}
+						if st.Replicas != o.Parallelism {
+							t.Errorf("%s/%+v: Replicas = %d, want %d", label, o, st.Replicas, o.Parallelism)
+						}
+						var routed int64
+						for _, c := range st.Routed {
+							routed += c
+						}
+						if len(st.Routed) != o.Parallelism || routed != data {
+							t.Errorf("%s/%+v: Routed = %v (sum %d), want %d replicas summing %d",
+								label, o, st.Routed, routed, o.Parallelism, data)
+						}
 					}
 				}
 			}

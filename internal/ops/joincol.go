@@ -43,29 +43,12 @@ import (
 	"streamdb/internal/tuple"
 )
 
-// ColPartitionable marks KeyPartitionable operators whose replicas
-// consume selection-vector spans of column batches natively, letting
-// the key-partition router move whole batches: the splitter hashes the
-// key column once per batch (PartitionHashCol), builds per-replica row
-// spans over the same retained batch, and workers run ProcessColSpan
-// instead of materializing rows.
-type ColPartitionable interface {
-	KeyPartitionable
-
-	// PartitionHashCol writes PartitionHash of each listed row into the
-	// parallel out slice (len(out) >= len(rows)). It must be a pure
-	// function of the batch contents — the splitter calls it outside
-	// the replica goroutines.
-	PartitionHashCol(port int, b *stream.Batch, rows []int32, out []uint64)
-
-	// ProcessColSpan pushes the listed rows of b through the operator,
-	// appending join output rows densely to out and, per input row, the
-	// cumulative output row count to ends (the sequence-restoring merge
-	// maps each input row to its output span). Unlike ProcessBatch it
-	// does NOT consume a reference on b: the caller owns batch
-	// lifetime. Returns the extended ends slice.
-	ProcessColSpan(port int, b *stream.Batch, rows []int32, out *stream.Batch, ends []int32) []int32
-}
+// Both joins must keep the full KeyPartitionable method set: a join
+// missing one would silently fall off the key-partition router.
+var (
+	_ KeyPartitionable = (*WindowJoin)(nil)
+	_ KeyPartitionable = (*XJoin)(nil)
+)
 
 // WindowJoin columnar plan states.
 const (
@@ -378,7 +361,7 @@ func (j *WindowJoin) ProcessBatch(port int, b *stream.Batch, emitB EmitBatch, em
 	}
 }
 
-// ProcessColSpan implements ColPartitionable. The row plan still
+// ProcessColSpan implements KeyPartitionable. The row plan still
 // honors the span contract — gather each row, run the exact row path,
 // record per-row output offsets — so a replica the cold-probe heuristic
 // demoted keeps working. (Rows-windows, MaxTuples caps and keyless
@@ -528,7 +511,7 @@ func (j *WindowJoin) processColRows(port int, b *stream.Batch, rows []int32, out
 	return ends
 }
 
-// PartitionHashCol implements ColPartitionable with the same per-row
+// PartitionHashCol implements KeyPartitionable with the same per-row
 // hashes PartitionHash produces, fast lane included.
 func (j *WindowJoin) PartitionHashCol(port int, b *stream.Batch, rows []int32, out []uint64) {
 	s := j.sides[port]
@@ -580,7 +563,7 @@ func (x *XJoin) ProcessBatch(port int, b *stream.Batch, emitB EmitBatch, _ Emit)
 	}
 }
 
-// ProcessColSpan implements ColPartitionable.
+// ProcessColSpan implements KeyPartitionable.
 func (x *XJoin) ProcessColSpan(port int, b *stream.Batch, rows []int32, out *stream.Batch, ends []int32) []int32 {
 	if ends == nil {
 		ends = make([]int32, 0, len(rows))
@@ -628,7 +611,7 @@ func (x *XJoin) processColRows(port int, b *stream.Batch, rows []int32, out *str
 	return ends
 }
 
-// PartitionHashCol implements ColPartitionable, matching PartitionHash.
+// PartitionHashCol implements KeyPartitionable, matching PartitionHash.
 func (x *XJoin) PartitionHashCol(port int, b *stream.Batch, rows []int32, out []uint64) {
 	tuple.HashColsRows(b.Cols, x.keys[port], rows, out)
 }

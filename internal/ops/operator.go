@@ -79,11 +79,31 @@ type Replicable interface {
 // returns an independent replica safe to drive from another goroutine;
 // replicas fold their observation counters back into the original on
 // Flush, so post-run introspection on the original stays meaningful.
+//
+// The router moves column batches whole: it hashes a batch's key column
+// once on arrival (PartitionHashCol), builds per-replica row spans over
+// the same retained batch, and replicas run ProcessColSpan on them
+// instead of materializing rows. Row elements (punctuations, restored
+// or row-fed data) still go through PartitionHash and Push.
 type KeyPartitionable interface {
 	Operator
 	CanPartition() bool
 	PartitionHash(port int, t *tuple.Tuple) uint64
 	ClonePartition() Operator
+
+	// PartitionHashCol writes PartitionHash of each listed row into the
+	// parallel out slice (len(out) >= len(rows)). It must be a pure
+	// function of the batch contents — the splitter calls it outside
+	// the replica goroutines.
+	PartitionHashCol(port int, b *stream.Batch, rows []int32, out []uint64)
+
+	// ProcessColSpan pushes the listed rows of b through the operator,
+	// appending join output rows densely to out and, per input row, the
+	// cumulative output row count to ends (the sequence-restoring merge
+	// maps each input row to its output span). Unlike ProcessBatch it
+	// does NOT consume a reference on b: the caller owns batch
+	// lifetime. Returns the extended ends slice.
+	ProcessColSpan(port int, b *stream.Batch, rows []int32, out *stream.Batch, ends []int32) []int32
 }
 
 // PartialAggregable marks stateful aggregation operators the concurrent
