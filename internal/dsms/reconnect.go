@@ -699,9 +699,7 @@ func handshake(conn net.Conn, bw *bufio.Writer, br *bufio.Reader, id string, tim
 	if _, err := bw.WriteString(id); err != nil {
 		return 0, err
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], hello3CRC(wireV3, []byte(id)))
-	if _, err := bw.Write(crc[:]); err != nil {
+	if err := writeFrameCRC(bw, wireV3, []byte(id)); err != nil {
 		return 0, err
 	}
 	if err := bw.Flush(); err != nil {

@@ -55,6 +55,7 @@ import (
 	"sync"
 	"time"
 
+	"streamdb/internal/stream"
 	"streamdb/internal/tuple"
 )
 
@@ -82,28 +83,48 @@ const maxFramePayload = 16 << 20
 // maxBatchTuples bounds the tuple count a BATCH frame may claim.
 const maxBatchTuples = 1 << 20
 
-// hello3CRC covers the requested version and the stream identifier.
-func hello3CRC(ver uint64, id []byte) uint32 {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], ver)
-	c := crc32.Update(0, crc32.IEEETable, buf[:n])
-	return crc32.Update(c, crc32.IEEETable, id)
+// frameCRC is a frame's checksum: it covers a uvarint header field and
+// the bytes that field heads — HELLO3's version and stream identifier,
+// BATCH's first sequence number and payload (a corrupt BATCH count fails
+// the decode's length check instead). scratch is room for the varint
+// (capacity binary.MaxVarintLen64) that the caller keeps per connection:
+// a local array would escape into crc32's indirect call and cost an
+// allocation per frame.
+func frameCRC(scratch []byte, head uint64, body []byte) uint32 {
+	c := crc32.Update(0, crc32.IEEETable, binary.AppendUvarint(scratch[:0], head))
+	return crc32.Update(c, crc32.IEEETable, body)
+}
+
+// spare returns w's unused buffer, empty and with room for at least one
+// varint, flushing first if need be. Frame fields are appended to it and
+// written in place, so writing a frame allocates nothing.
+func spare(w *bufio.Writer) ([]byte, error) {
+	if w.Available() < binary.MaxVarintLen64 {
+		if err := w.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	return w.AvailableBuffer(), nil
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.Write(buf[:n])
+	buf, err := spare(w)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(binary.AppendUvarint(buf, v))
 	return err
 }
 
-// batchCRC covers a BATCH frame's first sequence number and payload; a
-// corrupt count fails the decode's length check instead.
-func batchCRC(firstSeq uint64, payload []byte) uint32 {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], firstSeq)
-	c := crc32.Update(0, crc32.IEEETable, buf[:n])
-	return crc32.Update(c, crc32.IEEETable, payload)
+// writeFrameCRC appends the frameCRC of head and body to w, using w's
+// spare buffer as the scratch.
+func writeFrameCRC(w *bufio.Writer, head uint64, body []byte) error {
+	buf, err := spare(w)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(binary.LittleEndian.AppendUint32(buf, frameCRC(buf, head, body)))
+	return err
 }
 
 // writeBatchFrame appends one BATCH frame to w.
@@ -111,22 +132,15 @@ func writeBatchFrame(w *bufio.Writer, firstSeq, count uint64, payload []byte) er
 	if err := w.WriteByte(frameBatch); err != nil {
 		return err
 	}
-	if err := writeUvarint(w, firstSeq); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, count); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, uint64(len(payload))); err != nil {
-		return err
+	for _, v := range [...]uint64{firstSeq, count, uint64(len(payload))} {
+		if err := writeUvarint(w, v); err != nil {
+			return err
+		}
 	}
 	if _, err := w.Write(payload); err != nil {
 		return err
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], batchCRC(firstSeq, payload))
-	_, err := w.Write(crc[:])
-	return err
+	return writeFrameCRC(w, firstSeq, payload)
 }
 
 // writeSeqFrame writes a control frame carrying one uvarint.
@@ -146,9 +160,11 @@ type SessionConfig struct {
 	// Logf, when non-nil, receives session churn events (attach,
 	// resume, complete, connection errors).
 	Logf func(format string, args ...interface{})
-	// ZeroCopy recycles batch decode arenas through a pool: the tuples
-	// passed to emit are only valid for the duration of the call. Leave
-	// false when the consumer retains tuples (windows, joins, buffers).
+	// ZeroCopy recycles ServeBatches' decode arenas through a pool: the
+	// tuples passed to emit are only valid for the duration of the call.
+	// Leave false when the consumer retains tuples (windows, joins,
+	// buffers). A SessionSource decodes into column batches the engine
+	// owns and is unaffected.
 	ZeroCopy bool
 	// InitialSeqs seeds newly attached sessions' last-applied sequence
 	// numbers: the replay positions recovered from a checkpoint. After a
@@ -210,7 +226,9 @@ type SessionServer struct {
 	stats    SessionStats
 	done     chan struct{}
 	target   int
-	emit     func(streamID string, tuples []*tuple.Tuple, arena *tuple.Arena)
+	emit     func(streamID string, tuples []*tuple.Tuple, arena *tuple.Arena) // ServeBatches' sink
+	emitCols func(b *stream.Batch)                                            // serveCols' sink
+	cols     *stream.ColPool                                                  // serveCols' decode targets
 	arenas   *tuple.ArenaPool
 }
 
@@ -258,15 +276,33 @@ func (s *SessionServer) Serve(streams int, emit func(streamID string, t *tuple.T
 // delivers its fresh tuples in one call, and a stream's completion is
 // one more call with no tuples, after its last. The slice is only valid
 // for the duration of the call. Under SessionConfig.ZeroCopy the tuples
-// alias the pooled decode arena passed alongside them: a sink that
-// keeps them past the call must Retain the arena (and Release once done)
-// or copy the tuples out before returning; arena is nil when the tuples
-// are independently heap-allocated (ZeroCopy off) and no pinning is
-// needed.
+// alias the pooled decode arena passed alongside them, which is recycled
+// once the call returns: a sink that keeps them must copy them out
+// first. arena is nil when the tuples are independently heap-allocated
+// (ZeroCopy off).
 func (s *SessionServer) ServeBatches(streams int, emit func(streamID string, tuples []*tuple.Tuple, arena *tuple.Arena)) error {
 	s.mu.Lock()
-	s.target = streams
 	s.emit = emit
+	s.mu.Unlock()
+	return s.serve(streams)
+}
+
+// serveCols is ServeBatches with a column sink: each BATCH frame's
+// fresh tuples are decoded column-major, straight into a batch from
+// pool, and emit takes over the batch's reference. A stream's
+// completion makes no call.
+func (s *SessionServer) serveCols(streams int, pool *stream.ColPool, emit func(b *stream.Batch)) error {
+	s.mu.Lock()
+	s.emitCols, s.cols = emit, pool
+	s.mu.Unlock()
+	return s.serve(streams)
+}
+
+// serve accepts connections until `streams` distinct streams have
+// completed, delivering to whichever sink is set.
+func (s *SessionServer) serve(streams int) error {
+	s.mu.Lock()
+	s.target = streams
 	s.mu.Unlock()
 	go func() {
 		<-s.done
@@ -385,6 +421,7 @@ func (s *SessionServer) handle(conn net.Conn) {
 	bw := bufio.NewWriter(conn)
 	var sess *session
 	var payload []byte
+	crcScratch := make([]byte, 0, binary.MaxVarintLen64)
 	for {
 		if idle > 0 {
 			conn.SetReadDeadline(time.Now().Add(idle))
@@ -424,7 +461,7 @@ func (s *SessionServer) handle(conn net.Conn) {
 			// double-counting them into the merge.
 			var crc [4]byte
 			if _, err := io.ReadFull(br, crc[:]); err != nil ||
-				binary.LittleEndian.Uint32(crc[:]) != hello3CRC(ver, idb) {
+				binary.LittleEndian.Uint32(crc[:]) != frameCRC(crcScratch, ver, idb) {
 				s.countCorrupt()
 				return
 			}
@@ -463,24 +500,23 @@ func (s *SessionServer) handle(conn net.Conn) {
 				s.countCorrupt()
 				return
 			}
-			if uint64(cap(payload)) < ln {
-				payload = make([]byte, ln)
+			// Payload and CRC are read together into the connection's
+			// reused buffer: a separate CRC array would escape into
+			// ReadFull and cost an allocation per frame.
+			if uint64(cap(payload)) < ln+4 {
+				payload = make([]byte, ln+4)
 			}
-			payload = payload[:ln]
-			if _, err := io.ReadFull(br, payload); err != nil {
+			frame := payload[:ln+4]
+			if _, err := io.ReadFull(br, frame); err != nil {
 				s.countCorrupt()
 				return
 			}
-			var crc [4]byte
-			if _, err := io.ReadFull(br, crc[:]); err != nil {
+			body := frame[:ln]
+			if binary.LittleEndian.Uint32(frame[ln:]) != frameCRC(crcScratch, firstSeq, body) {
 				s.countCorrupt()
 				return
 			}
-			if binary.LittleEndian.Uint32(crc[:]) != batchCRC(firstSeq, payload) {
-				s.countCorrupt()
-				return
-			}
-			if !s.applyBatch(sess, firstSeq, count, payload) {
+			if !s.applyBatch(sess, firstSeq, count, body) {
 				return
 			}
 
@@ -540,7 +576,12 @@ func (s *SessionServer) handle(conn net.Conn) {
 // count-1], exactly-once at tuple granularity. A batch fully behind the
 // session's high-water mark is a replay; one that overlaps it (resume
 // landed mid-batch) emits only the unseen suffix; a gap ahead of it
-// forces a resume by dropping the connection.
+// forces a resume by dropping the connection. The column sink gets the
+// frame decoded into a pooled batch, the row sink into an arena. Either
+// runs under the session's lock: that keeps a stream's deliveries in
+// sequence order when a stale connection and its replacement race, and
+// lets a sink that blocks (a full SessionSource queue) hold the stream's
+// transport back.
 func (s *SessionServer) applyBatch(sess *session, firstSeq, count uint64, payload []byte) bool {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -556,32 +597,66 @@ func (s *SessionServer) applyBatch(sess *session, firstSeq, count uint64, payloa
 		s.countCorrupt()
 		return false
 	}
-	arena := &tuple.Arena{}
-	var pooled *tuple.Arena // handed to the sink so it can Retain
-	if s.cfg.ZeroCopy {
-		pooled = s.arenas.Get()
-		arena = pooled
-		// Put drops only the server's reference: a sink that Retained
-		// the arena keeps the decoded tuples alive past this frame.
-		defer s.arenas.Put(pooled)
-	}
-	ts, _, err := tuple.DecodeBatchInto(payload, s.schema, arena)
-	if err != nil || uint64(len(ts)) != count {
-		s.countCorrupt()
-		return false
-	}
 	skip := sess.lastSeq + 1 - firstSeq // already-applied prefix, 0..count-1
+	s.mu.Lock()
+	emit, emitCols := s.emit, s.emitCols
+	s.mu.Unlock()
+
+	var b *stream.Batch
+	var fresh []*tuple.Tuple
+	var pooled *tuple.Arena // the arena fresh aliases, for the sink
+	if emitCols != nil {
+		b = s.cols.Get()
+		var err error
+		b.Ts, _, err = tuple.DecodeBatchCols(payload, s.schema, b.Ts, b.Cols)
+		if err != nil || uint64(b.Rows()) != count {
+			b.Release()
+			s.countCorrupt()
+			return false
+		}
+		trimHead(b, int(skip))
+	} else {
+		arena := &tuple.Arena{}
+		if s.cfg.ZeroCopy {
+			pooled = s.arenas.Get()
+			arena = pooled
+			defer s.arenas.Put(pooled)
+		}
+		ts, _, err := tuple.DecodeBatchInto(payload, s.schema, arena)
+		if err != nil || uint64(len(ts)) != count {
+			s.countCorrupt()
+			return false
+		}
+		fresh = ts[skip:]
+	}
 	sess.lastSeq = lastOfBatch
 	sess.dupes += int64(skip)
-	fresh := ts[skip:]
 	s.mu.Lock()
-	s.stats.Frames += int64(len(fresh))
+	s.stats.Frames += int64(count - skip)
 	s.stats.Dupes += int64(skip)
 	s.stats.Batches++
-	emit := s.emit
 	s.mu.Unlock()
-	if emit != nil {
+	switch {
+	case b != nil:
+		emitCols(b)
+	case emit != nil:
 		emit(sess.id, fresh, pooled)
 	}
 	return true
+}
+
+// trimHead drops a batch's first n rows in place — the already-applied
+// prefix of a frame a resume landed inside — zeroing the vacated tail
+// so the pooled storage pins no string.
+func trimHead(b *stream.Batch, n int) {
+	if n == 0 {
+		return
+	}
+	keep := copy(b.Ts, b.Ts[n:])
+	b.Ts = b.Ts[:keep]
+	for c, col := range b.Cols {
+		copy(col, col[n:])
+		clear(col[keep:])
+		b.Cols[c] = col[:keep]
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"streamdb/internal/stream"
 	"streamdb/internal/tuple"
 )
 
@@ -60,7 +61,8 @@ func endsWithEOS(consumed []byte) bool {
 // must not allocate past what the frame bounds allow, must emit tuples
 // only in contiguous sequence from 1, must emit an empty batch only as a
 // completed stream's last call, and must count in Corrupt every frame it
-// stops on other than an EOS.
+// stops on other than an EOS. The column sink a SessionSource uses must
+// deliver the same tuples from the same input.
 func FuzzSessionFrames(f *testing.F) {
 	payload := func(ts []*tuple.Tuple) []byte {
 		p, err := tuple.AppendEncodeBatch(nil, sch, ts)
@@ -93,12 +95,14 @@ func FuzzSessionFrames(f *testing.F) {
 		srv := NewSessionServer(nil, sch, SessionConfig{IdleTimeout: -1})
 		emitted := map[string]uint64{}
 		ended := map[string]bool{} // streams that got their empty end call
+		var rows []*tuple.Tuple
 		srv.emit = func(id string, tuples []*tuple.Tuple, _ *tuple.Arena) {
 			if ended[id] {
 				t.Errorf("stream %q: emit after its end call", id)
 			}
 			ended[id] = len(tuples) == 0
 			emitted[id] += uint64(len(tuples))
+			rows = append(rows, tuples...)
 		}
 		conn := &byteConn{in: append(append([]byte(nil), hello...), data...)}
 		var before, after runtime.MemStats
@@ -134,6 +138,25 @@ func FuzzSessionFrames(f *testing.F) {
 		}
 		if conn.pos < len(conn.in) && st.Corrupt == 0 && !endsWithEOS(conn.in[:conn.pos]) {
 			t.Errorf("server stopped at byte %d of %d without counting a corrupt frame", conn.pos, len(conn.in))
+		}
+
+		colSrv := NewSessionServer(nil, sch, SessionConfig{IdleTimeout: -1})
+		colSrv.cols = stream.NewColPool(sch, 4)
+		var colRows []stream.Element
+		colSrv.emitCols = func(b *stream.Batch) {
+			colRows = b.AppendRows(colRows)
+			b.Release()
+		}
+		colSrv.handle(&byteConn{in: conn.in})
+		got := make([]*tuple.Tuple, len(colRows))
+		for i, e := range colRows {
+			got[i] = e.Tuple
+		}
+		if !bytes.Equal(encodeAll(got), encodeAll(rows)) {
+			t.Errorf("column sink delivered %d tuples, row sink %d, or their contents differ", len(got), len(rows))
+		}
+		if cst := colSrv.Stats(); cst != st {
+			t.Errorf("column sink stats %+v, row sink %+v", cst, st)
 		}
 	})
 }

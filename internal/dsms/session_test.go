@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -65,7 +66,7 @@ func hello3Frame(ver uint64, id string) []byte {
 	b := binary.AppendUvarint([]byte{frameHello3}, ver)
 	b = binary.AppendUvarint(b, uint64(len(id)))
 	b = append(b, id...)
-	return binary.LittleEndian.AppendUint32(b, hello3CRC(ver, []byte(id)))
+	return binary.LittleEndian.AppendUint32(b, frameCRC(nil, ver, []byte(id)))
 }
 
 // rawSession attaches stream id over a hand-driven connection and
@@ -741,5 +742,24 @@ func TestServeBatchesEndCall(t *testing.T) {
 		if total != n || ends != 1 || c[len(c)-1] != 0 {
 			t.Errorf("stream %s: calls %v, want %d tuples then one empty call", id, c, n)
 		}
+	}
+}
+
+// TestWriteBatchFrameAllocFree: writing a BATCH frame into a warm
+// buffered writer allocates nothing — the varints and the CRC's scratch
+// live in the writer's own buffer.
+func TestWriteBatchFrameAllocFree(t *testing.T) {
+	payload, err := tuple.AppendEncodeBatch(nil, sch, mkTuples(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := bufio.NewWriter(io.Discard)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := writeBatchFrame(bw, 1<<40, 64, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("writeBatchFrame allocates %.1f times per frame", allocs)
 	}
 }

@@ -7,78 +7,68 @@ import (
 	"streamdb/internal/tuple"
 )
 
-// SessionSource adapts a SessionServer into a stream.BulkSource (and
-// stream.ColSource): the batch frames the transport decodes feed
-// exec.RunWith's batched engine directly, with no per-tuple re-batching
-// in between. It runs ServeBatches on a background goroutine and hands
-// whole frame batches across a bounded queue; NextBatch/NextColBatch
-// block until tuples arrive or every expected stream has completed.
+// SessionSource adapts a SessionServer into a stream.ColSource (and
+// stream.BulkSource): the transport decodes each BATCH frame straight
+// into a pooled column batch, and the batches feed exec.RunWith's
+// columnar lane with no per-tuple step in between. It serves on a
+// background goroutine and hands whole frames across a bounded channel;
+// NextColBatch/NextBatch block until a frame arrives or every expected
+// stream has completed.
 //
-// Under SessionConfig.ZeroCopy the queued tuples alias the server's
-// pooled decode arenas. feed Retains each arena and pins it against the
-// absolute position of its last element, so the server's own Put (which
-// now only drops the server's reference) cannot recycle the storage
-// while the batch is queued; the pin is Released once the engine has
-// drained — and copied — past it.
+// The channel is all the queue there is. A session source carries only
+// data — no flush barrier, no punctuation, no end-of-input marker but
+// the channel's close — so stream.PushSource's machinery for those has
+// nothing to do here, and a frame is the unit that both ends already
+// hold.
 type SessionSource struct {
-	srv *SessionServer
-	q   *stream.PushSource // transport -> engine queue: blocking, bound, short reads
+	srv    *SessionServer
+	pool   *stream.ColPool    // decode targets, recycled by the engine's Release
+	frames chan *stream.Batch // one decoded frame each; closed when serving ends
 
-	mu       sync.Mutex
-	err      error // ServeBatches' result
-	fed      int64 // elements ever queued (absolute)
-	consumed int64 // elements ever drained (absolute)
-	pins     []arenaPin
+	mu  sync.Mutex
+	err error // the server's result
 
-	// Engine goroutine only.
-	scratch []stream.Element // NextColBatch's row read
-	colPool *stream.ColPool  // lazily built for NextColBatch
+	// Engine goroutine only: a frame a read split, and how many of its
+	// rows have been handed over.
+	head    *stream.Batch
+	headOff int
 }
 
-// arenaPin holds one retained decode arena until every element decoded
-// into it (absolute positions up to end, exclusive) has been drained.
-type arenaPin struct {
-	arena *tuple.Arena
-	end   int64
-}
+// defaultFrameBound is the frame queue bound of a SessionSource built
+// with queueBound <= 0. At streamd's 64-tuple frames it buffers 16384
+// tuples, a few milliseconds of ingest: enough to absorb the engine's
+// scheduling jitter, while a transport that outruns the engine blocks
+// and pushes backpressure onto the session acks.
+const defaultFrameBound = 256
+
+// framePoolRows is the row capacity pooled frame batches start with:
+// the engine's column batch size on the wire path, so coalescing frames
+// into one read does not regrow the batch it hands over.
+const framePoolRows = 256
 
 // NewSessionSource starts serving `streams` sessions from srv and
 // exposes the delivered tuples (all streams interleaved in arrival
-// order) as a bulk source. queueBound caps buffered elements between
-// the transport and the engine (0 = default 65536); the transport
-// blocks when the engine falls behind, pushing backpressure onto the
-// session acks.
+// order) as a column source. queueBound caps the decoded frames
+// buffered between the transport and the engine (<= 0 =
+// defaultFrameBound); the transport blocks when the engine falls
+// behind.
 func NewSessionSource(srv *SessionServer, streams, queueBound int) *SessionSource {
 	if queueBound <= 0 {
-		queueBound = 65536
+		queueBound = defaultFrameBound
 	}
-	s := &SessionSource{srv: srv, q: stream.NewPushSource(srv.schema, queueBound)}
+	s := &SessionSource{
+		srv:    srv,
+		pool:   stream.NewColPool(srv.schema, framePoolRows),
+		frames: make(chan *stream.Batch, queueBound),
+	}
 	go func() {
-		err := srv.ServeBatches(streams, s.feed)
+		err := srv.serveCols(streams, s.pool, func(b *stream.Batch) { s.frames <- b })
 		s.mu.Lock()
 		s.err = err
 		s.mu.Unlock()
-		s.q.End()
+		close(s.frames)
 	}()
 	return s
-}
-
-// feed is the ServeBatches sink. The transport's slice is reused after
-// the call, so the queue keeps element headers of its own; the tuples
-// themselves are kept by reference, pinning their decode arena (when
-// pooled) until the engine drains them. The pin is registered before
-// the tuples are queued, so a drain can never get ahead of it.
-func (s *SessionSource) feed(_ string, tuples []*tuple.Tuple, arena *tuple.Arena) {
-	s.mu.Lock()
-	s.fed += int64(len(tuples))
-	if arena != nil && len(tuples) > 0 {
-		arena.Retain()
-		s.pins = append(s.pins, arenaPin{arena: arena, end: s.fed})
-	}
-	s.mu.Unlock()
-	// The queue only refuses tuples after End, which follows the last
-	// feed.
-	_ = s.q.PushTuples(tuples)
 }
 
 // Schema implements stream.Source.
@@ -94,90 +84,72 @@ func (s *SessionSource) Next() (stream.Element, bool) {
 	return out[0], true
 }
 
-// NextBatch implements stream.BulkSource. It blocks until at least one
-// element is available (or every stream completed), then drains up to
-// max already-queued elements without further blocking. Arena-backed
-// tuples are copied into fresh storage on the way out — the pins they
-// leave behind are released here, after which the arenas may be zeroed
-// and reused at any time.
+// NextBatch implements stream.BulkSource: NextColBatch's rows,
+// materialized as heap-owned tuples.
 func (s *SessionSource) NextBatch(dst []stream.Element, max int) ([]stream.Element, bool) {
-	from := len(dst)
-	dst, more := s.q.NextBatch(dst, max)
-	s.drained(dst[from:], true)
+	b, more := s.NextColBatch(max)
+	if b != nil {
+		dst = b.AppendRows(dst)
+		b.Release()
+	}
 	return dst, more
 }
 
-// NextColBatch implements stream.ColSource: the drained tuples
-// transpose straight into a pooled column batch — value copies, so the
-// arena pins release exactly as on the row path, with no row-tuple
-// materialization at all.
+// NextColBatch implements stream.ColSource. It blocks until a frame is
+// queued (or every stream completed), then returns at most max rows
+// without further blocking: the head frame as it was decoded when it
+// fits, with the frames queued behind it appended up to max, and a
+// head larger than max split across reads.
 func (s *SessionSource) NextColBatch(max int) (*stream.Batch, bool) {
-	rows, more := s.q.NextBatch(s.scratch[:0], max)
-	s.scratch = rows
-	if len(rows) == 0 {
-		return nil, more
+	if !s.fill(true) {
+		return nil, false
 	}
-	if s.colPool == nil {
-		size := max
-		if size < 256 {
-			size = 256
+	var out *stream.Batch
+	if s.headOff == 0 && s.head.Rows() <= max {
+		out, s.head = s.head, nil
+	} else {
+		out = s.pool.Get()
+		s.take(out, max)
+	}
+	for out.Rows() < max && s.fill(false) {
+		s.take(out, max)
+	}
+	return out, true
+}
+
+// fill makes sure a frame is at the head, receiving one if need be —
+// waiting for it when block is set — and reports whether there is one.
+func (s *SessionSource) fill(block bool) bool {
+	if s.head != nil {
+		return true
+	}
+	var b *stream.Batch
+	if block {
+		b = <-s.frames
+	} else {
+		select {
+		case b = <-s.frames:
+		default:
 		}
-		s.colPool = stream.NewColPool(s.srv.schema, size)
 	}
-	b := s.colPool.Get()
-	for _, e := range rows {
-		b.AppendRow(e.Tuple)
-	}
-	s.drained(rows, false)
-	clear(rows)
-	return b, more
+	s.head, s.headOff = b, 0
+	return b != nil
 }
 
-// drained records that elems have left the queue and releases every
-// arena whose last element is now behind the drain point. keep says the
-// caller holds on to the tuples themselves: while any arena is pinned
-// some of them may alias one, so the whole range is materialized (one
-// []Tuple + one []Value allocation) before the pins go.
-func (s *SessionSource) drained(elems []stream.Element, keep bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if keep && len(s.pins) > 0 {
-		materialize(elems)
-	}
-	s.consumed += int64(len(elems))
-	k := 0
-	for k < len(s.pins) && s.pins[k].end <= s.consumed {
-		s.pins[k].arena.Release()
-		k++
-	}
-	if k > 0 {
-		m := copy(s.pins, s.pins[k:])
-		clear(s.pins[m:])
-		s.pins = s.pins[:m]
+// take appends the head's next rows to out, up to max rows in all, and
+// releases the head once every row of it has been taken.
+func (s *SessionSource) take(out *stream.Batch, max int) {
+	hi := min(s.head.Rows(), s.headOff+max-out.Rows())
+	out.AppendSpan(s.head, s.headOff, hi)
+	s.headOff = hi
+	if hi == s.head.Rows() {
+		s.head.Release()
+		s.head = nil
 	}
 }
 
-// materialize deep-copies the elements' tuples, in place, into fresh
-// backing arrays shared across the batch, detaching them from any decode
-// arena. String payloads share their (immutable) bytes.
-func materialize(elems []stream.Element) {
-	nv := 0
-	for _, e := range elems {
-		nv += len(e.Tuple.Vals)
-	}
-	tups := make([]tuple.Tuple, len(elems))
-	vals := make([]tuple.Value, nv)
-	for i, e := range elems {
-		t := e.Tuple
-		n := copy(vals, t.Vals)
-		tups[i] = tuple.Tuple{Ts: t.Ts, Vals: vals[:n:n]}
-		vals = vals[n:]
-		elems[i] = stream.Tup(&tups[i])
-	}
-}
-
-// Err reports the ServeBatches result once every stream has completed
-// (nil while still serving).
+// Err reports the server's result once every stream has completed (nil
+// while still serving).
 func (s *SessionSource) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,78 +2,56 @@ package tuple
 
 import "testing"
 
-// TestArenaRetainBlocksReuse is the refcount regression for the
-// ArenaPool/consumer interaction: a consumer that Retains an arena
-// (e.g. a source queue holding a decoded batch while a checkpoint
-// barrier stalls the engine) must keep the decoded tuples intact even
-// after the producer Puts the arena back, and the storage must only be
-// zeroed and recycled once the consumer Releases.
-func TestArenaRetainBlocksReuse(t *testing.T) {
+// TestArenaPoolPutZeroes: a pooled arena must not pin decoded values
+// against the collector, so Put zeroes its storage before recycling it.
+func TestArenaPoolPutZeroes(t *testing.T) {
 	pool := NewArenaPool()
 	want := batchTuples(32)
 	buf, err := AppendEncodeBatch(nil, batchSchema, want)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	a := pool.Get()
 	got, _, err := DecodeBatchInto(buf, batchSchema, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tuplesEqual(t, got, want)
-
-	a.Retain() // consumer keeps the batch
-	pool.Put(a) // producer is done — must NOT zero or recycle yet
-
-	// The retained arena never reached the freelist: a fresh Get must
-	// hand out different storage, and decoding into it must not disturb
-	// the retained batch.
-	b := pool.Get()
-	if b == a {
-		t.Fatal("pool recycled an arena with an outstanding retain")
-	}
-	if _, _, err := DecodeBatchInto(buf, batchSchema, b); err != nil {
-		t.Fatal(err)
-	}
-	pool.Put(b)
-	tuplesEqual(t, got, want) // the queued batch survived the producer's Put
-
-	// Last reference gone: the arena is zeroed (so it pins nothing) and
-	// becomes recyclable. The Tuple structs themselves are zeroed too,
-	// so grab the value backing first.
 	vals := got[0].Vals
-	a.Release()
+	pool.Put(a)
 	for j := range vals {
 		if vals[j] != (Value{}) {
-			t.Fatalf("arena storage not zeroed after final release: %v", vals[j])
+			t.Fatalf("arena storage not zeroed by Put: %v", vals[j])
 		}
 	}
-	// got aliases the arena's ptrs array, which the release nils too.
+	// got aliases the arena's ptrs array, which Put nils too.
 	if got[0] != nil {
-		t.Fatal("arena tuple pointers not zeroed after final release")
+		t.Fatal("arena tuple pointers not zeroed by Put")
 	}
 }
 
-// TestArenaUnpooledLifecycle: a zero-value Arena (no pool) supports the
-// same Retain/Release protocol; the final Release zeroes storage but has
-// no freelist to return to.
+// TestArenaUnpooledLifecycle: a zero-value Arena (no pool) decodes,
+// and after Reset decodes the next batch into the same storage.
 func TestArenaUnpooledLifecycle(t *testing.T) {
 	want := batchTuples(8)
 	buf, err := AppendEncodeBatch(nil, batchSchema, want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &Arena{}
-	a.Retain()
-	got, _, err := DecodeBatchInto(buf, batchSchema, a)
+	var a Arena
+	got, _, err := DecodeBatchInto(buf, batchSchema, &a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tuplesEqual(t, got, want)
-	vals := got[0].Vals
-	a.Release()
-	if vals[0] != (Value{}) {
-		t.Fatal("final release did not zero unpooled arena storage")
+	first := &a.vals[0]
+	a.Reset()
+	got, _, err = DecodeBatchInto(buf, batchSchema, &a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuplesEqual(t, got, want)
+	if &a.vals[0] != first {
+		t.Fatal("Reset did not keep the arena's storage for reuse")
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // Batch encoding (wire format v3). Where the self-describing per-tuple
@@ -30,9 +30,12 @@ import (
 //	            usually *is* the timestamp, making this one zero byte
 //	    other   uvarint raw payload
 //
-// Decoding writes into a caller-owned Arena — one backing []Value and
-// []Tuple per batch, recycled through an ArenaPool — so steady-state
-// decode of string-free schemas is allocation-free.
+// A batch decodes in one of two layouts through the same value decoder:
+// row-major into a caller-owned Arena (DecodeBatchInto: one backing
+// []Value and []Tuple per batch), or column-major straight into a
+// column batch's timestamp and field vectors (DecodeBatchCols). Either
+// target is reused across batches, so steady-state decode of
+// string-free schemas is allocation-free.
 
 // AppendEncodeBatch appends the schema-coded encoding of the batch to
 // buf and returns the extended slice. Every tuple must conform to the
@@ -41,10 +44,7 @@ import (
 func AppendEncodeBatch(buf []byte, s *Schema, tuples []*Tuple) ([]byte, error) {
 	arity := s.Arity()
 	bitmapLen := (arity + 7) / 8
-	ordIdx := -1
-	if i := s.OrderingIndex(); i >= 0 && s.Fields[i].Kind == KindTime {
-		ordIdx = i
-	}
+	ordIdx := timeOrdering(s)
 	buf = binary.AppendUvarint(buf, uint64(len(tuples)))
 	prev := int64(0)
 	for _, t := range tuples {
@@ -89,27 +89,17 @@ func AppendEncodeBatch(buf []byte, s *Schema, tuples []*Tuple) ([]byte, error) {
 	return buf, nil
 }
 
-// Arena owns the backing storage for decoded batches: one []Value and
-// one []Tuple array shared by every tuple of the batch. Decoded tuples
-// (and their Vals slices) alias the arena and stay valid until Reset.
-// The zero Arena is ready to use; reusing one across batches makes
-// steady-state decode allocation-free for string-free schemas (STRING
-// payloads still copy out of the wire buffer — aliasing it would be
-// unsafe once the transport reuses it).
-//
-// Pooled arenas are reference counted: ArenaPool.Get hands out an arena
-// holding one reference, and a consumer that keeps the decoded tuples
-// beyond the producer's emit call (e.g. a source queue feeding the
-// engine) Retains it. Only the last Release zeroes the storage and
-// returns the arena to its pool, so a retained batch is never
-// invalidated by early reuse.
+// Arena owns the backing storage for row-major decoded batches: one
+// []Value and one []Tuple array shared by every tuple of the batch.
+// Decoded tuples (and their Vals slices) alias the arena and stay valid
+// until Reset. The zero Arena is ready to use; reusing one across
+// batches makes steady-state decode allocation-free for string-free
+// schemas (STRING payloads still copy out of the wire buffer — aliasing
+// it would be unsafe once the transport reuses it).
 type Arena struct {
 	vals   []Value
 	tuples []Tuple
 	ptrs   []*Tuple
-
-	refs atomic.Int32
-	home *ArenaPool
 }
 
 // Reset forgets everything decoded so far, keeping the backing arrays
@@ -121,44 +111,7 @@ func (a *Arena) Reset() {
 	a.ptrs = a.ptrs[:0]
 }
 
-// release zeroes the arena's storage so a pooled arena does not pin
-// decoded strings against the garbage collector.
-func (a *Arena) release() {
-	vals := a.vals[:cap(a.vals)]
-	for i := range vals {
-		vals[i] = Value{}
-	}
-	tuples := a.tuples[:cap(a.tuples)]
-	for i := range tuples {
-		tuples[i] = Tuple{}
-	}
-	ptrs := a.ptrs[:cap(a.ptrs)]
-	for i := range ptrs {
-		ptrs[i] = nil
-	}
-	a.Reset()
-}
-
-// Retain adds a reference, pinning every tuple decoded into the arena
-// until the matching Release.
-func (a *Arena) Retain() { a.refs.Add(1) }
-
-// Release drops one reference. The last release zeroes the storage and,
-// for a pooled arena, makes it available for reuse; every tuple decoded
-// into it becomes invalid at that point.
-func (a *Arena) Release() {
-	if a.refs.Add(-1) != 0 {
-		return
-	}
-	a.release()
-	if a.home != nil {
-		a.home.pool.Put(a)
-	}
-}
-
-// ArenaPool is a freelist of decode arenas. Get hands out an arena with
-// one reference held by the caller; Put drops that reference, and the
-// arena is only reused once every Retain has been matched by a Release.
+// ArenaPool is a freelist of decode arenas.
 type ArenaPool struct {
 	pool sync.Pool
 }
@@ -170,49 +123,113 @@ func NewArenaPool() *ArenaPool {
 	return p
 }
 
-// Get returns an empty arena holding one reference for the caller.
-func (p *ArenaPool) Get() *Arena {
-	a := p.pool.Get().(*Arena)
-	a.home = p
-	a.refs.Store(1)
-	return a
+// Get returns an empty arena.
+func (p *ArenaPool) Get() *Arena { return p.pool.Get().(*Arena) }
+
+// Put recycles an arena. Its storage is zeroed first, so a pooled arena
+// does not pin decoded strings against the garbage collector; every
+// tuple decoded into it is invalid from then on.
+func (p *ArenaPool) Put(a *Arena) {
+	clear(a.vals[:cap(a.vals)])
+	clear(a.tuples[:cap(a.tuples)])
+	clear(a.ptrs[:cap(a.ptrs)])
+	a.Reset()
+	p.pool.Put(a)
 }
 
-// Put drops the caller's reference (Release). Unless a consumer still
-// holds a Retain, every tuple previously decoded into the arena becomes
-// invalid.
-func (p *ArenaPool) Put(a *Arena) { a.Release() }
-
-// growValues extends s by extra elements, reallocating only when the
+// extend lengthens s by extra elements, reallocating only when the
 // capacity is exhausted.
-func growValues(s []Value, extra int) []Value {
-	need := len(s) + extra
-	if cap(s) >= need {
-		return s[:need]
-	}
-	grown := make([]Value, need, 2*need)
-	copy(grown, s)
-	return grown
+func extend[T any](s []T, extra int) []T {
+	return slices.Grow(s, extra)[:len(s)+extra]
 }
 
-func growTuples(s []Tuple, extra int) []Tuple {
-	need := len(s) + extra
-	if cap(s) >= need {
-		return s[:need]
+// timeOrdering returns the index of the schema's ordering attribute when
+// it is a TIME field, which the batch codec carries as a delta from the
+// tuple's timestamp; -1 otherwise.
+func timeOrdering(s *Schema) int {
+	if i := s.OrderingIndex(); i >= 0 && s.Fields[i].Kind == KindTime {
+		return i
 	}
-	grown := make([]Tuple, need, 2*need)
-	copy(grown, s)
-	return grown
+	return -1
 }
 
-func growPtrs(s []*Tuple, extra int) []*Tuple {
-	need := len(s) + extra
-	if cap(s) >= need {
-		return s[:need]
+// decodeBatchCount reads a batch's tuple count and the offset past it.
+// Each tuple costs at least one delta byte, so the count is bounded by
+// the buffer length; this keeps a corrupt count from sizing the decode
+// target arbitrarily.
+func decodeBatchCount(buf []byte) (count, off int, err error) {
+	count64, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return 0, 0, fmt.Errorf("tuple: truncated batch count")
 	}
-	grown := make([]*Tuple, need, 2*need)
-	copy(grown, s)
-	return grown
+	if count64 > uint64(len(buf)) {
+		return 0, 0, fmt.Errorf("tuple: batch count %d exceeds buffer", count64)
+	}
+	return int(count64), n, nil
+}
+
+// decodeTuple parses tuple t of a batch at buf[off:] into vals, whose
+// length is the schema's arity: the one value decoder behind both the
+// row-major and the column-major layout. prev is the previous tuple's
+// timestamp (zero before the first); the tuple's own timestamp and the
+// offset past it are returned.
+func decodeTuple(buf []byte, off int, s *Schema, ordIdx int, prev int64, t int, vals []Value) (int64, int, error) {
+	delta, n := binary.Varint(buf[off:])
+	if n <= 0 {
+		return 0, 0, fmt.Errorf("tuple: truncated batch timestamp %d", t)
+	}
+	off += n
+	ts := prev + delta
+	bitmapLen := (len(vals) + 7) / 8
+	if bitmapLen > len(buf)-off {
+		return 0, 0, fmt.Errorf("tuple: truncated null bitmap %d", t)
+	}
+	bitmap := buf[off : off+bitmapLen]
+	off += bitmapLen
+	for i := range vals {
+		if bitmap[i/8]&(1<<(i%8)) != 0 {
+			vals[i] = Null
+			continue
+		}
+		switch k := s.Fields[i].Kind; k {
+		case KindNull:
+			vals[i] = Null
+		case KindFloat:
+			if 8 > len(buf)-off {
+				return 0, 0, fmt.Errorf("tuple: truncated float in batch tuple %d", t)
+			}
+			vals[i] = Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])))
+			off += 8
+		case KindString:
+			ln, n := binary.Uvarint(buf[off:])
+			if n <= 0 {
+				return 0, 0, fmt.Errorf("tuple: truncated string in batch tuple %d", t)
+			}
+			off += n
+			if ln > uint64(len(buf)-off) {
+				return 0, 0, fmt.Errorf("tuple: truncated string in batch tuple %d", t)
+			}
+			vals[i] = String(string(buf[off : off+int(ln)]))
+			off += int(ln)
+		default:
+			if i == ordIdx {
+				d, n := binary.Varint(buf[off:])
+				if n <= 0 {
+					return 0, 0, fmt.Errorf("tuple: truncated value in batch tuple %d", t)
+				}
+				off += n
+				vals[i] = Value{Kind: k, num: uint64(d + ts)}
+				continue
+			}
+			num, n := binary.Uvarint(buf[off:])
+			if n <= 0 {
+				return 0, 0, fmt.Errorf("tuple: truncated value in batch tuple %d", t)
+			}
+			off += n
+			vals[i] = Value{Kind: k, num: num}
+		}
+	}
+	return ts, off, nil
 }
 
 // DecodeBatchInto parses one batch from buf into the arena, returning
@@ -222,97 +239,72 @@ func growPtrs(s []*Tuple, extra int) []*Tuple {
 // arena may accumulate several batches before a Reset. On error the
 // arena is rolled back to its pre-call state.
 func DecodeBatchInto(buf []byte, s *Schema, a *Arena) ([]*Tuple, int, error) {
-	count64, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("tuple: truncated batch count")
+	count, off, err := decodeBatchCount(buf)
+	if err != nil {
+		return nil, 0, err
 	}
-	off := n
-	// Each tuple costs at least one delta byte, so count is bounded by
-	// the buffer length; this keeps a corrupt count from sizing the
-	// arena arbitrarily.
-	if count64 > uint64(len(buf)) {
-		return nil, 0, fmt.Errorf("tuple: batch count %d exceeds buffer", count64)
-	}
-	count := int(count64)
 	arity := s.Arity()
-	bitmapLen := (arity + 7) / 8
-	ordIdx := -1
-	if i := s.OrderingIndex(); i >= 0 && s.Fields[i].Kind == KindTime {
-		ordIdx = i
-	}
-
-	valsBase := len(a.vals)
-	tupBase := len(a.tuples)
-	ptrBase := len(a.ptrs)
-	a.vals = growValues(a.vals, count*arity)
-	a.tuples = growTuples(a.tuples, count)
-	a.ptrs = growPtrs(a.ptrs, count)
-	fail := func(format string, args ...interface{}) ([]*Tuple, int, error) {
-		a.vals = a.vals[:valsBase]
-		a.tuples = a.tuples[:tupBase]
-		a.ptrs = a.ptrs[:ptrBase]
-		return nil, 0, fmt.Errorf(format, args...)
-	}
-
+	ordIdx := timeOrdering(s)
+	valsBase, tupBase, ptrBase := len(a.vals), len(a.tuples), len(a.ptrs)
+	a.vals = extend(a.vals, count*arity)
+	a.tuples = extend(a.tuples, count)
+	a.ptrs = extend(a.ptrs, count)
 	prev := int64(0)
 	for t := 0; t < count; t++ {
-		delta, n := binary.Varint(buf[off:])
-		if n <= 0 {
-			return fail("tuple: truncated batch timestamp %d", t)
-		}
-		off += n
-		prev += delta
-		if bitmapLen > len(buf)-off {
-			return fail("tuple: truncated null bitmap %d", t)
-		}
-		bitmap := buf[off : off+bitmapLen]
-		off += bitmapLen
 		vals := a.vals[valsBase+t*arity : valsBase+(t+1)*arity : valsBase+(t+1)*arity]
-		for i := 0; i < arity; i++ {
-			if bitmap[i/8]&(1<<(i%8)) != 0 {
-				vals[i] = Null
-				continue
-			}
-			switch k := s.Fields[i].Kind; k {
-			case KindNull:
-				vals[i] = Null
-			case KindFloat:
-				if 8 > len(buf)-off {
-					return fail("tuple: truncated float in batch tuple %d", t)
-				}
-				vals[i] = Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])))
-				off += 8
-			case KindString:
-				ln, n := binary.Uvarint(buf[off:])
-				if n <= 0 {
-					return fail("tuple: truncated string in batch tuple %d", t)
-				}
-				off += n
-				if ln > uint64(len(buf)-off) {
-					return fail("tuple: truncated string in batch tuple %d", t)
-				}
-				vals[i] = String(string(buf[off : off+int(ln)]))
-				off += int(ln)
-			default:
-				if i == ordIdx {
-					d, n := binary.Varint(buf[off:])
-					if n <= 0 {
-						return fail("tuple: truncated value in batch tuple %d", t)
-					}
-					off += n
-					vals[i] = Value{Kind: k, num: uint64(d + prev)}
-					continue
-				}
-				num, n := binary.Uvarint(buf[off:])
-				if n <= 0 {
-					return fail("tuple: truncated value in batch tuple %d", t)
-				}
-				off += n
-				vals[i] = Value{Kind: k, num: num}
-			}
+		prev, off, err = decodeTuple(buf, off, s, ordIdx, prev, t, vals)
+		if err != nil {
+			a.vals = a.vals[:valsBase]
+			a.tuples = a.tuples[:tupBase]
+			a.ptrs = a.ptrs[:ptrBase]
+			return nil, 0, err
 		}
 		a.tuples[tupBase+t] = Tuple{Ts: prev, Vals: vals}
 		a.ptrs[ptrBase+t] = &a.tuples[tupBase+t]
 	}
 	return a.ptrs[ptrBase:], off, nil
+}
+
+// DecodeBatchCols is DecodeBatchInto column-major: it parses one batch
+// from buf, appending each tuple's timestamp to ts and its field c to
+// cols[c], and returns the extended ts and the number of bytes consumed.
+// cols must hold one column per schema field, each parallel to ts (the
+// layout of a column batch), and is extended in place. Nothing aliases
+// buf. On error ts and every column are restored to their lengths on
+// entry, with the column slots written past them zeroed, so a failed
+// decode leaves no string pinned in the caller's spare capacity.
+func DecodeBatchCols(buf []byte, s *Schema, ts []int64, cols [][]Value) ([]int64, int, error) {
+	count, off, err := decodeBatchCount(buf)
+	if err != nil {
+		return ts, 0, err
+	}
+	// Each tuple decodes into a row scratch and is then scattered across
+	// the columns, so the value decoder stays the row layout's.
+	arity, base := s.Arity(), len(ts)
+	var stack [16]Value
+	row := stack[:min(arity, len(stack))]
+	if arity > len(stack) {
+		row = make([]Value, arity)
+	}
+	ordIdx := timeOrdering(s)
+	ts = extend(ts, count)
+	for c := range cols {
+		cols[c] = extend(cols[c], count)
+	}
+	prev := int64(0)
+	for r := 0; r < count; r++ {
+		prev, off, err = decodeTuple(buf, off, s, ordIdx, prev, r, row)
+		if err != nil {
+			for c := range cols {
+				clear(cols[c][base:])
+				cols[c] = cols[c][:base]
+			}
+			return ts[:base], 0, err
+		}
+		ts[base+r] = prev
+		for c, v := range row {
+			cols[c][base+r] = v
+		}
+	}
+	return ts, off, nil
 }

@@ -180,10 +180,10 @@ func TestBatchDecodeTruncationAndCorruption(t *testing.T) {
 	}
 	// A huge string length varint must not wrap the bounds check.
 	s := NewSchema("T", Field{Name: "s", Kind: KindString})
-	crafted := binary.AppendUvarint(nil, 1)          // count
-	crafted = binary.AppendVarint(crafted, 0)        // ts delta
-	crafted = append(crafted, 0)                     // bitmap: not null
-	crafted = binary.AppendUvarint(crafted, 1<<62)   // absurd string length
+	crafted := binary.AppendUvarint(nil, 1)        // count
+	crafted = binary.AppendVarint(crafted, 0)      // ts delta
+	crafted = append(crafted, 0)                   // bitmap: not null
+	crafted = binary.AppendUvarint(crafted, 1<<62) // absurd string length
 	crafted = append(crafted, 'x')
 	if _, _, err := DecodeBatchInto(crafted, s, &Arena{}); err == nil {
 		t.Error("wrapping string length accepted in batch decode")
@@ -194,10 +194,10 @@ func TestDecodeStringLengthOverflow(t *testing.T) {
 	// Regression for the v1 Decode string path: off+n+int(ln) wrapped
 	// negative on a huge ln varint, slipping past the bounds check and
 	// panicking on the slice expression.
-	buf := binary.AppendVarint(nil, 1)            // ts
-	buf = binary.AppendUvarint(buf, 1)            // nvals
-	buf = append(buf, byte(KindString))           // kind
-	buf = binary.AppendUvarint(buf, 1<<63)        // ln: int64-wrapping length
+	buf := binary.AppendVarint(nil, 1)     // ts
+	buf = binary.AppendUvarint(buf, 1)     // nvals
+	buf = append(buf, byte(KindString))    // kind
+	buf = binary.AppendUvarint(buf, 1<<63) // ln: int64-wrapping length
 	buf = append(buf, 'x')
 	if _, _, err := Decode(buf); err == nil {
 		t.Error("wrapping string length accepted")
@@ -259,6 +259,24 @@ func TestBatchDecodeSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state batch decode allocates %.1f times per batch", allocs)
+	}
+
+	// The column layout, into reused column storage, likewise.
+	cols := make([][]Value, s.Arity())
+	ts, _, err := DecodeBatchCols(buf, s, nil, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		for c := range cols {
+			cols[c] = cols[c][:0]
+		}
+		if ts, _, err = DecodeBatchCols(buf, s, ts[:0], cols); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state column batch decode allocates %.1f times per batch", allocs)
 	}
 }
 

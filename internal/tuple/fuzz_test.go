@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"math"
 	"testing"
 )
 
@@ -140,6 +141,98 @@ func FuzzDecodeBatch(f *testing.F) {
 				if !valueEqual(tuples[i].Vals[j], tuples2[i].Vals[j]) {
 					t.Fatalf("tuple %d field %d changed: %v vs %v",
 						i, j, tuples[i].Vals[j], tuples2[i].Vals[j])
+				}
+			}
+		}
+	})
+}
+
+// sameValue is bit-identity: both batch layouts run one value decoder,
+// so even NaN payloads must agree.
+func sameValue(a, b Value) bool {
+	return a.Kind == b.Kind && a.num == b.num &&
+		math.Float64bits(a.f) == math.Float64bits(b.f) && a.s == b.s
+}
+
+// FuzzDecodeBatchCols holds the column-major decode to the row-major
+// one on any input: the same verdict, the same bytes consumed and the
+// same timestamps and values. The column target already holds a row,
+// as a batch coalescing frames does; a failed decode must leave it
+// exactly as it was, with the spare capacity it wrote into zeroed.
+func FuzzDecodeBatchCols(f *testing.F) {
+	seed0, err := AppendEncodeBatch(nil, fuzzSchemas[0], []*Tuple{
+		New(100, Time(100), IP(1), IP(2), Uint(6), Uint(40)),
+		New(90, Time(90), Null, IP(3), Uint(17), Null),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed1, err := AppendEncodeBatch(nil, fuzzSchemas[1], []*Tuple{
+		New(5, Time(5), String("a"), Float(1.5)),
+		New(5, Time(5), Null, Null),
+		New(-3, Time(-3), String(""), Float(-0)),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(byte(0), seed0)
+	f.Add(byte(1), seed1)
+	f.Add(byte(1), seed1[:len(seed1)-1]) // the last tuple's float cut short
+	f.Add(byte(2), []byte{0})
+	f.Add(byte(3), []byte{0x05, 0x00, 0x00})
+	f.Add(byte(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Fuzz(func(t *testing.T, which byte, data []byte) {
+		s := fuzzSchemas[int(which)%len(fuzzSchemas)]
+		arity := s.Arity()
+		var a Arena
+		rows, n, err := DecodeBatchInto(data, s, &a)
+
+		prefix := make([]Value, arity)
+		for c := range prefix {
+			prefix[c] = String("held")
+		}
+		ts := append(make([]int64, 0, 4), -1)
+		cols := make([][]Value, arity)
+		for c := range cols {
+			cols[c] = append(make([]Value, 0, 4), prefix[c])
+		}
+		ts, nc, errc := DecodeBatchCols(data, s, ts, cols)
+
+		if (err == nil) != (errc == nil) {
+			t.Fatalf("row decode error %v, column decode error %v", err, errc)
+		}
+		if err != nil {
+			if len(ts) != 1 || ts[0] != -1 {
+				t.Fatalf("timestamps not restored on error: %v", ts)
+			}
+			for c := range cols {
+				if len(cols[c]) != 1 || !sameValue(cols[c][0], prefix[c]) {
+					t.Fatalf("column %d not restored on error: %v", c, cols[c])
+				}
+				for _, v := range cols[c][1:cap(cols[c])] {
+					if v != (Value{}) {
+						t.Fatalf("column %d keeps %v past its length after an error", c, v)
+					}
+				}
+			}
+			return
+		}
+		if nc != n {
+			t.Fatalf("column decode consumed %d bytes, row decode %d", nc, n)
+		}
+		if len(ts) != 1+len(rows) {
+			t.Fatalf("column decode produced %d rows, row decode %d", len(ts)-1, len(rows))
+		}
+		for r, tp := range rows {
+			if ts[1+r] != tp.Ts {
+				t.Fatalf("row %d: ts %d, want %d", r, ts[1+r], tp.Ts)
+			}
+			for c := range cols {
+				if len(cols[c]) != len(ts) {
+					t.Fatalf("column %d has %d rows, timestamps %d", c, len(cols[c]), len(ts))
+				}
+				if !sameValue(cols[c][1+r], tp.Vals[c]) {
+					t.Fatalf("row %d field %d: %v, want %v", r, c, cols[c][1+r], tp.Vals[c])
 				}
 			}
 		}
