@@ -41,7 +41,9 @@
 //     contiguous same-batch runs and Push over row elements, appending
 //     output densely to one batch per task plus the output span of every
 //     row; the merger reassembles spans in sequence order column-wise
-//     (Batch.AppendSpan) into pooled batches. Punctuations produce no
+//     (Batch.AppendSpan) into pooled batches, or forwards a reply's
+//     batch as it is when the reply continues the merged output with
+//     nothing held (every reply at width 1). Punctuations produce no
 //     output by the KeyPartitionable contract, so they need no merge
 //     slot. Flush outputs follow in replica order.
 //
@@ -76,13 +78,18 @@ const noSeq = ^uint64(0)
 // restored from a checkpoint) and a non-nil
 // bs[i] marks physical row rows[i] of that batch. The task holds one
 // batch reference per contiguous (batch, port) run; the worker drops it
-// after processing the run.
+// after processing the run. oseqs and oends are spare buffers the
+// worker fills with the reply's seqs and ends. A task's buffers travel
+// splitter → worker → merger and back to the splitter, so a steady run
+// allocates none.
 type keyTask struct {
 	elems []stream.Element
 	bs    []*stream.Batch
 	rows  []int32
 	ports []uint8
 	seqs  []uint64
+	oseqs []uint64
+	oends []int32
 	resc  *rescaleOp // live re-split request (no data when set)
 }
 
@@ -98,6 +105,7 @@ type keyReply struct {
 	ends    []int32
 	out     *stream.Batch
 	outs    []stream.Element
+	task    keyTask // the processed task, its buffers to be recycled
 }
 
 // portEntry is one port-merge queue entry: either a single row element
@@ -139,6 +147,10 @@ func (r *concRun) runKeyPartitioned(id NodeID, n *node, kp ops.KeyPartitionable,
 		workCh[i] = make(chan keyTask, 2)
 	}
 	mergeCh := make(chan keyReply, 2*p)
+	// spare returns processed tasks' buffers from the merger to the
+	// splitter; neither side ever blocks on it. 4p holds every task that
+	// can be in flight: two queued per worker plus 2p unmerged replies.
+	spare := make(chan keyTask, 4*p)
 	var crashed atomic.Bool
 	outSchema := n.op.OutSchema()
 
@@ -159,8 +171,7 @@ func (r *concRun) runKeyPartitioned(id NodeID, n *node, kp ops.KeyPartitionable,
 					continue
 				}
 				out = outPool.Get()
-				seqs := make([]uint64, 0, len(t.ports))
-				ends := make([]int32, 0, len(t.ports))
+				seqs, ends := t.oseqs[:0], t.oends[:0]
 				var bar stream.Element
 				i := 0
 				if !crashed.Load() {
@@ -227,7 +238,7 @@ func (r *concRun) runKeyPartitioned(id NodeID, n *node, kp ops.KeyPartitionable,
 					b.Release()
 					i = jj
 				}
-				mergeCh <- keyReply{worker: k, seqs: seqs, ends: ends, out: out}
+				mergeCh <- keyReply{worker: k, seqs: seqs, ends: ends, out: out, task: t}
 				if bar.Punct != nil {
 					mergeCh <- keyReply{worker: k, barrier: true, bar: bar}
 				}
@@ -271,8 +282,12 @@ func (r *concRun) runKeyPartitioned(id NodeID, n *node, kp ops.KeyPartitionable,
 			}
 			return ent.b.Ts[ent.row(ent.pos)], true
 		}
+		var spareHs [][]uint64 // hash slices of released batch entries
 		popEntry := func(pt int) {
 			pq := &qs[pt]
+			if hs := pq.q[pq.head].hs; hs != nil {
+				spareHs = append(spareHs, hs)
+			}
 			pq.q[pq.head] = portEntry{}
 			pq.head++
 			if pq.head == len(pq.q) {
@@ -289,11 +304,17 @@ func (r *concRun) runKeyPartitioned(id NodeID, n *node, kp ops.KeyPartitionable,
 		openTask := func(k int) *keyTask {
 			t := &open[k]
 			if t.ports == nil {
-				t.elems = make([]stream.Element, 0, r.opts.BatchSize)
-				t.bs = make([]*stream.Batch, 0, r.opts.BatchSize)
-				t.rows = make([]int32, 0, r.opts.BatchSize)
-				t.ports = make([]uint8, 0, r.opts.BatchSize)
-				t.seqs = make([]uint64, 0, r.opts.BatchSize)
+				select {
+				case *t = <-spare:
+				default:
+					*t = keyTask{
+						elems: make([]stream.Element, 0, r.opts.BatchSize),
+						bs:    make([]*stream.Batch, 0, r.opts.BatchSize),
+						rows:  make([]int32, 0, r.opts.BatchSize),
+						ports: make([]uint8, 0, r.opts.BatchSize),
+						seqs:  make([]uint64, 0, r.opts.BatchSize),
+					}
+				}
 			}
 			return t
 		}
@@ -463,7 +484,14 @@ func (r *concRun) runKeyPartitioned(id NodeID, n *node, kp ops.KeyPartitionable,
 		}
 		enqueueCol := func(port int, b *stream.Batch) {
 			nr := b.N()
-			hs := make([]uint64, nr)
+			var hs []uint64
+			if k := len(spareHs) - 1; k >= 0 {
+				hs, spareHs = spareHs[k], spareHs[:k]
+			}
+			if cap(hs) < nr {
+				hs = make([]uint64, nr)
+			}
+			hs = hs[:nr]
 			hrows := b.Sel
 			if hrows == nil {
 				if cap(hashRamp) < nr {
@@ -646,6 +674,15 @@ func (r *concRun) runKeyPartitioned(id NodeID, n *node, kp ops.KeyPartitionable,
 			rep.out.Release()
 			return
 		}
+		if last := len(rep.seqs) - 1; len(held) == 0 && rep.seqs[0] == next && rep.seqs[last]-next == uint64(last) {
+			// In order, contiguous and nothing held (every reply at width
+			// 1): the reply's batch is already the merged output.
+			flushCur()
+			next += uint64(last + 1)
+			n.stats.Out += int64(rep.out.Rows())
+			w.addBatch(rep.out)
+			return
+		}
 		rp := &colRep{out: rep.out, left: len(rep.seqs)}
 		var lo int32
 		for i, s := range rep.seqs {
@@ -670,6 +707,16 @@ func (r *concRun) runKeyPartitioned(id NodeID, n *node, kp ops.KeyPartitionable,
 	}
 	for rep := range mergeCh {
 		merge(rep)
+		if t := rep.task; t.ports != nil {
+			clear(t.elems)
+			clear(t.bs)
+			t.elems, t.bs, t.rows, t.ports, t.seqs = t.elems[:0], t.bs[:0], t.rows[:0], t.ports[:0], t.seqs[:0]
+			t.oseqs, t.oends = rep.seqs, rep.ends
+			select {
+			case spare <- t:
+			default:
+			}
+		}
 		if len(mergeCh) == 0 {
 			flushCur() // idle: see edgeWriter.flush
 		}

@@ -33,45 +33,41 @@ func (m JoinMethod) String() string {
 }
 
 // sweepEvery bounds how long a sorted side defers its physical expiry
-// sweep: at most this many watermark advances between sweeps, so hash
-// buckets never accumulate more than a batch of expired-but-unswept
-// tuples between punctuations.
+// sweep: at most this many watermark advances between sweeps, so key
+// chains never accumulate more than a batch of expired-but-unswept rows
+// between punctuations.
 const sweepEvery = 128
 
-// bucketFreeCap bounds the per-side freelist of emptied index buckets.
-const bucketFreeCap = 64
-
-// sideState is one input's window state. Expiry is watermark-batched:
-// every opposite-port event advances wm (the [KNV03] invalidation rule —
-// any arrival's timestamp is a promise about the opposite window), and
-// the physical sweep that pops expired tuples off the FIFO and out of
-// the index runs only on punctuations, every sweepEvery advances, before
-// a cap check, or when introspection needs exact counts. Expiry
+// sideState is one input's window state: a window.Ring holding the
+// rows column by column in insertion order, with a key-chain index on
+// JoinHash sides. Inserts copy the arriving row's values into the ring,
+// so no heap tuple outlives the call that delivered it. Expiry is
+// watermark-batched: every opposite-port event advances wm (the [KNV03]
+// invalidation rule — any arrival's timestamp is a promise about the
+// opposite window), and the physical sweep that pops expired rows off
+// the ring front runs only on punctuations, every sweepEvery advances,
+// before a cap check, or when introspection needs exact counts. Expiry
 // SEMANTICS are exact in every mode: probes skip candidates at or below
-// wm - rng, so whether a tuple can still match depends only on (its
+// wm - rng, so whether a row can still match depends only on (its
 // timestamp, the watermark) — never on where the physical sweep
-// happened to stop. That per-tuple rule is what lets key-partitioned
-// replicas, each sweeping its own FIFO layout, stay byte-identical to
+// happened to stop. That per-row rule is what lets key-partitioned
+// replicas, each sweeping its own ring layout, stay byte-identical to
 // the serial run. While inserts arrive in timestamp order (`sorted`),
 // the deferred sweep reclaims everything: the expired set is precisely
-// the FIFO prefix with Ts <= wm - rng. The first out-of-order insert
+// the ring prefix with Ts <= wm - rng. The first out-of-order insert
 // flips the side to unsorted mode, which sweeps eagerly on every
 // watermark advance but can only pop the expired prefix — an expired
-// tuple parked behind a live front stays resident until the front
+// row parked behind a live front stays resident until the front
 // drains, and the probe cutoff is what keeps it invisible meanwhile.
 type sideState struct {
-	method JoinMethod
-	rng    int64 // time-window range; <= 0 means no time expiry
-	rows   int   // row-count window; 0 = none
-	fifo   *window.Fifo
-	// index maps key hash -> tuples in insertion order, maintained only
-	// for JoinHash. Emptied bucket slices are recycled via freeBuckets.
-	index       map[uint64][]*tuple.Tuple
-	freeBuckets [][]*tuple.Tuple
-	key         []int
-	fastKey     int // column for the tuple.Key1 fast lane; -1 = generic hash
+	method  JoinMethod
+	rng     int64 // time-window range; <= 0 means no time expiry
+	rows    int   // row-count window; 0 = none
+	ring    *window.Ring
+	key     []int
+	fastKey int // column for the tuple.Key1 fast lane; -1 = generic hash
 	// maxTuples caps the stored window for memory-limited operation;
-	// 0 = unlimited. Overflow evicts the oldest live tuple (a form of
+	// 0 = unlimited. Overflow evicts the oldest live row (a form of
 	// load shedding on join state).
 	maxTuples int
 	wm        int64 // max opposite-port event timestamp seen
@@ -109,7 +105,7 @@ func (s *sideState) advanceWM(ts int64) {
 }
 
 // probeCutoff returns the liveness cutoff probe candidates must exceed,
-// or MinInt64 when every stored tuple must be probed (no time window,
+// or MinInt64 when every stored row must be probed (no time window,
 // or no opposite-port event seen yet).
 func (s *sideState) probeCutoff() int64 {
 	if s.rng <= 0 || s.wm == math.MinInt64 {
@@ -118,114 +114,52 @@ func (s *sideState) probeCutoff() int64 {
 	return s.wm - s.rng
 }
 
-// sweep pops expired tuples off the FIFO front and out of the index
-// (slide 32: "invalidate all expired tuples in A's window"), stopping at
-// the first live tuple — the same greedy front-pop the serial engine
-// performs per arrival, batched.
+// sweep pops expired rows off the ring front (slide 32: "invalidate
+// all expired tuples in A's window"), stopping at the first live row —
+// the same greedy front-pop the serial engine performs per arrival,
+// batched.
 func (s *sideState) sweep() {
 	s.pendingWM = 0
 	if s.rng <= 0 || s.wm == math.MinInt64 {
 		return
 	}
 	cutoff := s.wm - s.rng
-	for {
-		front := s.fifo.Front()
-		if front == nil || front.Ts > cutoff {
-			return
-		}
-		s.fifo.PopFront()
-		s.dropFromIndex(front)
+	r := s.ring
+	for r.Len() > 0 && r.Ts(r.Head()) <= cutoff {
+		r.PopFront()
 		s.expired++
 	}
 }
 
-func (s *sideState) insert(t *tuple.Tuple) {
-	if s.sorted && t.Ts < s.lastIns {
+// admit does an insert's bookkeeping before the row at ts lands: the
+// sorted-mode flip, and the cap and row-count evictions that make room.
+func (s *sideState) admit(ts int64) {
+	if s.sorted && ts < s.lastIns {
 		// Out-of-order insert: the deferred-sweep invariant (expired ==
-		// FIFO prefix) no longer holds from here on. Catch the physical
+		// ring prefix) no longer holds from here on. Catch the physical
 		// state up once, then sweep eagerly on every watermark advance.
 		s.sorted = false
 		s.sweep()
 	}
-	s.lastIns = t.Ts
+	s.lastIns = ts
 	if s.maxTuples > 0 {
-		// Expired tuples must not be charged to the cap: sweeping first
-		// keeps `evicted` counting only live tuples genuinely shed, and
-		// a tuple both expired and index-dropped in one punctuation
-		// batch is accounted exactly once (as expired).
+		// Expired rows must not be charged to the cap: sweeping first
+		// keeps `evicted` counting only live rows genuinely shed, and
+		// a row both expired and unlinked in one punctuation batch is
+		// accounted exactly once (as expired).
 		s.sweep()
-		if s.fifo.Len() >= s.maxTuples {
-			old := s.fifo.PopFront()
-			s.dropFromIndex(old)
+		if s.ring.Len() >= s.maxTuples {
+			s.ring.PopFront()
 			s.evicted++
 		}
 	}
-	if s.rows > 0 {
-		// Row-count window: the oldest tuple leaves the window by
-		// definition — window semantics, not load shedding. Dropping it
-		// from the index here fixes the stale-index hazard of keeping
-		// ring-buffer eviction and index maintenance separate.
-		for s.fifo.Len() >= s.rows {
-			old := s.fifo.PopFront()
-			s.dropFromIndex(old)
-			s.expired++
-		}
+	// Row-count window: the oldest row leaves the window by definition —
+	// window semantics, not load shedding. The pop unlinks it from its
+	// key chain too, so a displaced row can never keep joining.
+	for s.rows > 0 && s.ring.Len() >= s.rows {
+		s.ring.PopFront()
+		s.expired++
 	}
-	s.fifo.Push(t)
-	if s.index != nil {
-		s.indexInsert(s.hashOf(t), t)
-	}
-}
-
-// indexInsert appends t to its hash bucket, recycling emptied buckets
-// through the freelist. h must equal s.hashOf(t); the columnar path
-// passes the batch-hashed value instead of recomputing it per row.
-func (s *sideState) indexInsert(h uint64, t *tuple.Tuple) {
-	if b, ok := s.index[h]; ok {
-		s.index[h] = append(b, t)
-	} else if n := len(s.freeBuckets); n > 0 {
-		b = s.freeBuckets[n-1]
-		s.freeBuckets = s.freeBuckets[:n-1]
-		s.index[h] = append(b, t)
-	} else {
-		s.index[h] = append(make([]*tuple.Tuple, 0, 4), t)
-	}
-}
-
-// dropFromIndex removes a tuple from its bucket, preserving bucket order
-// (removals always target the oldest resident, so insertion order is the
-// probe order of the serial engine at any sweep timing). Emptied buckets
-// are recycled through the freelist.
-func (s *sideState) dropFromIndex(t *tuple.Tuple) {
-	if s.index == nil {
-		return
-	}
-	h := s.hashOf(t)
-	bucket := s.index[h]
-	for i, bt := range bucket {
-		if bt == t {
-			copy(bucket[i:], bucket[i+1:])
-			bucket[len(bucket)-1] = nil
-			bucket = bucket[:len(bucket)-1]
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(s.index, h)
-		if cap(bucket) > 0 && len(s.freeBuckets) < bucketFreeCap {
-			s.freeBuckets = append(s.freeBuckets, bucket)
-		}
-		return
-	}
-	s.index[h] = bucket
-}
-
-func (s *sideState) memSize() int {
-	n := s.fifo.MemSize()
-	if s.index != nil {
-		n += 48 * len(s.index) // bucket overhead
-	}
-	return n
 }
 
 // WindowJoin is the binary sliding-window join of [KNV03] (slides
@@ -263,10 +197,6 @@ type WindowJoin struct {
 	colKern      expr.ColumnKernel
 	col          colJoinScratch
 	colFallbacks int64
-	// Cold-probe heuristic bookkeeping (joincol.go colDecide): rows seen
-	// and emitted-counter mark since the last fast-vs-cold decision.
-	colRowsSince int64
-	colEmitMark  int64
 }
 
 // JoinConfig configures one side of a WindowJoin.
@@ -310,10 +240,10 @@ func NewWindowJoin(name string, left, right *tuple.Schema, lcfg, rcfg JoinConfig
 		tuple.FastKeyKind(right.Fields[rcfg.Key[0]].Kind) {
 		fast = 0
 	}
-	mk := func(cfg JoinConfig) *sideState {
+	mk := func(sch *tuple.Schema, cfg JoinConfig) *sideState {
 		st := &sideState{
 			method:    cfg.Method,
-			fifo:      window.NewFifo(),
+			ring:      window.NewRing(sch, cfg.Method == JoinHash),
 			key:       cfg.Key,
 			fastKey:   -1,
 			maxTuples: cfg.MaxTuples,
@@ -332,9 +262,6 @@ func NewWindowJoin(name string, left, right *tuple.Schema, lcfg, rcfg JoinConfig
 		case window.KindRows:
 			st.rows = int(cfg.Window.Range)
 		}
-		if cfg.Method == JoinHash {
-			st.index = make(map[uint64][]*tuple.Tuple)
-		}
 		return st
 	}
 	out := left.Concat(right)
@@ -347,8 +274,8 @@ func NewWindowJoin(name string, left, right *tuple.Schema, lcfg, rcfg JoinConfig
 		residual: residual,
 		cfgs:     [2]JoinConfig{lcfg, rcfg},
 	}
-	j.sides[0] = mk(lcfg)
-	j.sides[1] = mk(rcfg)
+	j.sides[0] = mk(left, lcfg)
+	j.sides[1] = mk(right, rcfg)
 	return j, nil
 }
 
@@ -431,65 +358,80 @@ func (j *WindowJoin) Push(port int, e stream.Element, emit Emit) {
 	opp.advanceWM(t.Ts)
 
 	// 2. Probe the opposite window.
+	var h uint64
+	if opp.method == JoinHash || me.method == JoinHash {
+		h = me.hashOf(t) // probes opp's index and chains into ours: one hash space
+	}
+	r := opp.ring
 	switch opp.method {
 	case JoinHash:
-		if bucket := opp.index[me.hashOf(t)]; bucket != nil {
-			cutoff := opp.probeCutoff()
-			for _, cand := range bucket {
-				if cand.Ts <= cutoff {
-					continue // expired; physical sweep deferred
-				}
-				j.probes++
-				if cand.KeyEqual(t, opp.key, me.key) {
-					j.tryEmit(port, t, cand, emit)
-				}
+		cutoff := opp.probeCutoff()
+		for pos := r.First(h); pos != 0; pos = r.Next(pos) {
+			if r.Ts(pos) <= cutoff {
+				continue // expired; physical sweep deferred
+			}
+			j.probes++
+			if opp.keyEqual(pos, t, me.key) {
+				j.tryEmit(port, t, r, pos, emit)
 			}
 		}
 	case JoinNestedLoop:
 		// The O(window) scan dominates; sweep first so it mostly walks
-		// live tuples. The cutoff still applies: in unsorted mode the
-		// sweep can strand expired tuples behind a live front, and
+		// live rows. The cutoff still applies: in unsorted mode the
+		// sweep can strand expired rows behind a live front, and
 		// counting or matching those would make results depend on the
 		// physical layout (which differs per partition replica).
 		opp.sweep()
 		cutoff := opp.probeCutoff()
-		opp.fifo.Each(func(cand *tuple.Tuple) bool {
-			if cand.Ts <= cutoff {
-				return true
+		for pos := r.Head(); pos < r.Tail(); pos++ {
+			if r.Ts(pos) <= cutoff {
+				continue
 			}
 			j.probes++
-			if len(me.key) == 0 || cand.KeyEqual(t, opp.key, me.key) {
-				j.tryEmit(port, t, cand, emit)
+			if len(me.key) == 0 || opp.keyEqual(pos, t, me.key) {
+				j.tryEmit(port, t, r, pos, emit)
 			}
-			return true
-		})
+		}
 	}
 
-	// 3. Insert into own window.
-	me.insert(t)
+	// 3. Insert a copy into own window.
+	me.admit(t.Ts)
+	me.ring.PushTuple(h, t)
 }
 
-// tryEmit builds the output row of a matched pair through the column
-// map — (left, right) field order regardless of arrival port — applies
-// the residual predicate and emits it. The row carries the later of the
+// keyEqual confirms a candidate: the row at pos of s's ring agrees with
+// t, key column by key column (tkey lists t's key columns).
+func (s *sideState) keyEqual(pos int64, t *tuple.Tuple, tkey []int) bool {
+	for k, c := range s.key {
+		if !s.ring.Value(pos, c).Equal(t.Vals[tkey[k]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// tryEmit builds the output row of a matched pair — the arrived tuple
+// and the row at pos of the opposite ring — through the column map,
+// (left, right) field order regardless of arrival port, applies the
+// residual predicate and emits it. The row carries the later of the
 // two timestamps, as Tuple.Concat does. A residual implies the identity
 // map (FuseProject refuses otherwise), so it sees the full concatenation.
-func (j *WindowJoin) tryEmit(port int, arrived, matched *tuple.Tuple, emit Emit) {
-	l, r := arrived, matched
-	if port == 1 {
-		l, r = matched, arrived
+func (j *WindowJoin) tryEmit(port int, arrived *tuple.Tuple, r *window.Ring, pos int64, emit Emit) {
+	ts := arrived.Ts
+	if m := r.Ts(pos); m > ts {
+		ts = m
 	}
-	ts := l.Ts
-	if r.Ts > ts {
-		ts = r.Ts
-	}
-	la := len(l.Vals)
+	la := j.leftSch.Arity()
 	vals := make([]tuple.Value, len(j.outCols))
 	for i, c := range j.outCols {
-		if c < la {
-			vals[i] = l.Vals[c]
+		side := 0
+		if c >= la {
+			side, c = 1, c-la
+		}
+		if side == port {
+			vals[i] = arrived.Vals[c]
 		} else {
-			vals[i] = r.Vals[c-la]
+			vals[i] = r.Value(pos, c)
 		}
 	}
 	out := &tuple.Tuple{Ts: ts, Vals: vals}
@@ -522,7 +464,7 @@ func (j *WindowJoin) Flush(Emit) {
 
 // MemSize implements Operator.
 func (j *WindowJoin) MemSize() int {
-	return 128 + j.sides[0].memSize() + j.sides[1].memSize()
+	return 128 + j.sides[0].ring.MemSize() + j.sides[1].ring.MemSize()
 }
 
 // CanPartition implements KeyPartitionable: key-partitioning is exact
@@ -580,7 +522,7 @@ func (j *WindowJoin) Expired() (left, right int64) {
 func (j *WindowJoin) WindowSizes() (left, right int) {
 	j.sides[0].sweep()
 	j.sides[1].sweep()
-	return j.sides[0].fifo.Len(), j.sides[1].fifo.Len()
+	return j.sides[0].ring.Len(), j.sides[1].ring.Len()
 }
 
 // Selectivity implements Costs (observed).

@@ -225,3 +225,53 @@ func TestWindowJoinCanPartitionGates(t *testing.T) {
 		t.Error("keyless theta join must decline: no key to partition on")
 	}
 }
+
+// TestWindowJoinSteadyStateAllocFree: once the windows stop growing,
+// the vectorized path copies rows into reused ring slots and links them
+// into a pointer-free index, so a call allocates nothing. The test
+// drives ProcessColSpan, the entry the key-partition router calls per
+// span and the core of ProcessBatch, with a caller-owned output batch:
+// ProcessBatch's pooled output batch is not the join's to count, and
+// sync.Pool drops items at random under the race detector.
+func TestWindowJoinSteadyStateAllocFree(t *testing.T) {
+	j := cjJoin(t, JoinHash, JoinHash, false, 0)
+	const rows = 64
+	var in [2]*stream.Batch
+	for port, sch := range [2]*tuple.Schema{cjLeft, cjRight} {
+		var elems []stream.Element
+		for k := int64(0); k < rows; k++ {
+			elems = append(elems, stream.Tup(tuple.New(0, tuple.Time(0), tuple.Int(k), tuple.Int(k))))
+		}
+		in[port] = cjBatch(sch, elems)
+	}
+	span := make([]int32, rows)
+	for i := range span {
+		span[i] = int32(i)
+	}
+	out := stream.NewColPool(j.OutSchema(), 1).Get()
+	ends := make([]int32, 0, rows)
+	emitted := 0
+	ts := int64(0)
+	step := func() {
+		ts++
+		b := in[ts%2]
+		for r := range b.Ts {
+			b.Ts[r] = ts
+		}
+		ends = j.ProcessColSpan(int(ts%2), b, span, out, ends[:0])
+		emitted += out.Rows()
+		out.Ts = out.Ts[:0]
+		for c := range out.Cols {
+			out.Cols[c] = out.Cols[c][:0]
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		step()
+	}
+	if emitted == 0 || len(ends) != rows {
+		t.Fatalf("warm-up: %d output rows, %d span ends", emitted, len(ends))
+	}
+	if n := testing.AllocsPerRun(500, step); n != 0 {
+		t.Errorf("steady-state ProcessColSpan allocates %.2f times per call, want 0", n)
+	}
+}

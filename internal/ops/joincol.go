@@ -10,15 +10,17 @@
 //     (tuple.HashColRows), the generic FNV walk for anything else
 //     (tuple.HashColsRows, which matches Tuple.Key exactly);
 //   - equal-timestamp runs advance watermark/expiry bookkeeping once
-//     per run (as colfold.go does for panes) and land in the window
-//     FIFO via segment-sized bulk copies (window.Fifo.PushRun);
-//   - matched pairs accumulate as (input row, candidate) references and
-//     are gathered column-wise into a pooled output batch through the
-//     join's output column map — the identity, or the bare-column
-//     projection the planner fused into the join, in which case columns
-//     nobody selects are never gathered; inserted rows themselves are
-//     carved from chunked slabs (the window retains them, so they must
-//     be heap-owned, but a chunk amortizes the allocation over ~1k rows);
+//     per run (as colfold.go does for panes), and the run's rows are
+//     copied value by value into reused slots of the side's column
+//     ring (window.Ring) and linked into their key chains with the
+//     precomputed hashes — no heap row per input tuple;
+//   - matched pairs accumulate as (input row, ring position) references
+//     and are gathered column-wise into a pooled output batch through
+//     the join's output column map — the arrived side straight from the
+//     input batch, the matched side from the opposite ring — the map
+//     being the identity, or the bare-column projection the planner
+//     fused into the join, in which case columns nobody selects are
+//     never gathered;
 //   - the residual predicate compiles once via expr.CompileKernel and
 //     refines the gathered pairs as a selection vector, with survivors
 //     compacted in place.
@@ -26,12 +28,12 @@
 // Every equijoin over time or landmark windows takes this path. Only
 // rows-windows, MaxTuples caps and keyless theta joins — whose eviction
 // interleaves with insertion per row, or which have no key to hash —
-// gather the batch and rerun the exact row path. Either way the
-// columnar lane is semantically invisible: same outputs in the same
-// order, same counters, and byte-identical checkpoint snapshots (the
-// FIFO sees the same tuples in the same order; wm/sorted/lastIns/
-// pendingWM advance identically because equal-timestamp repeats are
-// no-ops in the row path too).
+// gather each row into one scratch row and rerun the exact row path.
+// Either way the columnar lane is semantically invisible: same outputs
+// in the same order, same counters, and byte-identical checkpoint
+// snapshots (the ring holds the same rows in the same order; wm/sorted/
+// lastIns/pendingWM advance identically because equal-timestamp
+// repeats are no-ops in the row path too).
 
 package ops
 
@@ -41,6 +43,7 @@ import (
 	"streamdb/internal/expr"
 	"streamdb/internal/stream"
 	"streamdb/internal/tuple"
+	"streamdb/internal/window"
 )
 
 // Both joins must keep the full KeyPartitionable method set: a join
@@ -54,48 +57,8 @@ var (
 const (
 	colJoinNone = int8(iota) // not planned yet
 	colJoinFast              // vectorized probe/insert straight off the columns
-	colJoinRow               // gather each row, rerun the row path (envelope miss; permanent)
-	colJoinCold              // demoted to the row path by the cold-probe heuristic; recheckable
+	colJoinRow               // gather each row, rerun the row path (envelope miss)
 )
-
-// Cold-probe heuristic thresholds (colDecide). The vectorized probe
-// pays slab materialization and a pairs pipeline per row; that only
-// amortizes when probes actually match. On cold workloads — large
-// high-cardinality windows where nearly every probe misses (the
-// documented 1M-key no-match regression, 0.55x vs the row path) — the
-// row path's bare hash-miss is cheaper, so instances demote themselves
-// when the observed match rate collapses and re-promote on drift.
-const (
-	colDecideEvery   = 1024     // rows between match-rate re-evaluations
-	colColdMinWindow = 1024     // smallest resident window that may demote
-	colColdRate      = 1.0 / 64 // demote below this emitted-pairs-per-row rate
-	colWarmRate      = 1.0 / 16 // promote back above this rate (hysteresis)
-)
-
-// colDecide re-evaluates the fast-vs-cold choice every colDecideEvery
-// rows. Both paths maintain identical join state (the slab tuples land
-// in the same FIFO and index), so flipping the plan mid-stream is
-// semantically invisible; demoted batches are counted in colFallbacks
-// like any other row rerouting.
-func (j *WindowJoin) colDecide(rows int) {
-	j.colRowsSince += int64(rows)
-	if j.colRowsSince < colDecideEvery {
-		return
-	}
-	rate := float64(j.emitted-j.colEmitMark) / float64(j.colRowsSince)
-	j.colRowsSince = 0
-	j.colEmitMark = j.emitted
-	switch j.colPlan {
-	case colJoinFast:
-		if rate < colColdRate && j.sides[0].fifo.Len()+j.sides[1].fifo.Len() >= colColdMinWindow {
-			j.colPlan = colJoinCold
-		}
-	case colJoinCold:
-		if rate > colWarmRate {
-			j.colPlan = colJoinFast
-		}
-	}
-}
 
 // colJoinScratch is the per-instance scratch of the columnar join path.
 // All slices are reused across batches; none survive a call except as
@@ -103,23 +66,26 @@ func (j *WindowJoin) colDecide(rows int) {
 type colJoinScratch struct {
 	ramp   []int32
 	hashes []uint64
-	run    []*tuple.Tuple
 	pairs  colPairs
-	elems  []stream.Element
-	slab   tupSlab
+	row    tuple.Tuple // WindowJoin's row fallback: Push copies, so one row serves all
+	slab   tupSlab     // XJoin only: its partitions retain the inserted tuples
 }
 
 // colPairs accumulates the matched (input row, window candidate) pairs
-// of one span and flushes them column-wise into an output batch.
+// of one span and flushes them column-wise into an output batch. A
+// WindowJoin names candidates by ring position (pos), an XJoin by
+// tuple (cands).
 type colPairs struct {
-	rows  []int32        // index into the span's materialized tuples
-	cands []*tuple.Tuple // matched window-resident tuple, parallel to rows
+	rows  []int32        // arrived row: batch row (WindowJoin) or span index (XJoin)
+	pos   []int64        // WindowJoin: matched ring position, parallel to rows
+	cands []*tuple.Tuple // XJoin: matched resident tuple, parallel to rows
 	ends  []int32        // cumulative pre-residual pair count per input row
 	sel   []int32        // residual selection scratch
 }
 
 func (p *colPairs) reset() {
 	p.rows = p.rows[:0]
+	p.pos = p.pos[:0]
 	for k := range p.cands {
 		p.cands[k] = nil // stale candidates must not pin expired tuples
 	}
@@ -127,55 +93,85 @@ func (p *colPairs) reset() {
 	p.ends = p.ends[:0]
 }
 
-func (p *colPairs) add(row int32, cand *tuple.Tuple) {
-	p.rows = append(p.rows, row)
-	p.cands = append(p.cands, cand)
-}
-
 func (p *colPairs) closeRow() {
 	p.ends = append(p.ends, int32(len(p.rows)))
 }
 
-// flush gathers the accumulated pairs onto the end of out through the
-// output column map cols (out column i takes column cols[i] of the
-// (left, right) concatenation) — tups holds the arrived side, cands the
-// matched side, port says which is which — applies the compiled
-// residual kernel (nil = no residual) as an in-place selection
-// refinement, compacts survivors, and appends per-input-row output
-// offsets to ends when the caller tracks spans. Returns the surviving
-// pair count and the extended ends. Output timestamps carry the later
-// of the two inputs' timestamps, matching Tuple.Concat.
-func (p *colPairs) flush(out *stream.Batch, port, leftArity int, cols []int, tups []tuple.Tuple, kern expr.ColumnKernel, ends []int32) (int, []int32) {
-	base := out.Rows()
-	np := len(p.rows)
-	if np > 0 {
-		for oc, c := range cols {
-			side := 0
-			if c >= leftArity {
-				side, c = 1, c-leftArity
-			}
-			col := out.Cols[oc]
-			if side == port {
-				for _, pr := range p.rows {
-					col = append(col, tups[pr].Vals[c])
-				}
-			} else {
-				for _, cand := range p.cands {
-					col = append(col, cand.Vals[c])
-				}
-			}
-			out.Cols[oc] = col
+// gatherRing appends the accumulated WindowJoin pairs to out through
+// the output column map cols (out column i takes column cols[i] of the
+// (left, right) concatenation): the arrived side straight from the
+// input batch b, the matched side from the opposite ring r by position
+// — port says which is which. Output timestamps carry the later of the
+// two inputs' timestamps, matching Tuple.Concat.
+func (p *colPairs) gatherRing(out *stream.Batch, port, leftArity int, cols []int, b *stream.Batch, r *window.Ring) {
+	for oc, c := range cols {
+		side := 0
+		if c >= leftArity {
+			side, c = 1, c-leftArity
 		}
-		ts := out.Ts
-		for k, pr := range p.rows {
-			t := tups[pr].Ts
-			if m := p.cands[k].Ts; m > t {
-				t = m
+		col := out.Cols[oc]
+		if side == port {
+			in := b.Cols[c]
+			for _, row := range p.rows {
+				col = append(col, in[row])
 			}
-			ts = append(ts, t)
+		} else {
+			rc := r.Col(c)
+			for _, pos := range p.pos {
+				col = append(col, rc[r.Slot(pos)])
+			}
 		}
-		out.Ts = ts
+		out.Cols[oc] = col
 	}
+	ts, rts := out.Ts, r.TsCol()
+	for k, row := range p.rows {
+		t := b.Ts[row]
+		if m := rts[r.Slot(p.pos[k])]; m > t {
+			t = m
+		}
+		ts = append(ts, t)
+	}
+	out.Ts = ts
+}
+
+// gatherTuples is gatherRing for XJoin pairs: the arrived side from the
+// span's materialized tuples tups, the matched side from p.cands.
+func (p *colPairs) gatherTuples(out *stream.Batch, port, leftArity int, cols []int, tups []tuple.Tuple) {
+	for oc, c := range cols {
+		side := 0
+		if c >= leftArity {
+			side, c = 1, c-leftArity
+		}
+		col := out.Cols[oc]
+		if side == port {
+			for _, pr := range p.rows {
+				col = append(col, tups[pr].Vals[c])
+			}
+		} else {
+			for _, cand := range p.cands {
+				col = append(col, cand.Vals[c])
+			}
+		}
+		out.Cols[oc] = col
+	}
+	ts := out.Ts
+	for k, pr := range p.rows {
+		t := tups[pr].Ts
+		if m := p.cands[k].Ts; m > t {
+			t = m
+		}
+		ts = append(ts, t)
+	}
+	out.Ts = ts
+}
+
+// refine finishes a flush whose np pairs were gathered onto out from
+// row base on: it applies the compiled residual kernel (nil = no
+// residual) as an in-place selection refinement, compacts survivors,
+// and appends per-input-row output offsets to ends when the caller
+// tracks spans. Returns the surviving pair count and the extended ends.
+func (p *colPairs) refine(out *stream.Batch, base int, kern expr.ColumnKernel, ends []int32) (int, []int32) {
+	np := len(p.rows)
 	if kern == nil || np == 0 {
 		if ends != nil {
 			for _, pe := range p.ends {
@@ -226,15 +222,11 @@ func (p *colPairs) flush(out *stream.Batch, port, leftArity int, cols []int, tup
 	return len(surv), ends
 }
 
-// tupSlab carves window-retained tuples out of chunked slabs.
-// Join state retains inserted tuples beyond the call, so unlike the
-// aggregation fold the join path cannot gather into reused scratch —
-// but it can amortize: one header chunk plus one values chunk serve
-// many spans, which matters when partition routing interleaves ports
-// and spans degenerate to a handful of rows each. A chunk stays live
-// until every tuple carved from it expires; the FIFO windows expire in
-// insertion order, so chunks retire roughly together and the overhang
-// is bounded by one chunk.
+// tupSlab carves XJoin's partition-retained tuples out of chunked
+// slabs. The partitions retain inserted tuples beyond the call, so the
+// path cannot gather into reused scratch — but it can amortize: one
+// header chunk plus one values chunk serve many spans. A chunk stays
+// live until every tuple carved from it is gone.
 type tupSlab struct {
 	tups []tuple.Tuple
 	vals []tuple.Value
@@ -320,22 +312,11 @@ func (j *WindowJoin) ProcessBatch(port int, b *stream.Batch, emitB EmitBatch, em
 	}
 	if j.colPlan != colJoinFast {
 		j.colFallbacks++
-		elems := b.AppendRows(j.col.elems[:0])
-		rows := 0
-		for _, e := range elems {
-			if !e.IsPunct() {
-				rows++
-			}
-			j.Push(port, e, emit)
+		rows := rampRows(b, &j.col.ramp)
+		for _, r := range rows {
+			j.pushRow(port, b, r, emit)
 		}
-		for i := range elems {
-			elems[i] = stream.Element{}
-		}
-		j.col.elems = elems[:0]
 		b.Release()
-		if j.colPlan == colJoinCold {
-			j.colDecide(rows)
-		}
 		return
 	}
 	rows := rampRows(b, &j.col.ramp)
@@ -352,7 +333,6 @@ func (j *WindowJoin) ProcessBatch(port int, b *stream.Batch, emitB EmitBatch, em
 	}
 	out := j.colPool.Get()
 	j.processColRows(port, b, rows, out, nil)
-	j.colDecide(len(rows))
 	b.Release()
 	if out.Rows() > 0 {
 		emitB(out)
@@ -363,9 +343,9 @@ func (j *WindowJoin) ProcessBatch(port int, b *stream.Batch, emitB EmitBatch, em
 
 // ProcessColSpan implements KeyPartitionable. The row plan still
 // honors the span contract — gather each row, run the exact row path,
-// record per-row output offsets — so a replica the cold-probe heuristic
-// demoted keeps working. (Rows-windows, MaxTuples caps and keyless
-// joins never reach here: they decline partitioning.)
+// record per-row output offsets — for a direct caller; the router never
+// sends it spans, because rows-windows, MaxTuples caps and keyless
+// joins decline partitioning.
 func (j *WindowJoin) ProcessColSpan(port int, b *stream.Batch, rows []int32, out *stream.Batch, ends []int32) []int32 {
 	if j.colPlan == colJoinNone {
 		j.planColumnar()
@@ -376,21 +356,26 @@ func (j *WindowJoin) ProcessColSpan(port int, b *stream.Batch, rows []int32, out
 			// ProcessBatch case); the span contract always tracks.
 			ends = make([]int32, 0, len(rows))
 		}
-		ends = j.processColRows(port, b, rows, out, ends)
-		j.colDecide(len(rows))
-		return ends
+		return j.processColRows(port, b, rows, out, ends)
 	}
 	j.colFallbacks++
-	tups := j.col.slab.materialize(b, rows)
 	emit := func(o stream.Element) { out.AppendRow(o.Tuple) }
-	for i := range tups {
-		j.Push(port, stream.Tup(&tups[i]), emit)
+	for _, r := range rows {
+		j.pushRow(port, b, r, emit)
 		ends = append(ends, int32(out.Rows()))
 	}
-	if j.colPlan == colJoinCold {
-		j.colDecide(len(tups))
-	}
 	return ends
+}
+
+// pushRow runs batch row r through the exact row path, gathered into
+// one reused scratch row: Push copies what it keeps.
+func (j *WindowJoin) pushRow(port int, b *stream.Batch, r int32, emit Emit) {
+	row := &j.col.row
+	if len(row.Vals) != len(b.Cols) {
+		row.Vals = make([]tuple.Value, len(b.Cols))
+	}
+	b.GatherRow(int(r), row)
+	j.Push(port, stream.Tup(row), emit)
 }
 
 // processColRows is the vectorized core: hash the span's key columns
@@ -413,24 +398,28 @@ func (j *WindowJoin) processColRows(port int, b *stream.Batch, rows []int32, out
 	hashes := j.col.hashes[:n]
 	j.PartitionHashCol(port, b, rows, hashes)
 
-	tups := j.col.slab.materialize(b, rows)
-
 	pairs := &j.col.pairs
 	pairs.reset()
-	run := j.col.run[:0]
+	r := opp.ring
+	oppKey, myKey := opp.key[0], me.key[0]
+	oppCol, myCol := r.Col(oppKey), b.Cols[myKey]
 	single := len(me.key) == 1
-	myKey, oppKey := me.key[0], opp.key[0]
-	match := func(cand, t *tuple.Tuple) bool {
+	match := func(pos int64, row int32) bool {
 		if single {
-			return cand.Vals[oppKey].Equal(t.Vals[myKey])
+			return oppCol[r.Slot(pos)].Equal(myCol[row])
 		}
-		return cand.KeyEqual(t, opp.key, me.key)
+		for k, c := range opp.key {
+			if !r.Value(pos, c).Equal(b.Cols[me.key[k]][row]) {
+				return false
+			}
+		}
+		return true
 	}
 
 	for i := 0; i < n; {
-		ts := tups[i].Ts
+		ts := b.Ts[rows[i]]
 		jj := i + 1
-		for jj < n && tups[jj].Ts == ts {
+		for jj < n && b.Ts[rows[jj]] == ts {
 			jj++
 		}
 		// Watermark bookkeeping once per run: the row path calls these
@@ -445,68 +434,55 @@ func (j *WindowJoin) processColRows(port int, b *stream.Batch, rows []int32, out
 		switch opp.method {
 		case JoinHash:
 			for x := i; x < jj; x++ {
-				if bucket := opp.index[hashes[x]]; bucket != nil {
-					t := &tups[x]
-					for _, cand := range bucket {
-						if cand.Ts <= cutoff {
-							continue // expired; physical sweep deferred
-						}
-						j.probes++
-						if match(cand, t) {
-							pairs.add(int32(x), cand)
-						}
+				row := rows[x]
+				for pos := r.First(hashes[x]); pos != 0; pos = r.Next(pos) {
+					if r.Ts(pos) <= cutoff {
+						continue // expired; physical sweep deferred
+					}
+					j.probes++
+					if match(pos, row) {
+						pairs.rows = append(pairs.rows, row)
+						pairs.pos = append(pairs.pos, pos)
 					}
 				}
 				pairs.closeRow()
 			}
 		case JoinNestedLoop:
 			for x := i; x < jj; x++ {
-				t := &tups[x]
-				opp.fifo.Each(func(cand *tuple.Tuple) bool {
-					if cand.Ts <= cutoff {
-						return true
+				row := rows[x]
+				for pos := r.Head(); pos < r.Tail(); pos++ {
+					if r.Ts(pos) <= cutoff {
+						continue
 					}
 					j.probes++
-					if match(cand, t) {
-						pairs.add(int32(x), cand)
+					if match(pos, row) {
+						pairs.rows = append(pairs.rows, row)
+						pairs.pos = append(pairs.pos, pos)
 					}
-					return true
-				})
+				}
 				pairs.closeRow()
 			}
 		}
 		// Run-segmented insert: the sorted-flip and lastIns bookkeeping
 		// advance once (all timestamps in the run are equal), then the
-		// FIFO takes the run in segment-sized chunks and the index
-		// appends with the precomputed hashes.
-		if me.sorted && ts < me.lastIns {
-			me.sorted = false
-			me.sweep()
-		}
-		me.lastIns = ts
-		run = run[:0]
+		// ring copies the run's rows with the precomputed hashes.
+		me.admit(ts)
 		for x := i; x < jj; x++ {
-			run = append(run, &tups[x])
-		}
-		me.fifo.PushRun(run)
-		if me.index != nil {
-			for x := i; x < jj; x++ {
-				me.indexInsert(hashes[x], &tups[x])
-			}
+			me.ring.PushRow(ts, hashes[x], b.Cols, rows[x])
 		}
 		i = jj
 	}
-	for k := range run {
-		run[k] = nil
-	}
-	j.col.run = run[:0]
 
 	kern := j.colKern
 	if j.residual != nil && kern == nil {
 		kern = expr.CompileKernel(j.residual, j.out.Arity())
 		j.colKern = kern
 	}
-	emitted, ends := pairs.flush(out, port, j.leftSch.Arity(), j.outCols, tups, kern, ends)
+	base := out.Rows()
+	if len(pairs.rows) > 0 {
+		pairs.gatherRing(out, port, j.leftSch.Arity(), j.outCols, b, r)
+	}
+	emitted, ends := pairs.refine(out, base, kern, ends)
 	j.emitted += int64(emitted)
 	return ends
 }
@@ -590,7 +566,8 @@ func (x *XJoin) processColRows(port int, b *stream.Batch, rows []int32, out *str
 		p := int(hashes[i] % uint64(x.nparts))
 		for _, cand := range x.parts[1-port][p].mem {
 			if cand.t.KeyEqual(t, oppKey, myKey) {
-				pairs.add(int32(i), cand.t)
+				pairs.rows = append(pairs.rows, int32(i))
+				pairs.cands = append(pairs.cands, cand.t)
 			}
 		}
 		pairs.closeRow()
@@ -606,7 +583,9 @@ func (x *XJoin) processColRows(port int, b *stream.Batch, rows []int32, out *str
 		kern = expr.CompileKernel(x.residual, x.out.Arity())
 		x.colKern = kern
 	}
-	emitted, ends := pairs.flush(out, port, x.leftSch.Arity(), x.outCols, tups, kern, ends)
+	base := out.Rows()
+	pairs.gatherTuples(out, port, x.leftSch.Arity(), x.outCols, tups)
+	emitted, ends := pairs.refine(out, base, kern, ends)
 	x.emitted += int64(emitted)
 	return ends
 }

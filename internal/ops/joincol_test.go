@@ -663,95 +663,3 @@ func TestXJoinProcessBatchMatchesPush(t *testing.T) {
 		t.Fatal("budget never exceeded: spill path not exercised")
 	}
 }
-
-// TestWindowJoinColdProbeHysteresis: the cold-probe heuristic must
-// demote a join whose vectorized probes stop matching (the 1M-key
-// no-match regression: a large resident window where every probe
-// misses) to the row path, then promote it back when matches return —
-// with output identical to a pure row-path run across both flips.
-func TestWindowJoinColdProbeHysteresis(t *testing.T) {
-	mk := func() *WindowJoin {
-		j, err := NewWindowJoin("cold", cjLeft, cjRight,
-			JoinConfig{Window: window.Time(1<<40, 1<<40), Method: JoinHash, Key: []int{1}},
-			JoinConfig{Window: window.Time(1<<40, 1<<40), Method: JoinHash, Key: []int{1}},
-			nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
-	col, ref := mk(), mk()
-	var got, want []string
-	emit := func(e stream.Element) { got = append(got, cjFmt(e)) }
-	emitB := func(b *stream.Batch) {
-		var row tuple.Tuple
-		row.Vals = make([]tuple.Value, len(b.Cols))
-		for r := 0; r < b.Rows(); r++ {
-			b.GatherRow(r, &row)
-			got = append(got, cjFmt(stream.Tup(row.Clone())))
-		}
-		b.Release()
-	}
-	refEmit := func(e stream.Element) { want = append(want, cjFmt(e)) }
-	sch := [2]*tuple.Schema{cjLeft, cjRight}
-	feed := func(port int, elems []stream.Element) {
-		const bs = 512
-		for lo := 0; lo < len(elems); lo += bs {
-			hi := lo + bs
-			if hi > len(elems) {
-				hi = len(elems)
-			}
-			col.ProcessBatch(port, cjBatch(sch[port], elems[lo:hi]), emitB, emit)
-		}
-		for _, e := range elems {
-			ref.Push(port, e, refEmit)
-		}
-	}
-	row := func(port int, ts, k int64) stream.Element {
-		return stream.Tup(tuple.New(ts, tuple.Time(ts), tuple.Int(k), tuple.Int(ts)))
-	}
-
-	// Cold phase: left-only inserts with unique keys. No probe ever
-	// matches, the resident window grows past colColdMinWindow, and the
-	// first re-evaluation (colDecideEvery rows in) sees a zero match
-	// rate: the plan must demote itself.
-	const coldRows = colDecideEvery + 1024
-	elems := make([]stream.Element, coldRows)
-	for i := range elems {
-		elems[i] = row(0, int64(i), int64(i))
-	}
-	feed(0, elems)
-	if col.colPlan != colJoinCold {
-		t.Fatalf("after %d matchless rows over a %d-tuple window: colPlan = %d, want colJoinCold",
-			coldRows, coldRows, col.colPlan)
-	}
-	if col.ColFallbacks() == 0 {
-		t.Error("demoted batches must be counted as columnar fallbacks")
-	}
-
-	// Warm phase: right-side probes that each match exactly one resident
-	// left tuple (rate ~1 > colWarmRate). The next re-evaluation must
-	// promote the plan back to the vectorized path.
-	elems = elems[:0]
-	for i := 0; i < colDecideEvery+1024; i++ {
-		elems = append(elems, row(1, int64(coldRows+i), int64(i)))
-	}
-	feed(1, elems)
-	if col.colPlan != colJoinFast {
-		t.Fatalf("after matching probes: colPlan = %d, want colJoinFast", col.colPlan)
-	}
-
-	// Both flips must have been execution-only: output and emitted
-	// counter identical to the uninterrupted row path.
-	if len(got) != len(want) || len(want) == 0 {
-		t.Fatalf("columnar emitted %d rows, row path %d (want equal, nonzero)", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("output %d differs:\n  col: %s\n  row: %s", i, got[i], want[i])
-		}
-	}
-	if col.Emitted() != ref.Emitted() {
-		t.Errorf("Emitted = %d, want %d", col.Emitted(), ref.Emitted())
-	}
-}

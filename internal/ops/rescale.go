@@ -48,7 +48,7 @@ func (j *WindowJoin) RestorePartition(sections [][]byte, k, p int) error {
 	if p <= 0 || k < 0 || k >= p {
 		return fmt.Errorf("ops: rescale %s: replica %d of %d", j.name, k, p)
 	}
-	if j.sides[0].fifo.Len() != 0 || j.sides[1].fifo.Len() != 0 {
+	if j.sides[0].ring.Len() != 0 || j.sides[1].ring.Len() != 0 {
 		return fmt.Errorf("ops: rescale %s: window not empty", j.name)
 	}
 	schemas := [2]*tuple.Schema{j.leftSch, j.rightSch}
@@ -93,13 +93,7 @@ func (j *WindowJoin) RestorePartition(sections [][]byte, k, p int) error {
 			}
 		}
 		sort.SliceStable(mine, func(a, b int) bool { return mine[a].Ts < mine[b].Ts })
-		for _, t := range mine {
-			s.fifo.Push(t)
-			if s.index != nil {
-				h := s.hashOf(t)
-				s.index[h] = append(s.index[h], t)
-			}
-		}
+		s.pushRaw(mine)
 		// Watermarks advanced in lockstep across old replicas (punctuation
 		// broadcast); max is exact when equal and safe when not.
 		s.wm = secs[0].wm[i]

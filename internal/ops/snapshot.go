@@ -6,9 +6,9 @@ package ops
 // configuration. The contract in both directions is exactness: a
 // restored operator must produce byte-identical output to one that
 // never stopped, so restore paths rebuild state through raw structure
-// writes (FIFO pushes, index bucket appends) rather than the normal
-// insert paths, whose sweeps and evictions would perturb the physical
-// layout mid-rebuild.
+// writes (ring pushes, partition appends) rather than the normal insert
+// paths, whose sweeps and evictions would perturb the physical layout
+// mid-rebuild.
 
 import (
 	"encoding/binary"
@@ -30,10 +30,10 @@ func appendXTuple(buf []byte, xt xtuple) []byte {
 }
 
 // Snapshot implements ckpt.Snapshotter. Each side's window is captured
-// as a schema-coded tuple batch in FIFO (insertion) order plus the
-// watermark scalars; the hash index is NOT serialized — for JoinHash
-// sides it always holds exactly the FIFO's tuples in insertion order,
-// so Restore rebuilds it.
+// as a schema-coded tuple batch in ring (insertion) order plus the
+// watermark scalars; the key-chain index is NOT serialized — for
+// JoinHash sides it always links exactly the ring's rows in insertion
+// order, so Restore rebuilds it.
 func (j *WindowJoin) Snapshot(enc *ckpt.Encoder) error {
 	enc.Varint(j.probes)
 	enc.Varint(j.emitted)
@@ -41,7 +41,7 @@ func (j *WindowJoin) Snapshot(enc *ckpt.Encoder) error {
 	enc.Varint(j.received[1])
 	schemas := [2]*tuple.Schema{j.leftSch, j.rightSch}
 	for i, s := range j.sides {
-		if err := enc.TupleBatch(schemas[i], s.fifo.AppendTo(nil)); err != nil {
+		if err := enc.TupleBatch(schemas[i], s.tuples()); err != nil {
 			return fmt.Errorf("ops: snapshot %s side %d: %w", j.name, i, err)
 		}
 		enc.Varint(s.wm)
@@ -54,9 +54,24 @@ func (j *WindowJoin) Snapshot(enc *ckpt.Encoder) error {
 	return nil
 }
 
+// tuples copies the side's live rows out of the ring, oldest first.
+func (s *sideState) tuples() []*tuple.Tuple {
+	r := s.ring
+	n, arity := r.Len(), r.Arity()
+	rows := make([]tuple.Tuple, n)
+	vals := make([]tuple.Value, n*arity)
+	out := make([]*tuple.Tuple, n)
+	for i := range rows {
+		rows[i].Vals = vals[i*arity : (i+1)*arity : (i+1)*arity]
+		r.Row(r.Head()+int64(i), &rows[i])
+		out[i] = &rows[i]
+	}
+	return out
+}
+
 // Restore implements ckpt.Snapshotter on a freshly built WindowJoin.
-// Tuples are re-pushed raw: no sweep, no eviction, no watermark
-// advance — the snapshot already reflects all of those.
+// Rows are re-pushed raw: no sweep, no eviction, no watermark advance —
+// the snapshot already reflects all of those.
 func (j *WindowJoin) Restore(dec *ckpt.Decoder) error {
 	j.probes = dec.Varint()
 	j.emitted = dec.Varint()
@@ -64,16 +79,10 @@ func (j *WindowJoin) Restore(dec *ckpt.Decoder) error {
 	j.received[1] = dec.Varint()
 	schemas := [2]*tuple.Schema{j.leftSch, j.rightSch}
 	for i, s := range j.sides {
-		if s.fifo.Len() != 0 {
+		if s.ring.Len() != 0 {
 			return fmt.Errorf("ops: restore %s side %d: window not empty", j.name, i)
 		}
-		for _, t := range dec.TupleBatch(schemas[i]) {
-			s.fifo.Push(t)
-			if s.index != nil {
-				h := s.hashOf(t)
-				s.index[h] = append(s.index[h], t)
-			}
-		}
+		s.pushRaw(dec.TupleBatch(schemas[i]))
 		s.wm = dec.Varint()
 		s.sorted = dec.Bool()
 		s.lastIns = dec.Varint()
@@ -82,6 +91,18 @@ func (j *WindowJoin) Restore(dec *ckpt.Decoder) error {
 		s.evicted = dec.Varint()
 	}
 	return dec.Err()
+}
+
+// pushRaw appends tuples to the side's ring as they are: no sweep, no
+// eviction, no watermark advance.
+func (s *sideState) pushRaw(ts []*tuple.Tuple) {
+	for _, t := range ts {
+		var h uint64
+		if s.method == JoinHash {
+			h = s.hashOf(t)
+		}
+		s.ring.PushTuple(h, t)
+	}
 }
 
 // encodeXTuples writes one partition phase (memory or disk) as the
