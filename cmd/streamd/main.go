@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -132,46 +131,24 @@ func reportLow(seed int64, raw, partials int64, st dsms.ReconnectStats) {
 	}
 }
 
-// highConfig carries the merge-point tuning and durability flags
-// shared by high and demo modes.
-type highConfig struct {
-	nodes      int
-	idle       time.Duration
-	batch      int           // ingest micro-batch per stream (1 = per-tuple)
-	ckptDir    string        // durable checkpoint directory; "" = disabled
-	ckptEvery  int           // partial records between checkpoints
-	statsEvery time.Duration // period between NodeStats JSON dumps; 0 = off
-}
-
-// runHigh runs the merge point: a SessionServer that dedupes resumed
-// streams feeds the high-level merge plan through a push-fed execution
-// graph. The wire carries partial records only, so a query.Progress
-// rebuilds event-time progress from them and the merge plan closes a
-// window once every low-level node has moved past it or ended. Session
-// churn (connects, resumes, dead peers) is logged to stderr as it
-// happens.
-//
-// Ingest is micro-batched per stream: partials accumulate in a
-// per-stream buffer and enter the merge plan `batch` at a time, so the
-// plan's global mutex is taken once per batch instead of once per
-// tuple. Buffering is bounded and flushed completely before the final
-// punctuation, and the merge plan advances on watermarks, so batching
-// only adds bounded ingest latency — final results are unchanged.
-//
-// With -checkpoint-dir set, the graph's state (the merge operator)
-// is checkpointed to a durable store every -checkpoint-interval partial
-// records, together with each session's applied sequence number at that
-// cut. Session acknowledgements are capped at the last committed floor
-// (DurableSeq), so clients keep the un-checkpointed tail in their
-// replay buffers; a restarted process restores the merge operator, seeds
-// sessions at the committed floors (InitialSeqs), and receives exactly
-// the tail again — no loss, and duplicates past the floor are deduped
-// by the session layer. Micro-batched ingest stays crash-safe because
-// the per-stream cut counts only tuples actually fed to the graph:
-// buffered-but-unfed partials are never acknowledged past the floor.
-func runHigh(d *query.Decomposition, ln net.Listener, cfg highConfig) {
+// runHigh runs the merge point, a dsms.HighNode: the merge operator
+// closes a window once every low-level node has moved past it or ended.
+// Session churn is logged to stderr as it happens. With -checkpoint-dir
+// set, the node checkpoints every -checkpoint-interval partial records
+// and a restarted process resumes from the latest checkpoint.
+func runHigh(d *query.Decomposition, ln net.Listener, cfg dsms.HighConfig, ckptDir string, stats bool) {
 	var finals int64
-	g := exec.NewGraph(func(e stream.Element) {
+	if ckptDir != "" {
+		store, err := ckpt.Open(ckptDir)
+		if err != nil {
+			fatalf("checkpoint store: %v", err)
+		}
+		cfg.Store = store
+	}
+	h, err := dsms.NewHighNode(ln, d.PartialSchema(), d.NewHigh(), func(e stream.Element) {
+		if e.IsPunct() {
+			return
+		}
 		finals++
 		t := e.Tuple
 		wend, _ := t.Vals[0].AsTime()
@@ -181,199 +158,28 @@ func runHigh(d *query.Decomposition, ln net.Listener, cfg highConfig) {
 		// decomposeSQL's windows are one minute long: print the start.
 		fmt.Printf("minute %4d  src %-15s  pkts %6d  bytes %12.0f\n",
 			wend/(60*stream.Second)-1, tuple.FormatIPv4(uint32(ip)), pkts, bytes)
-	})
-	q := stream.NewQueue(d.PartialSchema())
-	prog := query.NewProgress(cfg.nodes)
-	si := g.AddSource(q)
-	hid := g.AddOp(d.NewHigh())
-	if err := g.ConnectSource(si, hid, 0); err != nil {
-		fatalf("%v", err)
-	}
-	if err := g.ConnectOut(hid); err != nil {
-		fatalf("%v", err)
-	}
-
-	scfg := dsms.SessionConfig{IdleTimeout: cfg.idle, Logf: logf}
-	var store *ckpt.Store
-	var epoch int64
-	seqs := map[string]uint64{}    // per-stream tuples fed to the graph
-	durable := map[string]uint64{} // per-stream floor of the last committed checkpoint
-	var durMu sync.Mutex
-	if cfg.ckptDir != "" {
-		var err error
-		store, err = ckpt.Open(cfg.ckptDir)
-		if err != nil {
-			fatalf("checkpoint store: %v", err)
-		}
-		latest, err := store.Latest()
-		if err != nil {
-			fatalf("checkpoint recovery: %v", err)
-		}
-		if latest != nil {
-			epoch = latest.Epoch
-			init := map[string]uint64{}
-			for k, v := range latest.Meta {
-				if id, ok := strings.CutPrefix(k, "seq."); ok {
-					init[id] = v
-					seqs[id] = v
-					durable[id] = v
-				}
-			}
-			// The session transport owns replay: resumed streams
-			// retransmit everything past the committed floor, so the
-			// graph source itself fast-forwards nothing.
-			for k := range latest.Meta {
-				if strings.HasPrefix(k, "src") {
-					latest.Meta[k] = 0
-				}
-			}
-			if err := g.RestoreFrom(latest); err != nil {
-				fatalf("checkpoint restore: %v", err)
-			}
-			finals = latest.OutSeq
-			scfg.InitialSeqs = init
-			logf("recovered checkpoint epoch %d: merge state restored, %d final rows already delivered, %d stream floors",
-				latest.Epoch, latest.OutSeq, len(init))
-		}
-		scfg.DurableSeq = func(id string) uint64 {
-			durMu.Lock()
-			defer durMu.Unlock()
-			return durable[id]
-		}
-	}
-	srv := dsms.NewSessionServer(ln, d.PartialSchema(), scfg)
-
-	var mu sync.Mutex
-	// -stats: a ticker goroutine dumps every node's counters as one JSON
-	// line to stderr. The dump takes the ingest mutex, so the graph is
-	// quiescent (between Pump calls) exactly as AllStats requires; under
-	// an adaptive run the snapshot includes the controller's live batch
-	// target, replica width, and shed rate per node.
-	statsDone := make(chan struct{})
-	if cfg.statsEvery > 0 {
-		go func() {
-			t := time.NewTicker(cfg.statsEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-statsDone:
-					return
-				case <-t.C:
-					mu.Lock()
-					b, err := json.Marshal(g.AllStats())
-					mu.Unlock()
-					if err != nil {
-						logf("stats: %v", err)
-						continue
-					}
-					logf("stats %s", b)
-				}
-			}
-		}()
-	}
-	defer close(statsDone)
-	var received, sinceCkpt int64
-	checkpoint := func() { // called with mu held, between Pump calls
-		epoch++
-		extra := make(map[string]uint64, len(seqs))
-		for id, v := range seqs {
-			extra["seq."+id] = v
-		}
-		if err := g.Checkpoint(store, epoch, finals, extra); err != nil {
-			logf("checkpoint epoch %d failed: %v; checkpointing disabled", epoch, err)
-			store = nil
-			return
-		}
-		durMu.Lock()
-		for id, v := range seqs {
-			durable[id] = v
-		}
-		durMu.Unlock()
-		logf("checkpoint epoch %d committed at %d partials, %d final rows", epoch, received, finals)
-	}
-	batch := cfg.batch
-	if batch < 1 {
-		batch = 1
-	}
-	var bufMu sync.Mutex
-	bufs := map[string][]*tuple.Tuple{}
-	// push feeds one stream's partials; ended marks the stream's last
-	// call, after which it no longer holds progress back.
-	push := func(id string, tps []*tuple.Tuple, ended bool) {
-		mu.Lock()
-		received += int64(len(tps))
-		seqs[id] += uint64(len(tps))
-		for _, tp := range tps {
-			q.Feed(stream.Tup(tp))
-			if pu := prog.Observe(id, tp); pu != nil {
-				q.Feed(stream.Punct(pu))
-			}
-		}
-		if ended {
-			if pu := prog.End(id); pu != nil {
-				q.Feed(stream.Punct(pu))
-			}
-		}
-		g.Pump(-1)
-		if store != nil {
-			sinceCkpt += int64(len(tps))
-			if sinceCkpt >= int64(cfg.ckptEvery) {
-				sinceCkpt = 0
-				checkpoint()
-			}
-		}
-		mu.Unlock()
-	}
-	// ServeBatches hands over whole decoded wire batches: one callback
-	// (and one buffer append) per frame instead of per tuple, and one
-	// empty call when a stream ends. This server does not enable
-	// ZeroCopy, so the tuples are heap-allocated and safe to hold in the
-	// ingest buffers without pinning the (always-nil) decode arena.
-	err := srv.ServeBatches(cfg.nodes, func(id string, tps []*tuple.Tuple, _ *tuple.Arena) {
-		if len(tps) == 0 {
-			bufMu.Lock()
-			rest := bufs[id]
-			delete(bufs, id)
-			bufMu.Unlock()
-			push(id, rest, true)
-			return
-		}
-		if batch == 1 {
-			push(id, tps, false)
-			return
-		}
-		bufMu.Lock()
-		bufs[id] = append(bufs[id], tps...)
-		var full []*tuple.Tuple
-		if len(bufs[id]) >= batch {
-			full = bufs[id]
-			bufs[id] = make([]*tuple.Tuple, 0, batch)
-		}
-		bufMu.Unlock()
-		if full != nil {
-			push(id, full, false)
-		}
-	})
+	}, cfg)
 	if err != nil {
-		fatalf("serve: %v", err)
+		fatalf("%v", err)
 	}
-	// All sessions are done, and each ended stream's ingest buffer was
-	// fed at its end.
-	mu.Lock()
-	q.Feed(stream.Punct(&stream.Punctuation{Ts: 1 << 62}))
-	g.Pump(-1)
-	g.Finish()
-	mu.Unlock()
+	if c := h.Restored; c != nil {
+		finals = c.OutSeq
+		logf("recovered checkpoint epoch %d: %d final rows already delivered", c.Epoch, c.OutSeq)
+	}
 	// An operator panic is detached from the run, not swallowed: report
 	// every recorded failure and exit nonzero so supervisors see it.
-	if err := g.Err(); err != nil {
-		for _, f := range g.Failures() {
+	if err := h.Run(-1); err != nil {
+		for _, f := range h.Graph.Failures() {
 			logf("node failure: node %d (%s): %v", f.Node, f.Op, f.Panic)
 		}
-		fatalf("merge graph failed: %v", err)
+		fatalf("high-level node: %v", err)
 	}
-	st := srv.Stats()
-	fmt.Printf("high-level: %d partial records merged into %d final rows\n", received, finals)
+	if stats { // AllStats is only safe once RunWith has returned
+		b, _ := json.Marshal(h.Graph.AllStats())
+		logf("stats %s", b)
+	}
+	st := h.Server.Stats()
+	fmt.Printf("high-level: %d partial records merged into %d final rows\n", st.Frames, finals)
 	fmt.Printf("high-level: %d sessions, %d resumes, %d duplicate frames discarded, %d corrupt frames rejected\n",
 		st.Sessions, st.Reconnects, st.Dupes, st.Corrupt)
 }
@@ -494,11 +300,10 @@ func main() {
 	retry := flag.Int("retry", 8, "low/demo: max reconnect/send attempts before giving up")
 	timeout := flag.Duration("timeout", 5*time.Second, "low/demo: per-frame I/O deadline; high: 2x this is the idle timeout")
 	faultRate := flag.Float64("faultrate", 0, "demo: injected connection-drop rate per write (chaos)")
-	ingestBatch := flag.Int("ingestbatch", 64, "high/demo: partial records buffered per stream before entering the merge plan (1 = per-tuple)")
 	wireBatch := flag.Int("wirebatch", 16, "low/demo: tuples per batch frame on the uplink (1 = one tuple per frame)")
 	ckptDir := flag.String("checkpoint-dir", "", "high/demo: durable checkpoint directory (empty = disabled); on restart the merge state is recovered and sessions replay from the committed floor")
 	ckptEvery := flag.Int("checkpoint-interval", 5000, "high/demo: partial records between checkpoints")
-	stats := flag.Duration("stats", 0, "high/demo: period between per-node NodeStats JSON dumps on stderr (0 = disabled); each line snapshots In/Out/MaxQueue/MaxMemory/Routed/Batches/RowFallbacks plus the adaptive controller's live BatchTarget, Replicas, ShedRate and Rescales")
+	stats := flag.Duration("stats", 0, "high/demo: nonzero dumps per-node NodeStats (In/Out/MaxQueue/MaxMemory/Routed/Batches/RowFallbacks and the adaptive fields) as one JSON line on stderr when the merge run ends; 0 = disabled. Any duration enables it: the dump is not periodic")
 	queries := flag.Int("queries", 64, "multi: number of standing queries sharing one Traffic scan")
 	flag.Parse()
 
@@ -507,6 +312,11 @@ func main() {
 		return
 	}
 	d := decomposition()
+	hcfg := dsms.HighConfig{
+		Session: dsms.SessionConfig{IdleTimeout: 2 * *timeout, Logf: logf},
+		Streams: *nodes,
+		Every:   int64(*ckptEvery),
+	}
 	switch *mode {
 	case "high":
 		ln, err := net.Listen("tcp", *listen)
@@ -515,7 +325,7 @@ func main() {
 		}
 		defer ln.Close()
 		fmt.Printf("high-level node on %s, awaiting %d low-level nodes\n", ln.Addr(), *nodes)
-		runHigh(d, ln, highConfig{nodes: *nodes, idle: 2 * *timeout, batch: *ingestBatch, ckptDir: *ckptDir, ckptEvery: *ckptEvery, statsEvery: *stats})
+		runHigh(d, ln, hcfg, *ckptDir, *stats != 0)
 	case "low":
 		cfg := lowConfig{addr: *connect, retry: *retry, timeout: *timeout, wireBatch: *wireBatch}
 		raw, partials, st, err := runLow(d, cfg, *n, *seed)
@@ -549,7 +359,7 @@ func main() {
 				reportLow(seed, raw, partials, st)
 			}(int64(i + 1))
 		}
-		runHigh(d, ln, highConfig{nodes: *nodes, idle: 2 * *timeout, batch: *ingestBatch, ckptDir: *ckptDir, ckptEvery: *ckptEvery, statsEvery: *stats})
+		runHigh(d, ln, hcfg, *ckptDir, *stats != 0)
 		wg.Wait()
 	default:
 		fatalf("unknown mode %q", *mode)

@@ -126,14 +126,15 @@ func TestDecompositionEndToEnd(t *testing.T) {
 	}
 
 	high := d.NewHigh()
-	prog := query.NewProgress(len(inputs))
+	prog := stream.NewProgress(len(inputs))
 	var finals []*tuple.Tuple
 	emitFinal := func(e stream.Element) { finals = append(finals, e.Tuple) }
 	for n, in := range inputs {
 		id := fmt.Sprintf("low-%d", n)
 		raw, partials, err := d.RunLow(stream.FromTuples(sch, in...), func(rec *tuple.Tuple) error {
 			high.Push(0, stream.Tup(rec), emitFinal)
-			if pu := prog.Observe(id, rec); pu != nil {
+			prog.Observe(id, rec.Ts)
+			if pu := prog.Punct(); pu != nil {
 				high.Push(0, stream.Punct(pu), emitFinal)
 			}
 			return nil
@@ -167,9 +168,8 @@ func TestDecompositionEndToEnd(t *testing.T) {
 
 func TestDecompositionOverTCP(t *testing.T) {
 	// Full slide-55 shape: 2 low-level nodes ship partials over TCP to
-	// a high-level session server.
+	// a high-level node as streamd runs it.
 	d := mkDecomposition(t)
-	high := d.NewHigh()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -177,22 +177,17 @@ func TestDecompositionOverTCP(t *testing.T) {
 	defer ln.Close()
 
 	const nodes = 2
-	srv := NewSessionServer(ln, d.PartialSchema(), SessionConfig{})
-	prog := query.NewProgress(nodes)
-	var mu sync.Mutex
 	var finals []*tuple.Tuple
-	emitFinal := func(out stream.Element) { finals = append(finals, out.Tuple) }
-	serveDone := make(chan error, 1)
-	go func() {
-		serveDone <- srv.Serve(nodes, func(id string, tp *tuple.Tuple) {
-			mu.Lock()
-			high.Push(0, stream.Tup(tp), emitFinal)
-			if pu := prog.Observe(id, tp); pu != nil {
-				high.Push(0, stream.Punct(pu), emitFinal)
-			}
-			mu.Unlock()
-		})
-	}()
+	h, err := NewHighNode(ln, d.PartialSchema(), d.NewHigh(), func(e stream.Element) {
+		if !e.IsPunct() {
+			finals = append(finals, e.Tuple)
+		}
+	}, HighConfig{Streams: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engineDone := make(chan error, 1)
+	go func() { engineDone <- h.Run(-1) }()
 
 	var sendWg sync.WaitGroup
 	for n := 0; n < nodes; n++ {
@@ -222,10 +217,9 @@ func TestDecompositionOverTCP(t *testing.T) {
 		}(n)
 	}
 	sendWg.Wait()
-	if err := <-serveDone; err != nil {
+	if err := <-engineDone; err != nil {
 		t.Fatal(err)
 	}
-	high.Flush(emitFinal)
 
 	// Sum of counts across finals must equal total raw tuples.
 	var sum int64

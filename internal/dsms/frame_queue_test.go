@@ -51,13 +51,15 @@ func frameWriter(t *testing.T, addr string) *ReconnectWriter {
 
 // stalledSend sends 2000 tuples — 125 frames — into a source nothing
 // drains, and returns once the stream has completed, so every frame has
-// been decoded and queued.
+// been decoded and queued, with the stream's completion behind them.
 func stalledSend(t *testing.T) (src *SessionSource, sent []*tuple.Tuple) {
 	t.Helper()
 	addr, srv, src := frameSource(t, 200)
 	sent = sendAll(t, frameWriter(t, addr), 2000)
-	if st := srv.Stats(); st.Batches != 125 || len(src.frames) != 125 {
-		t.Fatalf("%d frames applied, %d queued; want 125 each", st.Batches, len(src.frames))
+	// The server queues the completion just after acknowledging it.
+	eventually(t, "completion queued", func() bool { return srv.Stats().Completed == 1 })
+	if st := srv.Stats(); st.Batches != 125 || len(src.frames) != 126 {
+		t.Fatalf("%d frames applied, %d queued; want 125 frames and 1 completion", st.Batches, len(src.frames))
 	}
 	return src, sent
 }
@@ -91,20 +93,29 @@ func drainCols(t *testing.T, src *SessionSource, max int) (got []*tuple.Tuple, s
 }
 
 // TestFrameQueueStalledRowDrain: frames queued behind a stalled engine
-// read back byte-identical through the row path.
+// read back byte-identical through the row path, with the stream's
+// progress punctuations between them.
 func TestFrameQueueStalledRowDrain(t *testing.T) {
 	src, sent := stalledSend(t)
 	var got []*tuple.Tuple
 	var out []stream.Element
+	puncts := 0
 	for {
 		var more bool
 		out, more = src.NextBatch(out[:0], 64)
 		for _, e := range out {
+			if e.IsPunct() {
+				puncts++
+				continue
+			}
 			got = append(got, e.Tuple)
 		}
 		if !more {
 			break
 		}
+	}
+	if puncts == 0 {
+		t.Error("no progress punctuation on the row path")
 	}
 	if !bytes.Equal(encodeAll(got), encodeAll(sent)) {
 		t.Fatalf("queued tuples corrupted: %d delivered, %d sent", len(got), len(sent))

@@ -227,7 +227,7 @@ type SessionServer struct {
 	done     chan struct{}
 	target   int
 	emit     func(streamID string, tuples []*tuple.Tuple, arena *tuple.Arena) // ServeBatches' sink
-	emitCols func(b *stream.Batch)                                            // serveCols' sink
+	emitCols func(streamID string, lastSeq uint64, b *stream.Batch)           // serveCols' sink
 	cols     *stream.ColPool                                                  // serveCols' decode targets
 	arenas   *tuple.ArenaPool
 }
@@ -289,9 +289,10 @@ func (s *SessionServer) ServeBatches(streams int, emit func(streamID string, tup
 
 // serveCols is ServeBatches with a column sink: each BATCH frame's
 // fresh tuples are decoded column-major, straight into a batch from
-// pool, and emit takes over the batch's reference. A stream's
-// completion makes no call.
-func (s *SessionServer) serveCols(streams int, pool *stream.ColPool, emit func(b *stream.Batch)) error {
+// pool, and emit takes over the batch's reference along with the
+// sequence number of the batch's last row. A stream's completion is one
+// more call with a nil batch, after its last.
+func (s *SessionServer) serveCols(streams int, pool *stream.ColPool, emit func(streamID string, lastSeq uint64, b *stream.Batch)) error {
 	s.mu.Lock()
 	s.emitCols, s.cols = emit, pool
 	s.mu.Unlock()
@@ -369,37 +370,22 @@ func (s *SessionServer) ackFloor(sess *session, last uint64) uint64 {
 	return last
 }
 
-// SessionSeqs snapshots every attached stream's last applied sequence
-// number: the replay positions a checkpoint records in its metadata.
-func (s *SessionServer) SessionSeqs() map[string]uint64 {
-	s.mu.Lock()
-	list := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		list = append(list, sess)
-	}
-	s.mu.Unlock()
-	out := make(map[string]uint64, len(list))
-	for _, sess := range list {
-		sess.mu.Lock()
-		out[sess.id] = sess.lastSeq
-		sess.mu.Unlock()
-	}
-	return out
-}
-
 // complete records a finished stream: its sink gets the empty end call,
 // then Serve is released when the target count is reached.
-func (s *SessionServer) complete(sess *session) {
+func (s *SessionServer) complete(sess *session, final uint64) {
 	s.mu.Lock()
-	emit := s.emit
+	emit, emitCols := s.emit, s.emitCols
 	s.mu.Unlock()
-	if emit != nil {
+	switch {
+	case emitCols != nil:
+		emitCols(sess.id, final, nil)
+	case emit != nil:
 		emit(sess.id, nil, nil)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Completed++
-	s.logf("dsms: session %q complete at seq %d", sess.id, sess.lastSeq)
+	s.logf("dsms: session %q complete at seq %d", sess.id, final)
 	if s.target > 0 && s.stats.Completed == int64(s.target) {
 		close(s.done)
 	}
@@ -561,7 +547,7 @@ func (s *SessionServer) handle(conn net.Conn) {
 				return
 			}
 			if !already {
-				s.complete(sess)
+				s.complete(sess, final)
 			}
 			return
 
@@ -638,7 +624,7 @@ func (s *SessionServer) applyBatch(sess *session, firstSeq, count uint64, payloa
 	s.mu.Unlock()
 	switch {
 	case b != nil:
-		emitCols(b)
+		emitCols(sess.id, lastOfBatch, b)
 	case emit != nil:
 		emit(sess.id, fresh, pooled)
 	}

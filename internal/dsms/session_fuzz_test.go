@@ -117,9 +117,9 @@ func FuzzSessionFrames(f *testing.F) {
 		// so a stream's emitted count is its last applied sequence.
 		st := srv.Stats()
 		var total uint64
-		for id, seq := range srv.SessionSeqs() {
-			if emitted[id] != seq {
-				t.Errorf("stream %q: emitted %d tuples, applied up to seq %d", id, emitted[id], seq)
+		for id, sess := range srv.sessions {
+			if emitted[id] != sess.lastSeq {
+				t.Errorf("stream %q: emitted %d tuples, applied up to seq %d", id, emitted[id], sess.lastSeq)
 			}
 			total += emitted[id]
 		}
@@ -143,7 +143,12 @@ func FuzzSessionFrames(f *testing.F) {
 		colSrv := NewSessionServer(nil, sch, SessionConfig{IdleTimeout: -1})
 		colSrv.cols = stream.NewColPool(sch, 4)
 		var colRows []stream.Element
-		colSrv.emitCols = func(b *stream.Batch) {
+		var colEnds int64
+		colSrv.emitCols = func(_ string, _ uint64, b *stream.Batch) {
+			if b == nil {
+				colEnds++
+				return
+			}
 			colRows = b.AppendRows(colRows)
 			b.Release()
 		}
@@ -157,6 +162,9 @@ func FuzzSessionFrames(f *testing.F) {
 		}
 		if cst := colSrv.Stats(); cst != st {
 			t.Errorf("column sink stats %+v, row sink %+v", cst, st)
+		}
+		if colEnds != st.Completed {
+			t.Errorf("%d column end calls, %d streams completed", colEnds, st.Completed)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package dsms
 
 import (
+	"maps"
 	"sync"
 
 	"streamdb/internal/stream"
@@ -15,23 +16,37 @@ import (
 // NextColBatch/NextBatch block until a frame arrives or every expected
 // stream has completed.
 //
-// The channel is all the queue there is. A session source carries only
-// data — no flush barrier, no punctuation, no end-of-input marker but
-// the channel's close — so stream.PushSource's machinery for those has
-// nothing to do here, and a frame is the unit that both ends already
-// hold.
+// The channel is all the queue there is: a queued frame carries its
+// stream and the sequence number of its last row, a stream's completion
+// is queued behind its last frame, and the channel's close is the end.
+// The wire carries no punctuations, so each read applies a
+// stream.Progress over the expected streams and hands its punctuation
+// over on the returned batch.
 type SessionSource struct {
 	srv    *SessionServer
-	pool   *stream.ColPool    // decode targets, recycled by the engine's Release
-	frames chan *stream.Batch // one decoded frame each; closed when serving ends
+	pool   *stream.ColPool // decode targets, recycled by the engine's Release
+	frames chan frame      // closed when serving ends
 
-	mu  sync.Mutex
-	err error // the server's result
+	mu       sync.Mutex
+	err      error             // the server's result
+	consumed map[string]uint64 // per stream: sequence number of the last row handed over
 
-	// Engine goroutine only: a frame a read split, and how many of its
-	// rows have been handed over.
-	head    *stream.Batch
+	// Engine goroutine only: the frame a read split (or has yet to
+	// take), how many of its rows have been handed over, the progress
+	// rule, and a punctuation NextBatch had no room for.
+	head    frame
 	headOff int
+	prog    *stream.Progress
+	held    *stream.Punctuation
+}
+
+// frame is one queued frame: a stream's decoded rows ending at sequence
+// number seq, or, with a nil batch, the stream's completion. The zero
+// frame (no stream) is an empty head.
+type frame struct {
+	b   *stream.Batch
+	id  string
+	seq uint64
 }
 
 // defaultFrameBound is the frame queue bound of a SessionSource built
@@ -51,18 +66,27 @@ const framePoolRows = 256
 // order) as a column source. queueBound caps the decoded frames
 // buffered between the transport and the engine (<= 0 =
 // defaultFrameBound); the transport blocks when the engine falls
-// behind.
+// behind. Each stream must arrive in timestamp order, as the partial
+// records of a low-level node do: a stream's progress is its last
+// row's timestamp, so a row below progress already handed out is
+// neither checked nor dropped, and windowed operators downstream treat
+// it as late. ConsumedSeqs starts at the server's InitialSeqs.
 func NewSessionSource(srv *SessionServer, streams, queueBound int) *SessionSource {
 	if queueBound <= 0 {
 		queueBound = defaultFrameBound
 	}
 	s := &SessionSource{
-		srv:    srv,
-		pool:   stream.NewColPool(srv.schema, framePoolRows),
-		frames: make(chan *stream.Batch, queueBound),
+		srv:      srv,
+		pool:     stream.NewColPool(srv.schema, framePoolRows),
+		frames:   make(chan frame, queueBound),
+		consumed: make(map[string]uint64, streams),
+		prog:     stream.NewProgress(streams),
 	}
+	maps.Copy(s.consumed, srv.cfg.InitialSeqs)
 	go func() {
-		err := srv.serveCols(streams, s.pool, func(b *stream.Batch) { s.frames <- b })
+		err := srv.serveCols(streams, s.pool, func(id string, seq uint64, b *stream.Batch) {
+			s.frames <- frame{b: b, id: id, seq: seq}
+		})
 		s.mu.Lock()
 		s.err = err
 		s.mu.Unlock()
@@ -85,67 +109,121 @@ func (s *SessionSource) Next() (stream.Element, bool) {
 }
 
 // NextBatch implements stream.BulkSource: NextColBatch's rows,
-// materialized as heap-owned tuples.
+// materialized as heap-owned tuples, then its punctuation. It returns
+// at most max elements; a punctuation that does not fit comes first in
+// the next call.
 func (s *SessionSource) NextBatch(dst []stream.Element, max int) ([]stream.Element, bool) {
-	b, more := s.NextColBatch(max)
-	if b != nil {
+	if s.held == nil {
+		b, more := s.NextColBatch(max)
+		if b == nil {
+			return dst, more
+		}
+		start := len(dst)
 		dst = b.AppendRows(dst)
+		s.held = b.Punct
 		b.Release()
+		if s.held == nil || len(dst)-start >= max {
+			return dst, true
+		}
 	}
-	return dst, more
+	dst = append(dst, stream.Punct(s.held))
+	s.held = nil
+	return dst, true
 }
 
 // NextColBatch implements stream.ColSource. It blocks until a frame is
 // queued (or every stream completed), then returns at most max rows
 // without further blocking: the head frame as it was decoded when it
-// fits, with the frames queued behind it appended up to max, and a
-// head larger than max split across reads.
+// fits, with the frames queued behind it appended up to max, and a head
+// larger than max split across reads. When the read moves the streams'
+// progress, the batch carries the punctuation (and may carry no rows);
+// a read that only met completions that move nothing blocks again.
 func (s *SessionSource) NextColBatch(max int) (*stream.Batch, bool) {
-	if !s.fill(true) {
-		return nil, false
-	}
 	var out *stream.Batch
-	if s.headOff == 0 && s.head.Rows() <= max {
-		out, s.head = s.head, nil
-	} else {
-		out = s.pool.Get()
-		s.take(out, max)
-	}
-	for out.Rows() < max && s.fill(false) {
-		s.take(out, max)
+	for out == nil {
+		if s.head.id == "" {
+			f, ok := <-s.frames
+			if !ok {
+				return nil, false
+			}
+			s.head = f
+		}
+		for s.head.id != "" || s.recv() {
+			f := s.head
+			if f.b == nil {
+				s.prog.End(f.id)
+				s.head = frame{}
+				continue
+			}
+			if out == nil && s.headOff == 0 && f.b.Rows() <= max {
+				out, s.head = f.b, frame{}
+				s.handedOver(f, f.b.Rows())
+				continue
+			}
+			if out == nil {
+				out = s.pool.Get()
+			}
+			if out.Rows() >= max {
+				break
+			}
+			s.take(out, max)
+		}
+		if pu := s.prog.Punct(); pu != nil {
+			if out == nil {
+				out = s.pool.Get()
+			}
+			out.Punct = pu
+		}
 	}
 	return out, true
 }
 
-// fill makes sure a frame is at the head, receiving one if need be —
-// waiting for it when block is set — and reports whether there is one.
-func (s *SessionSource) fill(block bool) bool {
-	if s.head != nil {
-		return true
+// recv moves the next queued frame, if one is waiting, to the head.
+func (s *SessionSource) recv() bool {
+	select {
+	case f, ok := <-s.frames:
+		s.head = f
+		return ok
+	default:
+		return false
 	}
-	var b *stream.Batch
-	if block {
-		b = <-s.frames
-	} else {
-		select {
-		case b = <-s.frames:
-		default:
-		}
-	}
-	s.head, s.headOff = b, 0
-	return b != nil
 }
 
 // take appends the head's next rows to out, up to max rows in all, and
 // releases the head once every row of it has been taken.
 func (s *SessionSource) take(out *stream.Batch, max int) {
-	hi := min(s.head.Rows(), s.headOff+max-out.Rows())
-	out.AppendSpan(s.head, s.headOff, hi)
+	f := s.head
+	hi := min(f.b.Rows(), s.headOff+max-out.Rows())
+	out.AppendSpan(f.b, s.headOff, hi)
 	s.headOff = hi
-	if hi == s.head.Rows() {
-		s.head.Release()
-		s.head = nil
+	s.handedOver(f, hi)
+	if hi == f.b.Rows() {
+		f.b.Release()
+		s.head, s.headOff = frame{}, 0
 	}
+}
+
+// handedOver notes that f's rows before hi have been handed to the
+// engine: its stream's consumed sequence number and, as each stream is
+// in timestamp order, its highest timestamp.
+func (s *SessionSource) handedOver(f frame, hi int) {
+	s.prog.Observe(f.id, f.b.Ts[hi-1])
+	s.mu.Lock()
+	s.consumed[f.id] = f.seq - uint64(f.b.Rows()-hi)
+	s.mu.Unlock()
+}
+
+// ConsumedSeqs snapshots, per stream, the sequence number of the last
+// row handed to the engine, starting from the server's InitialSeqs, so
+// a stream that has not delivered since a restore keeps its floor. Rows
+// the transport has applied but the engine has not read are not
+// counted, so a checkpoint that records these (read while the engine
+// is parked at its barrier) makes the session layer replay every frame
+// still queued.
+func (s *SessionSource) ConsumedSeqs() map[string]uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return maps.Clone(s.consumed)
 }
 
 // Err reports the server's result once every stream has completed (nil

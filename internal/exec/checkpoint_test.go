@@ -213,6 +213,25 @@ func TestConcurrentCheckpointResume(t *testing.T) {
 		second, _ := runWithCkpt(t, elems, -1, tc.opts, store, 149, c)
 		got := append(append([]string{}, first[:c.OutSeq]...), second...)
 		sameSeq(t, tc.label+" stitched", got, base)
+
+		// Crash the restored run too: its checkpoints count outputs from
+		// the job's start, so the second restore stitches the same way.
+		store = ckptStore(t)
+		if err := store.Commit(c); err != nil {
+			t.Fatal(err)
+		}
+		second, commits = runWithCkpt(t, elems, 1000, tc.opts, store, 149, c)
+		c2, err := store.Latest()
+		if err != nil || c2 == nil || commits == 0 {
+			t.Fatalf("%s: restored crash run committed no epochs (%v)", tc.label, err)
+		}
+		if c2.OutSeq < c.OutSeq || c2.OutSeq > c.OutSeq+int64(len(second)) {
+			t.Fatalf("%s: restored run's checkpoint OutSeq %d, want in [%d, %d]",
+				tc.label, c2.OutSeq, c.OutSeq, c.OutSeq+int64(len(second)))
+		}
+		third, _ := runWithCkpt(t, elems, -1, tc.opts, store, 149, c2)
+		got = append(append(append([]string{}, first[:c.OutSeq]...), second[:c2.OutSeq-c.OutSeq]...), third...)
+		sameSeq(t, tc.label+" stitched twice", got, base)
 	}
 }
 

@@ -403,3 +403,45 @@ func TestColSourceFeedsGraph(t *testing.T) {
 	g.RunWith(-1, RunOptions{BatchSize: 64, Columnar: true})
 	sameSeq(t, "colsource", got, base)
 }
+
+// TestColSourcePunctFollowsRows: a punctuation a ColSource attaches to a
+// batch (on a batch of rows, or alone on an empty one) reaches the graph
+// behind the batch's rows, exactly where the same punctuation sits in
+// the row stream.
+func TestColSourcePunctFollowsRows(t *testing.T) {
+	var elems []stream.Element
+	pool := stream.NewColPool(sch, 64)
+	var batches []*stream.Batch
+	cur := pool.Get()
+	for i := int64(0); i < 500; i++ {
+		elems = append(elems, el(i, i%40))
+		cur.AppendRow(elems[len(elems)-1].Tuple)
+		if i%100 == 99 {
+			cur.Punct = stream.ProgressPunct(i, 0, tuple.Time(i))
+			elems = append(elems, stream.Punct(cur.Punct))
+		}
+		if cur.Rows() == 64 || cur.Punct != nil {
+			batches = append(batches, cur)
+			cur = pool.Get()
+		}
+	}
+	cur.Punct = stream.ProgressPunct(1000, 0, tuple.Time(1000))
+	elems = append(elems, stream.Punct(cur.Punct))
+	batches = append(batches, cur)
+	run := func(src stream.Source, opts RunOptions) []string {
+		var got []string
+		g := NewGraph(func(e stream.Element) { got = append(got, e.String()) })
+		sel := g.AddOp(mustSelect(t, 10))
+		if err := g.ConnectSource(g.AddSource(src), sel, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.ConnectOut(sel); err != nil {
+			t.Fatal(err)
+		}
+		g.RunWith(-1, opts)
+		return got
+	}
+	base := run(stream.FromElements(sch, elems...), RunOptions{BatchSize: 1})
+	got := run(&colBatchSource{schema: sch, batches: batches}, RunOptions{BatchSize: 64, Columnar: true})
+	sameSeq(t, "punctuated colsource", got, base)
+}

@@ -4,7 +4,8 @@
 // With RunOptions.Columnar set, sources emit their data tuples as
 // column batches (transposing row sources, or taking stream.ColSource's
 // decoded batches directly) while punctuations — and therefore
-// checkpoint barriers — keep travelling the row path. Because a column
+// checkpoint barriers — keep travelling the row path, a ColSource
+// batch's Punct right behind its rows. Because a column
 // batch carries data only, every ordering and alignment invariant of
 // the row engine (punct-flushes-batch, barrier counting, the sink cut)
 // applies unchanged; the only new rule is that a writer flushes its open

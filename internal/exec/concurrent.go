@@ -286,7 +286,10 @@ func (g *Graph) RunWith(maxElements int64, opts RunOptions) {
 	sinkWG.Add(1)
 	go func() {
 		defer sinkWG.Done()
-		var delivered int64
+		var delivered int64 // the job's outputs, a restored run's included
+		if r.restore != nil {
+			delivered = r.restore.OutSeq
+		}
 		sinkBars := 0
 		for m := range r.sinkCh {
 			if m.col != nil {
@@ -1385,7 +1388,12 @@ func (r *concRun) runSource(idx int, s *sourceNode, maxElements int64, wg *sync.
 			k := 0
 			if cb != nil {
 				k = cb.N()
+				pu := cb.Punct
+				cb.Punct = nil // inside the graph batches carry data only
 				w.addBatch(cb)
+				if pu != nil {
+					w.add(stream.Punct(pu)) // behind its rows, ahead of any barrier
+				}
 			}
 			sent += int64(k)
 			s.count += int64(k)

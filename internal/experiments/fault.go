@@ -68,9 +68,10 @@ func E17FaultTolerance(scale Scale) *Table {
 	return t
 }
 
-// runChaosSession runs one low->high session set under injected faults
-// and returns the fingerprint of the sorted final rows, the partial
-// frames shipped, and the summed client + server stats.
+// runChaosSession runs one low->high session set under injected faults,
+// with the high level as streamd runs it (a dsms.HighNode), and
+// returns the fingerprint of the sorted final rows, the partial frames
+// shipped, and the summed client + server stats.
 func runChaosSession(d *query.Decomposition, nodes, n int, dropRate float64, wirebatch int) (fingerprint []byte, frames int64, cs dsms.ReconnectStats, ss dsms.SessionStats) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -78,26 +79,15 @@ func runChaosSession(d *query.Decomposition, nodes, n int, dropRate float64, wir
 	}
 	defer ln.Close()
 	addr := ln.Addr().String()
-	srv := dsms.NewSessionServer(ln, d.PartialSchema(), dsms.SessionConfig{
-		IdleTimeout: 10 * time.Second,
-	})
-
-	high := d.NewHigh()
-	prog := query.NewProgress(nodes)
-	var mu sync.Mutex
 	var finals []*tuple.Tuple
-	emitFinal := func(e stream.Element) { finals = append(finals, e.Tuple) }
-	serveDone := make(chan error, 1)
-	go func() {
-		serveDone <- srv.Serve(nodes, func(id string, tp *tuple.Tuple) {
-			mu.Lock()
-			high.Push(0, stream.Tup(tp), emitFinal)
-			if pu := prog.Observe(id, tp); pu != nil {
-				high.Push(0, stream.Punct(pu), emitFinal)
-			}
-			mu.Unlock()
-		})
-	}()
+	h, err := dsms.NewHighNode(ln, d.PartialSchema(), d.NewHigh(), func(e stream.Element) {
+		if !e.IsPunct() {
+			finals = append(finals, e.Tuple)
+		}
+	}, dsms.HighConfig{Session: dsms.SessionConfig{IdleTimeout: 10 * time.Second}, Streams: nodes})
+	if err != nil {
+		panic(err)
+	}
 
 	var wg sync.WaitGroup
 	var statsMu sync.Mutex
@@ -151,12 +141,10 @@ func runChaosSession(d *query.Decomposition, nodes, n int, dropRate float64, wir
 			statsMu.Unlock()
 		}(node)
 	}
-	wg.Wait()
-	if err := <-serveDone; err != nil {
+	if err := h.Run(-1); err != nil {
 		panic(err)
 	}
-	high.Push(0, stream.Punct(&stream.Punctuation{Ts: 1 << 62}), emitFinal)
-	high.Flush(emitFinal)
+	wg.Wait()
 
 	// Fingerprint the final rows independent of merge/flush order.
 	rows := make([][]byte, len(finals))
@@ -167,6 +155,6 @@ func runChaosSession(d *query.Decomposition, nodes, n int, dropRate float64, wir
 	for _, r := range rows {
 		fingerprint = append(fingerprint, r...)
 	}
-	ss = srv.Stats()
+	ss = h.Server.Stats()
 	return fingerprint, frames, cs, ss
 }

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"math"
 
 	"streamdb/internal/agg"
 	"streamdb/internal/expr"
@@ -76,8 +75,9 @@ func (d *Decomposition) PartialSchema() *tuple.Schema { return d.gb.PartialSchem
 
 // NewHigh returns a fresh high-level merge operator. Its rows are the
 // query's GroupBy rows, [wend, group keys..., aggregates...]; it closes a
-// window when a progress punctuation (see Progress) or Flush passes its
-// end.
+// window when a progress punctuation or Flush passes its end: a
+// partial record's timestamp is its window end, so the stream.Progress
+// a dsms.SessionSource applies to the merged streams supplies them.
 func (d *Decomposition) NewHigh() ops.Operator { return d.gb.Combiner() }
 
 // RunLow drains src through one observation point's low level: column
@@ -141,59 +141,4 @@ func (d *Decomposition) RunLow(src stream.Source, send func(*tuple.Tuple) error)
 		low.Flush(emit)
 	}
 	return raw, partials, err
-}
-
-// Progress rebuilds the high level's event-time progress from the
-// partial records themselves, since the wire carries no punctuations.
-// A low-level node over in-order input sends its records in window
-// order, so once it has sent a record of the window ending at e it has
-// nothing more for any window ending before e. Once every expected node
-// has sent a record or ended, every window ending before the smallest
-// latest end of the nodes still sending is complete. A node that stops
-// without ending (it died) holds progress back until the caller's final
-// Flush.
-type Progress struct {
-	nodes int
-	last  map[string]int64 // node -> wend of its latest record; MaxInt64 once ended
-	mark  int64            // the last progress handed out
-}
-
-// NewProgress tracks the given number of low-level nodes.
-func NewProgress(nodes int) *Progress {
-	return &Progress{nodes: nodes, last: make(map[string]int64, nodes)}
-}
-
-// Observe notes that node sent rec, and returns the progress
-// punctuation the merge operator may receive after it, or nil when
-// progress has not moved.
-func (p *Progress) Observe(node string, rec *tuple.Tuple) *stream.Punctuation {
-	wend, _ := rec.Vals[0].AsTime()
-	if prev, ok := p.last[node]; ok && wend <= prev {
-		return nil
-	}
-	return p.move(node, wend)
-}
-
-// End notes that node has sent its last record, so it no longer holds
-// progress back, and returns the progress punctuation this releases, as
-// Observe does.
-func (p *Progress) End(node string) *stream.Punctuation {
-	return p.move(node, math.MaxInt64)
-}
-
-func (p *Progress) move(node string, wend int64) *stream.Punctuation {
-	p.last[node] = wend
-	if len(p.last) < p.nodes {
-		return nil
-	}
-	low := int64(math.MaxInt64)
-	for _, e := range p.last {
-		low = min(low, e)
-	}
-	// Every node ended: the caller's Flush closes what is left.
-	if low == math.MaxInt64 || low-1 <= p.mark {
-		return nil
-	}
-	p.mark = low - 1
-	return &stream.Punctuation{Ts: p.mark}
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"net"
 	"sort"
-	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"streamdb/internal/ckpt"
-	"streamdb/internal/exec"
+	"streamdb/internal/dsms"
 	"streamdb/internal/expr"
 	"streamdb/internal/stream"
 	"streamdb/internal/tuple"
@@ -40,7 +42,7 @@ func nodeID(n int) string { return fmt.Sprintf("low-%d", n) }
 // order), with progress rebuilt from the records, and returns its rows.
 func mergeHigh(d *Decomposition, recs [][]*tuple.Tuple, arrival []int) []*tuple.Tuple {
 	high := d.NewHigh()
-	prog := NewProgress(len(recs))
+	prog := stream.NewProgress(len(recs))
 	var rows []*tuple.Tuple
 	emit := func(e stream.Element) { rows = append(rows, e.Tuple) }
 	next := make([]int, len(recs))
@@ -48,7 +50,8 @@ func mergeHigh(d *Decomposition, recs [][]*tuple.Tuple, arrival []int) []*tuple.
 		rec := recs[n][next[n]]
 		next[n]++
 		high.Push(0, stream.Tup(rec), emit)
-		if pu := prog.Observe(nodeID(n), rec); pu != nil {
+		prog.Observe(nodeID(n), rec.Ts)
+		if pu := prog.Punct(); pu != nil {
 			high.Push(0, stream.Punct(pu), emit)
 		}
 	}
@@ -224,7 +227,8 @@ func TestDecomposeSplitBucketsMatchUnsplit(t *testing.T) {
 // holds progress back. With one node silent, or stopped after the first
 // window, the other node's records still close every window it has moved
 // past before the final Flush; without the End call no window would
-// close until then.
+// close until then. Progress runs on the records' timestamps, which are
+// their window ends.
 func TestProgressEndedNodeReleasesWindows(t *testing.T) {
 	cat := testCatalog()
 	const sql = `select srcIP, count(*) as c, sum(length) as s
@@ -244,23 +248,26 @@ func TestProgressEndedNodeReleasesWindows(t *testing.T) {
 		in := [][]*tuple.Tuple{inputs[0], other}
 		recs := lowRecords(t, d, in)
 		high := d.NewHigh()
-		prog := NewProgress(2)
+		prog := stream.NewProgress(2)
 		var rows []*tuple.Tuple
 		emit := func(e stream.Element) { rows = append(rows, e.Tuple) }
-		progress := func(pu *stream.Punctuation) {
-			if pu != nil {
+		progress := func() {
+			if pu := prog.Punct(); pu != nil {
 				high.Push(0, stream.Punct(pu), emit)
 			}
 		}
 		// Node 1 finishes first; node 0 then runs through every window.
 		for _, rec := range recs[1] {
 			high.Push(0, stream.Tup(rec), emit)
-			progress(prog.Observe(nodeID(1), rec))
+			prog.Observe(nodeID(1), rec.Ts)
+			progress()
 		}
-		progress(prog.End(nodeID(1)))
+		prog.End(nodeID(1))
+		progress()
 		for _, rec := range recs[0] {
 			high.Push(0, stream.Tup(rec), emit)
-			progress(prog.Observe(nodeID(0), rec))
+			prog.Observe(nodeID(0), rec.Ts)
+			progress()
 		}
 		closed := len(rows)
 		high.Flush(emit)
@@ -277,128 +284,196 @@ func TestProgressEndedNodeReleasesWindows(t *testing.T) {
 	}
 }
 
-// TestDecomposeHighCheckpointRestore drives the graph streamd's high
-// level builds with checkpointing on (Queue -> merge operator, progress
-// from the records): a checkpoint mid-stream, a crash after it, a fresh
-// graph restored from the checkpoint, and every stream replayed past its
-// floor yield the rows of an uninterrupted run.
+// TestDecomposeHighCheckpointRestore crashes a checkpointing
+// dsms.HighNode twice. Run 1 reads 3/4 of what every stream sent, all
+// of it applied and queued before the engine reads a frame, so at each
+// cut the transport is ahead of the engine: the floors must be the
+// rows consumed, not the rows applied, and the writers' acks must stop
+// at them. Run 2, restored from run 1, hears from two streams only and
+// must carry the silent stream's floor into its own checkpoints. Run 3,
+// restored from run 2, takes every stream to its end. The rows
+// delivered up to each run's last checkpoint, then run 3's, are the
+// unsplit query's.
 func TestDecomposeHighCheckpointRestore(t *testing.T) {
 	cat := testCatalog()
-	d, err := Decompose(`select srcIP, count(*) as c, sum(length) as s
-		from Traffic [range 10] group by srcIP`, cat, 8)
+	const sql = `select srcIP, count(*) as c, sum(length) as s
+		from Traffic [range 10] group by srcIP`
+	d, err := Decompose(sql, cat, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nodes = 3
-	recs := lowRecords(t, d, trafficInputs(5, nodes, 60*stream.Second, 20))
-	// Interleave the streams in runs of up to 7 records.
-	var arrival []int
-	for next := make([]int, nodes); ; {
-		moved := false
-		for n := range recs {
-			for k := 0; k < 7 && next[n] < len(recs[n]); k++ {
-				arrival = append(arrival, n)
-				next[n]++
-				moved = true
-			}
-		}
-		if !moved {
-			break
-		}
-	}
-
-	type run struct {
-		g    *exec.Graph
-		q    *stream.Queue
-		prog *Progress
-		rows []*tuple.Tuple
-	}
-	newRun := func() *run {
-		r := &run{q: stream.NewQueue(d.PartialSchema()), prog: NewProgress(nodes)}
-		r.g = exec.NewGraph(func(e stream.Element) { r.rows = append(r.rows, e.Tuple) })
-		si := r.g.AddSource(r.q)
-		hid := r.g.AddOp(d.NewHigh())
-		if err := r.g.ConnectSource(si, hid, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.g.ConnectOut(hid); err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	feed := func(r *run, n int, rec *tuple.Tuple) {
-		r.q.Feed(stream.Tup(rec))
-		if pu := r.prog.Observe(nodeID(n), rec); pu != nil {
-			r.q.Feed(stream.Punct(pu))
-		}
-		r.g.Pump(-1)
-	}
-	finish := func(r *run) []*tuple.Tuple {
-		r.q.Feed(stream.Punct(&stream.Punctuation{Ts: 1 << 62}))
-		r.g.Pump(-1)
-		r.g.Finish()
-		if err := r.g.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return r.rows
-	}
-
-	whole := newRun()
-	next := make([]int, nodes)
-	for _, n := range arrival {
-		feed(whole, n, recs[n][next[n]])
-		next[n]++
-	}
-	want := finish(whole)
-
+	const nodes, wireBatch = 3, 4
+	inputs := trafficInputs(5, nodes, 60*stream.Second, 20)
+	recs := lowRecords(t, d, inputs)
 	store, err := ckpt.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := newRun()
-	next = make([]int, nodes)
-	cut := len(arrival) / 2
-	for k, n := range arrival[:cut+40] {
-		if k == cut {
-			seqs := map[string]uint64{}
-			for m := range next {
-				seqs["seq."+nodeID(m)] = uint64(next[m])
-			}
-			if err := first.g.Checkpoint(store, 1, int64(len(first.rows)), seqs); err != nil {
-				t.Fatal(err)
+
+	// The writers outlive the crashes: they dial whichever high level is
+	// current and keep every frame not acknowledged past a durable floor.
+	var addr atomic.Value
+	var connMu sync.Mutex
+	var conns []net.Conn
+	writers := make([]*dsms.ReconnectWriter, nodes)
+	for n := range writers {
+		w, err := dsms.NewReconnectWriter(dsms.ReconnectConfig{
+			StreamID: nodeID(n),
+			Dial: func() (net.Conn, error) {
+				c, err := net.Dial("tcp", addr.Load().(string))
+				if err == nil {
+					connMu.Lock()
+					conns = append(conns, c)
+					connMu.Unlock()
+				}
+				return c, err
+			},
+			Schema:        d.PartialSchema(),
+			WireBatch:     wireBatch,
+			FlushInterval: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writers[n] = w
+	}
+	// feed sends the listed streams' records up to thirds/3 of each, in
+	// turns of up to 7 records per stream. A flush is answered only once
+	// the server has applied, and so queued, every frame before it,
+	// which fixes the queue's order. Runs 1 and 2 feed about 100 frames
+	// before the engine reads one, inside the source's 256-frame bound.
+	sent := make([]int, nodes)
+	feed := func(thirds int, streams ...int) {
+		for moved := true; moved; {
+			moved = false
+			for _, n := range streams {
+				for k := 0; k < 7 && sent[n] < len(recs[n])*thirds/3; k++ {
+					if err := writers[n].Send(recs[n][sent[n]]); err != nil {
+						t.Fatal(err)
+					}
+					sent[n]++
+					moved = true
+				}
+				if err := writers[n].Flush(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		feed(first, n, recs[n][next[n]])
-		next[n]++
 	}
-	// Crash: rows the first run emitted after its checkpoint are lost.
-	latest, err := store.Latest()
-	if err != nil || latest == nil {
-		t.Fatalf("latest checkpoint: %v, %v", latest, err)
+
+	type high struct {
+		ln   net.Listener
+		node *dsms.HighNode
+		rows []*tuple.Tuple
 	}
-	// The session transport owns replay, as in streamd: the queue source
-	// fast-forwards nothing.
-	for k := range latest.Meta {
-		if strings.HasPrefix(k, "src") {
-			latest.Meta[k] = 0
+	start := func() *high {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		h := &high{ln: ln}
+		h.node, err = dsms.NewHighNode(ln, d.PartialSchema(), d.NewHigh(), func(e stream.Element) {
+			if !e.IsPunct() {
+				h.rows = append(h.rows, e.Tuple)
+			}
+		}, dsms.HighConfig{Streams: nodes, Store: store, Every: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr.Store(ln.Addr().String())
+		return h
+	}
+	// crash kills a high level's listener and connections; the rows it
+	// emitted after its last checkpoint are lost.
+	crash := func(h *high) {
+		h.ln.Close()
+		connMu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		conns = nil
+		connMu.Unlock()
+	}
+	// run reads limit rows, then returns the latest checkpoint and the
+	// floors it records.
+	run := func(h *high, limit int) (*ckpt.Checkpoint, map[string]uint64) {
+		if err := h.node.Run(int64(limit)); err != nil {
+			t.Fatal(err)
+		}
+		latest, err := store.Latest()
+		if err != nil || latest == nil {
+			t.Fatalf("latest checkpoint %v (%v)", latest, err)
+		}
+		floors := map[string]uint64{}
+		for n := range recs {
+			floors[nodeID(n)] = latest.Meta["seq."+nodeID(n)]
+		}
+		return latest, floors
+	}
+
+	first := start()
+	feed(1, 0, 1, 2)
+	ckpt1, floors1 := run(first, (sent[0]+sent[1]+sent[2])*3/4)
+	if ckpt1.Epoch < 2 || ckpt1.OutSeq == 0 {
+		t.Fatalf("run 1: checkpoint epoch %d at %d rows; want a second epoch, mid-stream", ckpt1.Epoch, ckpt1.OutSeq)
+	}
+	// Every record sent was applied (each feed ends in a flush).
+	queued := false
+	for n := range writers {
+		queued = queued || int(floors1[nodeID(n)]) < sent[n]
+	}
+	if !queued {
+		t.Fatalf("floors %v reach the applied seqs %v: no frame was queued at the cut", floors1, sent)
+	}
+	// Each writer keeps exactly the frames its floor does not cover.
+	for n, w := range writers {
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		rest := sent[n] - int(floors1[nodeID(n)])
+		if b := w.Buffered(); b == sent[n] || b < rest || b >= rest+wireBatch {
+			t.Fatalf("%s buffers %d of %d sent, floor %d: acks did not stop at the floor",
+				nodeID(n), b, sent[n], floors1[nodeID(n)])
 		}
 	}
-	second := newRun()
-	if err := second.g.RestoreFrom(latest); err != nil {
+	crash(first)
+
+	second := start()
+	if second.node.Restored == nil || second.node.Restored.Epoch != ckpt1.Epoch {
+		t.Fatalf("run 2 restored %v, want epoch %d", second.node.Restored, ckpt1.Epoch)
+	}
+	feed(2, 0, 1)
+	backlog := 0
+	for n := 0; n < 2; n++ {
+		backlog += sent[n] - int(floors1[nodeID(n)])
+	}
+	ckpt2, floors2 := run(second, backlog/2)
+	if ckpt2.Epoch == ckpt1.Epoch || ckpt2.OutSeq < ckpt1.OutSeq {
+		t.Fatalf("run 2's checkpoint: epoch %d at %d rows after run 1's epoch %d at %d rows",
+			ckpt2.Epoch, ckpt2.OutSeq, ckpt1.Epoch, ckpt1.OutSeq)
+	}
+	if silent := nodeID(2); floors2[silent] != floors1[silent] {
+		t.Fatalf("run 2 moved silent stream %s's floor %d to %d", silent, floors1[silent], floors2[silent])
+	}
+	crash(second)
+
+	third := start()
+	engineDone := make(chan error, 1)
+	go func() { engineDone <- third.node.Run(-1) }()
+	feed(3, 0, 1, 2)
+	for _, w := range writers {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-engineDone; err != nil {
 		t.Fatal(err)
 	}
-	next = make([]int, nodes)
-	for _, n := range arrival {
-		if i := next[n]; uint64(i) >= latest.Meta["seq."+nodeID(n)] {
-			feed(second, n, recs[n][i])
-		}
-		next[n]++
-	}
-	got := append(append([]*tuple.Tuple(nil), first.rows[:latest.OutSeq]...), finish(second)...)
-	if latest.OutSeq == 0 || int(latest.OutSeq) == len(want) {
-		t.Fatalf("checkpoint at %d of %d rows is not mid-stream", latest.OutSeq, len(want))
-	}
-	sameRows(t, "restored", got, want)
+	want := unsplitRows(t, sql, cat, inputs)
+	got := append(append(append([]*tuple.Tuple(nil), first.rows[:ckpt1.OutSeq]...),
+		second.rows[:ckpt2.OutSeq-ckpt1.OutSeq]...), third.rows...)
+	sameRows(t, "restored twice", got, want)
 }
 
 func TestDecomposeRejections(t *testing.T) {

@@ -16,10 +16,11 @@ import (
 // only the selection vector; rows are materialized back into tuples
 // only at boundaries that need them (row-path operators, the sink).
 //
-// Batches never carry punctuations: a punctuation (and therefore a
-// checkpoint barrier) always travels the row path, which keeps the
-// engine's flush-on-punct and barrier-alignment invariants intact
-// without the columnar path knowing about either.
+// Inside the engine batches never carry punctuations: a punctuation
+// (and therefore a checkpoint barrier) always travels the row path,
+// which keeps the engine's flush-on-punct and barrier-alignment
+// invariants intact without the columnar path knowing about either. A
+// ColSource's batch may carry one, which the engine moves behind it.
 //
 // Ownership is reference-counted. A producer hands its reference to
 // the consumer with the batch; fan-out retains once per extra
@@ -35,6 +36,9 @@ type Batch struct {
 	Cols   [][]tuple.Value // Cols[c][r]: field c of row r
 	Ts     []int64         // timestamps, parallel to the column rows
 	Sel    []int32         // live row indexes, ascending; nil = all rows
+	// Punct is progress that follows the rows, set only by a ColSource
+	// on a batch it returns; nil everywhere else.
+	Punct *Punctuation
 
 	refs   atomic.Int32
 	pool   *ColPool
@@ -222,13 +226,15 @@ func (p *ColPool) put(b *Batch) {
 	}
 	b.Ts = b.Ts[:0]
 	b.Sel = nil
+	b.Punct = nil
 	p.pool.Put(b)
 }
 
 // ColSource is implemented by sources that can deliver columnar batches
 // directly — e.g. a transport decoding schema-coded frames — skipping
 // the row materialization a BulkSource would force. The caller owns the
-// returned batch's reference. A nil batch with more=true means
+// returned batch's reference. A non-nil Punct on the batch follows its
+// rows (the batch may hold none). A nil batch with more=true means
 // "momentarily idle"; the contract otherwise mirrors BulkSource.
 type ColSource interface {
 	Source
