@@ -435,7 +435,7 @@ func compareGroups(a, b *group) int {
 // one key is of the same integral kind with a payload below 2^32,
 // Value.Compare orders the groups by payload, so it packs (payload,
 // position) into one word per group and sorts the words — no pointer
-// chase and no 40-byte value copies per comparison. It reports false,
+// chase and no 24-byte value copies per comparison. It reports false,
 // leaving grps as it was, for any other key shape.
 func sortByPayload(grps []*group) bool {
 	if len(grps[0].keys) != 1 || uint64(len(grps)) > math.MaxUint32 {

@@ -100,6 +100,42 @@ func TestSourceProgressWaitsForEveryStream(t *testing.T) {
 	}
 }
 
+// TestSourceCountsLateRows: a row at or below the progress already
+// handed out is counted, and still reaches the engine as it was sent.
+func TestSourceCountsLateRows(t *testing.T) {
+	src, send, _ := twoStreams(t)
+	send("a", 0, 40)
+	send("b", 0, 8)
+	if rows, pu := readCols(t, src, 1000); rows != 48 || pu != 6 {
+		t.Fatalf("read %d rows with progress %d; want 48 rows and progress 6", rows, pu)
+	}
+	if n := src.LateRows(); n != 0 {
+		t.Fatalf("%d late rows before any stream broke its order", n)
+	}
+	send("b", 2, 3) // below progress 6
+	send("b", 6, 8) // at progress 6, then above it
+	var ts []int64
+	for len(ts) < 3 {
+		b, more := src.NextColBatch(1000)
+		if !more {
+			t.Fatal("source ended early")
+		}
+		for r := 0; r < b.Rows(); r++ {
+			if v := b.Cols[0][r]; !v.Equal(tuple.Time(b.Ts[r])) {
+				t.Fatalf("row %d: time field %v, timestamp %d", r, v, b.Ts[r])
+			}
+		}
+		ts = append(ts, b.Ts...)
+		b.Release()
+	}
+	if len(ts) != 3 || ts[0] != 2 || ts[1] != 6 || ts[2] != 7 {
+		t.Fatalf("rows at %v, want [2 6 7]", ts)
+	}
+	if n := src.LateRows(); n != 2 {
+		t.Fatalf("%d late rows, want 2 (at 2 and 6)", n)
+	}
+}
+
 // TestSourceProgressCompletionReleases: a completed stream leaves the
 // minimum, and the read that meets its completion carries the progress
 // it releases, rows or none.

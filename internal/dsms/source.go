@@ -2,7 +2,9 @@ package dsms
 
 import (
 	"maps"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"streamdb/internal/stream"
 	"streamdb/internal/tuple"
@@ -30,13 +32,16 @@ type SessionSource struct {
 	mu       sync.Mutex
 	err      error             // the server's result
 	consumed map[string]uint64 // per stream: sequence number of the last row handed over
+	late     atomic.Int64      // rows handed over at or below progress already handed out
 
 	// Engine goroutine only: the frame a read split (or has yet to
 	// take), how many of its rows have been handed over, the progress
-	// rule, and a punctuation NextBatch had no room for.
+	// rule, the last progress handed out, and a punctuation NextBatch
+	// had no room for.
 	head    frame
 	headOff int
 	prog    *stream.Progress
+	mark    int64
 	held    *stream.Punctuation
 }
 
@@ -68,9 +73,10 @@ const framePoolRows = 256
 // defaultFrameBound); the transport blocks when the engine falls
 // behind. Each stream must arrive in timestamp order, as the partial
 // records of a low-level node do: a stream's progress is its last
-// row's timestamp, so a row below progress already handed out is
-// neither checked nor dropped, and windowed operators downstream treat
-// it as late. ConsumedSeqs starts at the server's InitialSeqs.
+// row's timestamp, so a row at or below progress already handed out is
+// not dropped but passed on as it came, and windowed operators
+// downstream treat it as late; LateRows counts such rows.
+// ConsumedSeqs starts at the server's InitialSeqs.
 func NewSessionSource(srv *SessionServer, streams, queueBound int) *SessionSource {
 	if queueBound <= 0 {
 		queueBound = defaultFrameBound
@@ -81,6 +87,7 @@ func NewSessionSource(srv *SessionServer, streams, queueBound int) *SessionSourc
 		frames:   make(chan frame, queueBound),
 		consumed: make(map[string]uint64, streams),
 		prog:     stream.NewProgress(streams),
+		mark:     math.MinInt64,
 	}
 	maps.Copy(s.consumed, srv.cfg.InitialSeqs)
 	go func() {
@@ -157,7 +164,7 @@ func (s *SessionSource) NextColBatch(max int) (*stream.Batch, bool) {
 			}
 			if out == nil && s.headOff == 0 && f.b.Rows() <= max {
 				out, s.head = f.b, frame{}
-				s.handedOver(f, f.b.Rows())
+				s.handedOver(f, 0, f.b.Rows())
 				continue
 			}
 			if out == nil {
@@ -173,6 +180,7 @@ func (s *SessionSource) NextColBatch(max int) (*stream.Batch, bool) {
 				out = s.pool.Get()
 			}
 			out.Punct = pu
+			s.mark = pu.Ts
 		}
 	}
 	return out, true
@@ -195,18 +203,25 @@ func (s *SessionSource) take(out *stream.Batch, max int) {
 	f := s.head
 	hi := min(f.b.Rows(), s.headOff+max-out.Rows())
 	out.AppendSpan(f.b, s.headOff, hi)
+	s.handedOver(f, s.headOff, hi)
 	s.headOff = hi
-	s.handedOver(f, hi)
 	if hi == f.b.Rows() {
 		f.b.Release()
 		s.head, s.headOff = frame{}, 0
 	}
 }
 
-// handedOver notes that f's rows before hi have been handed to the
-// engine: its stream's consumed sequence number and, as each stream is
-// in timestamp order, its highest timestamp.
-func (s *SessionSource) handedOver(f frame, hi int) {
+// handedOver notes that f's rows [lo, hi) have been handed to the
+// engine: its stream's consumed sequence number, its highest timestamp
+// (each stream is in timestamp order) and its late rows.
+func (s *SessionSource) handedOver(f frame, lo, hi int) {
+	late, mark := int64(0), s.mark
+	for _, ts := range f.b.Ts[lo:hi] {
+		if ts <= mark {
+			late++
+		}
+	}
+	s.late.Add(late)
 	s.prog.Observe(f.id, f.b.Ts[hi-1])
 	s.mu.Lock()
 	s.consumed[f.id] = f.seq - uint64(f.b.Rows()-hi)
@@ -225,6 +240,12 @@ func (s *SessionSource) ConsumedSeqs() map[string]uint64 {
 	defer s.mu.Unlock()
 	return maps.Clone(s.consumed)
 }
+
+// LateRows reports how many rows were handed to the engine with a
+// timestamp at or below progress already handed out: rows of a stream
+// that broke its timestamp order, which windows downstream see as late.
+// It is safe to call from any goroutine.
+func (s *SessionSource) LateRows() int64 { return s.late.Load() }
 
 // Err reports the server's result once every stream has completed (nil
 // while still serving).

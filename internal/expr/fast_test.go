@@ -199,7 +199,7 @@ func TestCompileCols(t *testing.T) {
 	tp := tuple.New(0, tuple.Time(5), tuple.Int(7), tuple.Uint(9), tuple.Float(2.5))
 	for i, e := range cols {
 		want := e.Eval(tp)
-		if got := tp.Vals[idx[i]]; got != want {
+		if got := tp.Vals[idx[i]]; got.Kind != want.Kind || !got.Equal(want) {
 			t.Errorf("key %d: t.Vals[%d] = %v, Eval = %v", i, idx[i], got, want)
 		}
 	}

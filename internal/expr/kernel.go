@@ -223,7 +223,7 @@ func b2u(b bool) uint8 {
 // across the whole loop, tripling its cost even when never taken). On
 // the dense path the pure loop runs speculatively with a branchless
 // `bad |= kind != k` accumulator riding along — reading Raw()/Fl() of a
-// mis-kinded Value is safe (plain field loads), so a deviant row just
+// mis-kinded Value is safe (one payload-word load), so a deviant row just
 // discards the speculative output and re-runs the chunk through the
 // mixed lane. On the sel path dst may alias sel (in-place refinement)
 // and a failed speculation could not be rolled back, so the speculative

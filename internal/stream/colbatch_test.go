@@ -35,7 +35,7 @@ func TestColBatchRetainBlocksRecycle(t *testing.T) {
 		t.Fatal("retained batch reported exclusive")
 	}
 	b.Release() // first consumer done — storage must survive
-	if got := b.Cols[1][3]; got != tuple.Int(30) {
+	if got := b.Cols[1][3]; !got.Equal(tuple.Int(30)) {
 		t.Fatalf("batch zeroed while a reference was outstanding: %v", got)
 	}
 	// The batch never reached the freelist: a Get must not return it.
@@ -63,7 +63,7 @@ func TestColBatchWithSelPinsParent(t *testing.T) {
 		t.Fatal("a view must never report exclusive (it does not own storage)")
 	}
 	b.Release() // producer done; the view's pin keeps the storage alive
-	if got := v.Cols[1][3]; got != tuple.Int(30) {
+	if got := v.Cols[1][3]; !got.Equal(tuple.Int(30)) {
 		t.Fatalf("parent zeroed under a live view: %v", got)
 	}
 	if pool.Get() == b {
@@ -71,7 +71,7 @@ func TestColBatchWithSelPinsParent(t *testing.T) {
 	}
 	var out []Element
 	out = v.AppendRows(out)
-	if len(out) != 2 || out[0].Tuple.Ts != 1 || out[1].Tuple.Vals[1] != tuple.Int(30) {
+	if len(out) != 2 || out[0].Tuple.Ts != 1 || !out[1].Tuple.Vals[1].Equal(tuple.Int(30)) {
 		t.Fatalf("view materialized wrong rows: %v", out)
 	}
 	v.Release() // drops the view and unpins the parent
@@ -97,7 +97,7 @@ func TestColBatchAppendRowsDetaches(t *testing.T) {
 	b.Release() // zeroes and recycles the batch storage
 	for i, wantV := range []int64{0, 20, 40} {
 		e := out[i]
-		if e.Tuple.Ts != int64(2*i) || e.Tuple.Vals[1] != tuple.Int(wantV) {
+		if e.Tuple.Ts != int64(2*i) || !e.Tuple.Vals[1].Equal(tuple.Int(wantV)) {
 			t.Fatalf("row %d corrupted after batch release: %v", i, e.Tuple)
 		}
 	}

@@ -20,7 +20,7 @@ func TestArenaPoolPutZeroes(t *testing.T) {
 	vals := got[0].Vals
 	pool.Put(a)
 	for j := range vals {
-		if vals[j] != (Value{}) {
+		if !isZero(vals[j]) {
 			t.Fatalf("arena storage not zeroed by Put: %v", vals[j])
 		}
 	}

@@ -73,10 +73,10 @@ func AppendEncodeBatch(buf []byte, s *Schema, tuples []*Tuple) ([]byte, error) {
 			}
 			switch f.Kind {
 			case KindFloat:
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.f))
+				buf = binary.LittleEndian.AppendUint64(buf, v.num)
 			case KindString:
-				buf = binary.AppendUvarint(buf, uint64(len(v.s)))
-				buf = append(buf, v.s...)
+				buf = binary.AppendUvarint(buf, v.num)
+				buf = append(buf, v.str()...)
 			default:
 				if i == ordIdx {
 					buf = binary.AppendVarint(buf, int64(v.num)-t.Ts)

@@ -26,10 +26,10 @@ func AppendEncode(buf []byte, t *Tuple) []byte {
 		switch v.Kind {
 		case KindNull:
 		case KindFloat:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.f))
+			buf = binary.LittleEndian.AppendUint64(buf, v.num)
 		case KindString:
-			buf = binary.AppendUvarint(buf, uint64(len(v.s)))
-			buf = append(buf, v.s...)
+			buf = binary.AppendUvarint(buf, v.num)
+			buf = append(buf, v.str()...)
 		default:
 			buf = binary.AppendUvarint(buf, v.num)
 		}

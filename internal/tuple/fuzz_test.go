@@ -1,9 +1,6 @@
 package tuple
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // valueEqual is Equal plus NULL==NULL, for round-trip comparisons (SQL
 // Equal treats NULL as unequal to everything).
@@ -148,10 +145,16 @@ func FuzzDecodeBatch(f *testing.F) {
 }
 
 // sameValue is bit-identity: both batch layouts run one value decoder,
-// so even NaN payloads must agree.
+// so even NaN payloads must agree. Strings compare by content: the
+// payload word holds the length and p only where the bytes live.
 func sameValue(a, b Value) bool {
-	return a.Kind == b.Kind && a.num == b.num &&
-		math.Float64bits(a.f) == math.Float64bits(b.f) && a.s == b.s
+	return a.Kind == b.Kind && a.num == b.num && a.Str() == b.Str()
+}
+
+// isZero reports whether v is the zero Value, pointer word included:
+// storage handed back to a pool must not pin a string.
+func isZero(v Value) bool {
+	return v.Kind == KindNull && v.num == 0 && v.p == nil
 }
 
 // FuzzDecodeBatchCols holds the column-major decode to the row-major
@@ -210,7 +213,7 @@ func FuzzDecodeBatchCols(f *testing.F) {
 					t.Fatalf("column %d not restored on error: %v", c, cols[c])
 				}
 				for _, v := range cols[c][1:cap(cols[c])] {
-					if v != (Value{}) {
+					if !isZero(v) {
 						t.Fatalf("column %d keeps %v past its length after an error", c, v)
 					}
 				}

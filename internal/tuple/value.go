@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates the primitive types a stream attribute may take.
@@ -84,14 +85,19 @@ func (k Kind) Numeric() bool {
 }
 
 // Value is a tagged union holding one attribute value. The zero Value is
-// NULL. Exactly one payload field is meaningful, selected by Kind.
+// NULL. It is 24 bytes: the kind, one payload word and one pointer, so
+// every batch column, row and window slot of values stays dense.
+//
+// Values do not support ==: a STRING's payload is a pointer, and == would
+// compare addresses, not contents. Use Equal, or Compare for an order.
 type Value struct {
+	_    [0]func() // forbids == and map keys; zero-sized, so no padding
 	Kind Kind
-	// num holds KindInt (as int64 bits), KindUint, KindIP, KindTime and
-	// KindBool (0/1); f holds KindFloat; s holds KindString.
+	// num holds KindInt (as int64 bits), KindUint, KindIP, KindTime,
+	// KindBool (0/1), KindFloat's IEEE-754 bits and KindString's length;
+	// p points at KindString's bytes and is nil for every other kind.
 	num uint64
-	f   float64
-	s   string
+	p   *byte
 }
 
 // Null is the NULL value.
@@ -104,10 +110,13 @@ func Int(v int64) Value { return Value{Kind: KindInt, num: uint64(v)} }
 func Uint(v uint64) Value { return Value{Kind: KindUint, num: v} }
 
 // Float constructs a FLOAT value.
-func Float(v float64) Value { return Value{Kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{Kind: KindFloat, num: math.Float64bits(v)} }
 
-// String constructs a STRING value.
-func String(v string) Value { return Value{Kind: KindString, s: v} }
+// String constructs a STRING value. It shares v's bytes, as a copy of
+// the string would.
+func String(v string) Value {
+	return Value{Kind: KindString, num: uint64(len(v)), p: unsafe.StringData(v)}
+}
 
 // Bool constructs a BOOL value.
 func Bool(v bool) Value {
@@ -138,7 +147,7 @@ func (v Value) AsInt() (int64, bool) {
 	case KindUint, KindIP:
 		return int64(v.num), true
 	case KindFloat:
-		return int64(v.f), true
+		return int64(v.fl()), true
 	case KindBool:
 		return int64(v.num), true
 	}
@@ -156,10 +165,11 @@ func (v Value) AsUint() (uint64, bool) {
 		}
 		return v.num, true
 	case KindFloat:
-		if v.f < 0 {
+		f := v.fl()
+		if f < 0 {
 			return 0, false
 		}
-		return uint64(v.f), true
+		return uint64(f), true
 	}
 	return 0, false
 }
@@ -168,7 +178,7 @@ func (v Value) AsUint() (uint64, bool) {
 func (v Value) AsFloat() (float64, bool) {
 	switch v.Kind {
 	case KindFloat:
-		return v.f, true
+		return v.fl(), true
 	case KindInt, KindTime:
 		return float64(int64(v.num)), true
 	case KindUint, KindIP, KindBool:
@@ -180,7 +190,7 @@ func (v Value) AsFloat() (float64, bool) {
 // AsString returns the value as a string; only STRING succeeds.
 func (v Value) AsString() (string, bool) {
 	if v.Kind == KindString {
-		return v.s, true
+		return v.str(), true
 	}
 	return "", false
 }
@@ -201,15 +211,33 @@ func (v Value) AsTime() (int64, bool) {
 	return 0, false
 }
 
-// Raw returns the raw numeric payload. It is meaningful for every kind
-// except STRING and FLOAT and exists for hashing and encoding.
+// Raw returns the payload word: the integral payload of INT, UINT, IP,
+// TIME and BOOL, but a FLOAT's IEEE-754 bits and a STRING's length. It
+// exists for hashing, encoding and kernels that have checked the kind.
 func (v Value) Raw() uint64 { return v.num }
 
-// Str returns the raw string payload (empty unless Kind == KindString).
-func (v Value) Str() string { return v.s }
+// Str returns the string payload (empty unless Kind == KindString).
+func (v Value) Str() string {
+	if v.Kind != KindString {
+		return "" // another kind's payload word is not a length
+	}
+	return v.str()
+}
 
-// Fl returns the raw float payload (zero unless Kind == KindFloat).
-func (v Value) Fl() float64 { return v.f }
+// Fl returns the float payload (zero unless Kind == KindFloat).
+func (v Value) Fl() float64 {
+	bits := v.num
+	if v.Kind != KindFloat {
+		bits = 0
+	}
+	return math.Float64frombits(bits)
+}
+
+// str reads a STRING's bytes back; v.Kind must be KindString.
+func (v Value) str() string { return unsafe.String(v.p, int(v.num)) }
+
+// fl reads a FLOAT's payload; v.Kind must be KindFloat.
+func (v Value) fl() float64 { return math.Float64frombits(v.num) }
 
 // String renders the value for display.
 func (v Value) String() string {
@@ -221,9 +249,9 @@ func (v Value) String() string {
 	case KindUint:
 		return strconv.FormatUint(v.num, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.fl(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	case KindBool:
 		if v.num != 0 {
 			return "true"
@@ -274,7 +302,7 @@ func (v Value) Equal(o Value) bool {
 		return false
 	}
 	if v.Kind == KindString || o.Kind == KindString {
-		return v.Kind == o.Kind && v.s == o.s
+		return v.Kind == o.Kind && v.str() == o.str()
 	}
 	if v.Kind == KindBool || o.Kind == KindBool {
 		return v.Kind == o.Kind && v.num == o.num
@@ -300,7 +328,7 @@ func (v Value) Compare(o Value) int {
 	}
 	switch v.Kind {
 	case KindString:
-		return strings.Compare(v.s, o.s)
+		return strings.Compare(v.str(), o.str())
 	case KindBool:
 		return int(v.num) - int(o.num)
 	case KindIP:
@@ -378,19 +406,19 @@ func (v Value) Hash() uint64 {
 		mix(0)
 	case KindString:
 		mix(1)
-		for i := 0; i < len(v.s); i++ {
-			mix(v.s[i])
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			mix(s[i])
 		}
 	case KindFloat:
 		// Hash integral floats as their integer value so 1.0 == 1 holds
 		// for Equal implies equal hashes.
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && math.Abs(v.f) < math.MaxInt64 {
-			return Int(int64(v.f)).Hash()
+		if f := v.fl(); f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < math.MaxInt64 {
+			return Int(int64(f)).Hash()
 		}
 		mix(2)
-		bits := math.Float64bits(v.f)
 		for i := 0; i < 8; i++ {
-			mix(byte(bits >> (8 * i)))
+			mix(byte(v.num >> (8 * i)))
 		}
 	case KindBool:
 		mix(3)
@@ -404,12 +432,13 @@ func (v Value) Hash() uint64 {
 	return h
 }
 
-// MemSize returns the approximate in-memory footprint of the value in
-// bytes, used by the memory-based optimizer and load shedder.
+// MemSize returns the in-memory footprint of the value in bytes, a
+// STRING's bytes included, used by the memory-based optimizer and load
+// shedder.
 func (v Value) MemSize() int {
-	n := 24 // struct overhead approximation
+	n := int(unsafe.Sizeof(v))
 	if v.Kind == KindString {
-		n += len(v.s)
+		n += int(v.num)
 	}
 	return n
 }
