@@ -179,7 +179,7 @@ func runHigh(d *query.Decomposition, ln net.Listener, cfg dsms.HighConfig, ckptD
 		logf("stats %s", b)
 	}
 	st := h.Server.Stats()
-	fmt.Printf("high-level: %d partial records merged into %d final rows\n", st.Frames, finals)
+	fmt.Printf("high-level: %d partial records merged into %d final rows, %d late rows\n", st.Frames, finals, h.LateRows())
 	fmt.Printf("high-level: %d sessions, %d resumes, %d duplicate frames discarded, %d corrupt frames rejected\n",
 		st.Sessions, st.Reconnects, st.Dupes, st.Corrupt)
 }

@@ -1,19 +1,18 @@
 // Columnar fold: GroupBy's batch-native fast path.
 //
 // The row path pays, per tuple, an interface dispatch per aggregate
-// argument, another per state update, and an FNV chain lookup per key.
-// The columnar fold removes all three for the shapes that dominate
+// argument, another per state update, and a group-index probe per key.
+// The columnar fold removes the first two for the shapes that dominate
 // streaming aggregation — pane-compatible time windows grouped by bare
 // columns with partializable aggregates:
 //
 //   - aggregate arguments are read straight out of the column vectors;
 //   - state updates run typed loops over the concrete state structs
 //     (countState.n++ instead of State.Add through the interface);
-//   - a single small scalar grouping key direct-indexes a per-table
-//     dense cache, so repeat keys skip hashing entirely. The FNV chain
-//     remains the only authoritative index: the cache is filled from
-//     chain lookups, cleared whenever groups leave a table, and never
-//     snapshotted, which keeps checkpoint/restore byte-identical.
+//   - group lookups are resolved for a whole equal-timestamp run before
+//     the update loops. They probe the table's flat index (table.go)
+//     exactly as the row path does; for one bare integral key column
+//     the probe is a multiply-mix of the payload word, no Value.Hash.
 //
 // Everything outside that envelope — computed keys or arguments,
 // legacy/unbounded windows, late tuples, non-scalar keys — gathers the
@@ -56,38 +55,10 @@ const (
 	colPlanRow               // gather each row, rerun the row path
 )
 
-// denseKeys bounds the dense group cache: raw key payloads below this
-// direct-index a per-table pointer array. The array starts at
-// denseKeysInit entries and quadruples — only up to the bound — when a
-// larger eligible key shows up, so tables over small key domains (the
-// common case) never pay a 32 KiB zeroed, GC-scanned allocation per
-// pane.
-const (
-	denseKeys     = 4096
-	denseKeysInit = 256
-)
-
-// growCache widens tbl's dense cache to cover raw (< denseKeys),
-// preserving cached entries.
-func growCache(tbl *groupTable, raw uint64) []*group {
-	n := uint64(denseKeysInit)
-	for n <= raw {
-		n <<= 2
-	}
-	if n > denseKeys {
-		n = denseKeys
-	}
-	next := make([]*group, n)
-	copy(next, tbl.cache)
-	tbl.cache = next
-	return next
-}
-
 // planColumnar decides, once per operator instance, how ProcessBatch
 // handles batches of the given arity.
 func (g *GroupBy) planColumnar(arity int) {
 	g.colPlan = colPlanRow
-	g.colKey = -1
 	if g.paneAsn == nil || g.keyCols == nil {
 		return
 	}
@@ -121,18 +92,6 @@ func (g *GroupBy) planColumnar(arity int) {
 	}
 	g.colAggs = aggs
 	g.colPlan = colPlanFast
-	if len(g.keyCols) == 1 {
-		switch k := g.groupBy[0].Kind(); k {
-		// Scalar kinds whose raw payload fully determines the value, so
-		// (kind, payload) is a sound dense-cache index. Strings carry
-		// out-of-band bytes and negative INTs exceed the payload bound
-		// at runtime; NULLs fail the kind check. All fall back to the
-		// hash chain.
-		case tuple.KindInt, tuple.KindUint, tuple.KindTime, tuple.KindBool:
-			g.colKey = g.keyCols[0]
-			g.colKeyKind = k
-		}
-	}
 }
 
 // ProcessBatch implements ops.BatchOperator. Aggregation output is
@@ -225,45 +184,16 @@ func (g *GroupBy) gatherColRow(b *stream.Batch, r int) *tuple.Tuple {
 }
 
 // foldColSpan folds an equal-timestamp run of batch rows into tbl in
-// two sweeps: resolve every row's group (dense cache when eligible,
-// hash chain otherwise), then run one typed update loop per aggregate
-// over the resolved groups — hoisting the per-aggregate dispatch out of
-// the per-row path.
+// two sweeps: resolve every row's group, then run one typed update loop
+// per aggregate over the resolved groups — hoisting the per-aggregate
+// dispatch out of the per-row path.
 func (g *GroupBy) foldColSpan(tbl *groupTable, b *stream.Batch, rows []int32) {
 	if cap(g.runGroups) < len(rows) {
 		g.runGroups = make([]*group, len(rows))
 	}
 	run := g.runGroups[:len(rows)]
-	if g.colKey >= 0 {
-		if tbl.cache == nil {
-			tbl.cache = make([]*group, denseKeysInit)
-		}
-		cache := tbl.cache
-		key := b.Cols[g.colKey]
-		for k, r := range rows {
-			if v := key[r]; v.Kind == g.colKeyKind {
-				if raw := v.Raw(); raw < uint64(len(cache)) {
-					grp := cache[raw]
-					if grp == nil {
-						grp = g.locateColGroup(tbl, b, int(r))
-						cache[raw] = grp
-					}
-					run[k] = grp
-					continue
-				} else if raw < denseKeys {
-					cache = growCache(tbl, raw)
-					grp := g.locateColGroup(tbl, b, int(r))
-					cache[raw] = grp
-					run[k] = grp
-					continue
-				}
-			}
-			run[k] = g.locateColGroup(tbl, b, int(r))
-		}
-	} else {
-		for k, r := range rows {
-			run[k] = g.locateColGroup(tbl, b, int(r))
-		}
+	for k, r := range rows {
+		run[k] = g.locateColGroup(tbl, b, int(r))
 	}
 	for i := range g.colAggs {
 		ca := &g.colAggs[i]
@@ -341,13 +271,9 @@ func (g *GroupBy) updateOne(grp *group, i int, ca *colAgg, b *stream.Batch, r in
 // keyCols is non-nil.
 func (g *GroupBy) locateColGroup(tbl *groupTable, b *stream.Batch, r int) *group {
 	keys := g.scratch[:0]
-	h := uint64(1469598103934665603)
 	for _, idx := range g.keyCols {
-		v := b.Cols[idx][r]
-		keys = append(keys, v)
-		h ^= v.Hash()
-		h *= 1099511628211
+		keys = append(keys, b.Cols[idx][r])
 	}
 	g.scratch = keys
-	return g.locateGroup(tbl, keys, h)
+	return g.locateGroup(tbl, keys, g.probe(keys))
 }

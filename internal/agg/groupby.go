@@ -81,43 +81,24 @@ type GroupBy struct {
 	partial     bool
 	partialMark int64
 
+	// Group index (see table.go): wordKey selects the payload probe over
+	// the FNV chain hash for every table; groupSize is each group's
+	// MemSize when the key and state kinds fix it (0: walk the groups).
+	wordKey   bool
+	groupSize int
+
 	// Columnar fast path (see colfold.go), planned lazily on the first
-	// ProcessBatch. colKey is the dense-cache key column (-1 = generic
-	// hash path); colRow/colVals are the gather scratch for rows that
+	// ProcessBatch. colRow/colVals are the gather scratch for rows that
 	// must take the tuple path (late arrivals, unplanned shapes).
-	colPlan    int8
-	colKey     int
-	colKeyKind tuple.Kind
-	colAggs    []colAgg
-	colRow     tuple.Tuple
-	colVals    []tuple.Value
+	colPlan int8
+	colAggs []colAgg
+	colRow  tuple.Tuple
+	colVals []tuple.Value
 	// Run-fold scratch (colfold.go): resolved group pointers for one
 	// equal-timestamp run, and a dense row-index ramp for batches
 	// without a selection vector.
 	runGroups []*group
 	runRows   []int32
-}
-
-type groupTable struct {
-	end int64
-	// groups chains on the key hash; chains resolve hash collisions by
-	// comparing key values.
-	groups map[uint64][]*group
-	n      int
-	// cache direct-indexes groups by the raw payload of a single small
-	// scalar grouping key (see colfold.go), bypassing the hash chain on
-	// repeat keys. The FNV chain stays authoritative: the cache is filled
-	// from chain lookups and cleared whenever groups leave the table
-	// (removeMatching, recycleGroups), so snapshots never see it.
-	cache []*group
-}
-
-type group struct {
-	keys   []tuple.Value
-	states []State
-	// refs counts the held panes containing this key (running window
-	// table only; zero everywhere else).
-	refs int
 }
 
 // NewGroupBy builds a grouped aggregate. groupBy expressions become the
@@ -152,6 +133,8 @@ func NewGroupBy(name string, in *tuple.Schema, groupBy []expr.Expr, groupNames [
 		keyCols: expr.CompileCols(groupBy),
 		scratch: make([]tuple.Value, 0, len(groupBy)),
 	}
+	g.wordKey = wordKeyed(g.keyCols, groupBy)
+	g.groupSize = fixedGroupSize(groupBy, aggs)
 	if spec.Kind == window.KindTime {
 		if window.PaneCompatible(spec) && allPartializable(aggs) {
 			// Pane path: O(1) state updates per tuple, windows folded
@@ -167,13 +150,13 @@ func NewGroupBy(name string, in *tuple.Schema, groupBy []expr.Expr, groupNames [
 			g.paneWins = make(map[int64]int64)
 			g.paneNext = math.MaxInt64
 			if runningGate(spec, groupBy, aggs) {
-				g.run = newRunWindow()
+				g.run = &runWindow{}
 			}
 		} else {
 			g.assigner = window.NewAssigner(spec)
 		}
 	} else {
-		g.unbounded = &groupTable{groups: make(map[uint64][]*group)}
+		g.unbounded = &groupTable{}
 	}
 	if having != nil {
 		h, err := having(out)
@@ -232,7 +215,7 @@ func (g *GroupBy) pushRow(t *tuple.Tuple, emit ops.Emit) {
 		for _, id := range g.assigner.Assign(t.Ts) {
 			tbl, ok := g.windows[id.Start]
 			if !ok {
-				tbl = &groupTable{end: id.End, groups: make(map[uint64][]*group)}
+				tbl = &groupTable{end: id.End}
 				g.windows[id.Start] = tbl
 			}
 			g.fold(tbl, t)
@@ -251,37 +234,28 @@ func (g *GroupBy) trackGroups() {
 }
 
 // evalKeys extracts the tuple's grouping-key values into the reusable
-// scratch buffer and returns them with their chain hash. Bare-column
-// groupings take the compiled fast lane (no interface dispatch).
-func (g *GroupBy) evalKeys(t *tuple.Tuple) ([]tuple.Value, uint64) {
+// scratch buffer. Bare-column groupings take the compiled fast lane (no
+// interface dispatch).
+func (g *GroupBy) evalKeys(t *tuple.Tuple) []tuple.Value {
 	keys := g.scratch[:0]
-	h := uint64(1469598103934665603)
 	if g.keyCols != nil {
 		for _, idx := range g.keyCols {
-			v := t.Vals[idx]
-			keys = append(keys, v)
-			h ^= v.Hash()
-			h *= 1099511628211
+			keys = append(keys, t.Vals[idx])
 		}
 	} else {
 		for _, ge := range g.groupBy {
-			v := ge.Eval(t)
-			keys = append(keys, v)
-			h ^= v.Hash()
-			h *= 1099511628211
+			keys = append(keys, ge.Eval(t))
 		}
 	}
 	g.scratch = keys
-	return keys, h
+	return keys
 }
 
-// locateGroup resolves keys (with their chain hash h) to the table's
-// group, creating one — recycled when possible — on first sight.
+// locateGroup resolves keys (with their probe h) to the table's group,
+// creating one — recycled when possible — on first sight.
 func (g *GroupBy) locateGroup(tbl *groupTable, keys []tuple.Value, h uint64) *group {
-	for _, cand := range tbl.groups[h] {
-		if keysEqual(cand.keys, keys) {
-			return cand
-		}
+	if i := tbl.find(keys, h); i >= 0 {
+		return tbl.slots[i].grp
 	}
 	var grp *group
 	if n := len(g.groupFree); n > 0 {
@@ -301,14 +275,13 @@ func (g *GroupBy) locateGroup(tbl *groupTable, keys []tuple.Value, h uint64) *gr
 		}
 		grp = &group{keys: kc, states: states}
 	}
-	tbl.groups[h] = append(tbl.groups[h], grp)
-	tbl.n++
+	tbl.insert(grp, h)
 	return grp
 }
 
 func (g *GroupBy) fold(tbl *groupTable, t *tuple.Tuple) {
-	keys, h := g.evalKeys(t)
-	grp := g.locateGroup(tbl, keys, h)
+	keys := g.evalKeys(t)
+	grp := g.locateGroup(tbl, keys, g.probe(keys))
 	for i, a := range g.aggs {
 		if a.Arg == nil {
 			grp.states[i].Add(tuple.Int(1))
@@ -409,12 +382,13 @@ func sortGroups(grps []*group) {
 	slices.SortFunc(grps, compareGroups)
 }
 
-// sortedTableGroups flattens a table's chains in deterministic key
-// order.
+// sortedTableGroups lists a table's groups in deterministic key order.
 func sortedTableGroups(tbl *groupTable) []*group {
 	grps := make([]*group, 0, tbl.n)
-	for _, chain := range tbl.groups {
-		grps = append(grps, chain...)
+	for _, s := range tbl.slots {
+		if s.grp != nil {
+			grps = append(grps, s.grp)
+		}
 	}
 	sortGroups(grps)
 	return grps
@@ -553,36 +527,6 @@ func matchBounds(keys []tuple.Value, bounds []keyBound) bool {
 	return true
 }
 
-// removeMatching extracts (and removes) every group whose keys satisfy
-// the bounds.
-func (tbl *groupTable) removeMatching(bounds []keyBound) []*group {
-	var done []*group
-	for h, chain := range tbl.groups {
-		keep := chain[:0]
-		for _, grp := range chain {
-			if matchBounds(grp.keys, bounds) {
-				done = append(done, grp)
-				tbl.n--
-			} else {
-				keep = append(keep, grp)
-			}
-		}
-		if len(keep) == 0 {
-			delete(tbl.groups, h)
-		} else {
-			tbl.groups[h] = keep
-		}
-	}
-	if len(done) > 0 && tbl.cache != nil {
-		// Removed groups may be dense-cached; drop the whole cache
-		// rather than match bounds twice (removal is punctuation-rare).
-		for i := range tbl.cache {
-			tbl.cache[i] = nil
-		}
-	}
-	return done
-}
-
 // Flush implements ops.Operator: emits all open windows (or the
 // unbounded table).
 func (g *GroupBy) Flush(emit ops.Emit) {
@@ -596,7 +540,7 @@ func (g *GroupBy) Flush(emit ops.Emit) {
 		if g.unbounded != nil && g.unbounded.n > 0 {
 			g.unbounded.end = g.watermark
 			g.emitTable(g.unbounded, emit)
-			g.unbounded = &groupTable{groups: make(map[uint64][]*group)}
+			g.unbounded = &groupTable{}
 		}
 		return
 	}
@@ -611,21 +555,18 @@ func (g *GroupBy) Flush(emit ops.Emit) {
 	}
 }
 
-// MemSize implements ops.Operator.
+// MemSize implements ops.Operator. With a fixed group size it is
+// O(tables); otherwise it walks every group.
 func (g *GroupBy) MemSize() int {
-	n := 128
+	n := 128 + 16*len(g.paneWins)
 	count := func(tbl *groupTable) {
-		for _, chain := range tbl.groups {
-			if len(chain) == 0 {
-				continue // recycled table: warm but empty hash chain
-			}
-			grp := chain[0]
-			n += 32 * len(chain)
-			for _, k := range grp.keys {
-				n += k.MemSize()
-			}
-			for _, st := range grp.states {
-				n += st.MemSize()
+		if g.groupSize > 0 {
+			n += tbl.n * g.groupSize
+			return
+		}
+		for _, s := range tbl.slots {
+			if s.grp != nil {
+				n += groupMemSize(s.grp)
 			}
 		}
 	}
@@ -638,7 +579,6 @@ func (g *GroupBy) MemSize() int {
 	if g.run != nil {
 		count(&g.run.tbl)
 	}
-	n += 16 * len(g.paneWins)
 	if g.unbounded != nil {
 		count(g.unbounded)
 	}
@@ -677,17 +617,4 @@ func (g *GroupBy) Selectivity() float64 { return 0.1 }
 // UnitCost implements ops.Costs.
 func (g *GroupBy) UnitCost() float64 {
 	return float64(len(g.groupBy) + len(g.aggs))
-}
-
-func keysEqual(a, b []tuple.Value) bool {
-	for i := range a {
-		av, bv := a[i], b[i]
-		if av.IsNull() && bv.IsNull() {
-			continue
-		}
-		if !av.Equal(bv) {
-			return false
-		}
-	}
-	return true
 }

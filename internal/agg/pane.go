@@ -22,7 +22,6 @@ package agg
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"streamdb/internal/expr"
@@ -68,27 +67,6 @@ func resetStates(states []State) bool {
 		r.reset()
 	}
 	return true
-}
-
-// recycleGroups empties tbl for reuse: resettable groups go onto the
-// freelist, hash chains keep their map cells and capacity so the next
-// fill allocates nothing.
-func recycleGroups(tbl *groupTable, free *[]*group) {
-	for h, chain := range tbl.groups {
-		for i, grp := range chain {
-			if len(*free) < 1<<14 && resetStates(grp.states) {
-				*free = append(*free, grp)
-			}
-			chain[i] = nil
-		}
-		tbl.groups[h] = chain[:0]
-	}
-	for i := range tbl.cache {
-		// Recycled groups are reused by other tables; a stale dense-cache
-		// pointer here would resurrect them (see colfold.go).
-		tbl.cache[i] = nil
-	}
-	tbl.n = 0
 }
 
 // UsesPanes reports whether the operator runs the pane path.
@@ -157,13 +135,13 @@ func (g *GroupBy) locatePane(ts int64) *paneTable {
 		p = g.panes[id.Start]
 		if p == nil {
 			if n := len(g.paneFree); n > 0 {
-				// Recycled pane: empty group table with warm chains.
+				// Recycled pane: empty group table, slot array kept.
 				p = g.paneFree[n-1]
 				g.paneFree = g.paneFree[:n-1]
 				p.start, p.end = id.Start, id.End
 			} else {
 				p = &paneTable{
-					groupTable: groupTable{end: id.End, groups: make(map[uint64][]*group)},
+					groupTable: groupTable{end: id.End},
 					start:      id.Start,
 				}
 			}
@@ -198,7 +176,7 @@ func (g *GroupBy) foldLateClosed(t *tuple.Tuple) {
 		}
 		tbl, ok := g.windows[w.Start]
 		if !ok {
-			tbl = &groupTable{end: w.End, groups: make(map[uint64][]*group)}
+			tbl = &groupTable{end: w.End}
 			g.windows[w.Start] = tbl
 		}
 		g.fold(tbl, t)
@@ -338,10 +316,6 @@ type runWindow struct {
 	expired *paneTable
 }
 
-func newRunWindow() *runWindow {
-	return &runWindow{tbl: groupTable{groups: make(map[uint64][]*group)}}
-}
-
 // runningGate reports whether a pane-path GroupBy can keep a running
 // window: the window slides (a tumbling one emits its pane directly),
 // every grouping key is of a kind whose equality is bit identity (FLOAT
@@ -433,19 +407,20 @@ func (g *GroupBy) closeRunning(ws, we int64, emit ops.Emit) {
 // every total stayed exact; on false the table is abandoned mid-merge.
 func (g *GroupBy) addPane(p *paneTable) bool {
 	rw := g.run
-	for h, chain := range p.groups {
-		// The pane map's key is fold's chain hash, shared by tbl.
-		for _, pg := range chain {
-			rg := g.locateGroup(&rw.tbl, pg.keys, h)
-			if rg.refs == 0 {
-				rw.fresh = append(rw.fresh, rg)
-			}
-			rg.refs++
-			for i, st := range rg.states {
-				_ = st.Merge(pg.states[i]) // the gate admits only states that always merge
-				if !st.(invertible).exact() {
-					return false
-				}
+	for _, s := range p.slots {
+		if s.grp == nil {
+			continue
+		}
+		// The pane's probe is the running table's too.
+		rg := g.locateGroup(&rw.tbl, s.grp.keys, s.h)
+		if rg.refs == 0 {
+			rw.fresh = append(rw.fresh, rg)
+		}
+		rg.refs++
+		for i, st := range rg.states {
+			_ = st.Merge(s.grp.states[i]) // the gate admits only states that always merge
+			if !st.(invertible).exact() {
+				return false
 			}
 		}
 	}
@@ -477,33 +452,26 @@ func (g *GroupBy) retireExpired() {
 func (g *GroupBy) subtractPane(p *paneTable) bool {
 	rw := g.run
 	left := false
-	for h, chain := range p.groups {
-		for _, pg := range chain {
-			rchain := rw.tbl.groups[h]
-			i := slices.IndexFunc(rchain, func(rg *group) bool { return keysEqual(rg.keys, pg.keys) })
-			if i < 0 {
-				return false
-			}
-			rg := rchain[i]
-			for j, st := range rg.states {
-				st.(invertible).unmerge(pg.states[j])
-			}
-			rg.refs--
-			if rg.refs > 0 {
-				continue
-			}
-			left = true
-			if last := len(rchain) - 1; last > 0 {
-				rchain[i] = rchain[last]
-				rchain[last] = nil
-				rw.tbl.groups[h] = rchain[:last]
-			} else {
-				delete(rw.tbl.groups, h)
-			}
-			rw.tbl.n--
-			if len(g.groupFree) < 1<<14 && resetStates(rg.states) {
-				g.groupFree = append(g.groupFree, rg)
-			}
+	for _, s := range p.slots {
+		if s.grp == nil {
+			continue
+		}
+		i := rw.tbl.find(s.grp.keys, s.h)
+		if i < 0 {
+			return false
+		}
+		rg := rw.tbl.slots[i].grp
+		for j, st := range rg.states {
+			st.(invertible).unmerge(s.grp.states[j])
+		}
+		rg.refs--
+		if rg.refs > 0 {
+			continue
+		}
+		left = true
+		rw.tbl.removeAt(i)
+		if len(g.groupFree) < 1<<14 && resetStates(rg.states) {
+			g.groupFree = append(g.groupFree, rg)
 		}
 	}
 	if left {
@@ -522,9 +490,9 @@ func (g *GroupBy) subtractPane(p *paneTable) bool {
 // resetRunning empties the running table for a rebuild.
 func (g *GroupBy) resetRunning() {
 	rw := g.run
-	for _, chain := range rw.tbl.groups {
-		for _, grp := range chain {
-			grp.refs = 0
+	for _, s := range rw.tbl.slots {
+		if s.grp != nil {
+			s.grp.refs = 0
 		}
 	}
 	recycleGroups(&rw.tbl, &g.groupFree)
@@ -570,7 +538,7 @@ func mergeGroups(dst, order, fresh []*group) []*group {
 func (g *GroupBy) combineWindow(ws, we int64, bounds []keyBound) *groupTable {
 	tbl := g.combTbl
 	if tbl == nil {
-		tbl = &groupTable{groups: make(map[uint64][]*group)}
+		tbl = &groupTable{}
 		g.combTbl = tbl
 	}
 	// Reclaim the previous close's out-groups; their keys alias pane
@@ -582,46 +550,40 @@ func (g *GroupBy) combineWindow(ws, we int64, bounds []keyBound) *groupTable {
 		if p == nil {
 			return true
 		}
-		for h, chain := range p.groups {
-			// The pane map's key is fold's chain hash: no recompute.
-			for _, pg := range chain {
-				if bounds != nil && !matchBounds(pg.keys, bounds) {
-					continue
-				}
-				var out *group
-				for _, cand := range tbl.groups[h] {
-					if keysEqual(cand.keys, pg.keys) {
-						out = cand
-						break
+		for _, s := range p.slots {
+			pg := s.grp
+			if pg == nil || bounds != nil && !matchBounds(pg.keys, bounds) {
+				continue
+			}
+			// The pane's probe is the combine table's too.
+			var out *group
+			if i := tbl.find(pg.keys, s.h); i >= 0 {
+				out = tbl.slots[i].grp
+			} else {
+				if n := len(g.combFree); n > 0 {
+					out = g.combFree[n-1]
+					g.combFree = g.combFree[:n-1]
+				} else {
+					states := make([]State, len(g.aggs))
+					for i, a := range g.aggs {
+						states[i] = a.Fn.New()
 					}
+					out = &group{states: states}
 				}
-				if out == nil {
-					if n := len(g.combFree); n > 0 {
-						out = g.combFree[n-1]
-						g.combFree = g.combFree[:n-1]
-					} else {
-						states := make([]State, len(g.aggs))
-						for i, a := range g.aggs {
-							states[i] = a.Fn.New()
-						}
-						out = &group{states: states}
-					}
-					// Keys are immutable values: share the pane group's
-					// slice.
-					out.keys = pg.keys
-					tbl.groups[h] = append(tbl.groups[h], out)
-					tbl.n++
-				}
-				for i := range g.aggs {
-					// In-process panes merge states directly (no
-					// serialization); the MergePartial wire form is for
-					// the replica path. States of the same Fn merge
-					// without error, but fall back through the partial
-					// encoding if one ever refuses.
-					if out.states[i].Merge(pg.states[i]) != nil {
-						_ = out.states[i].(Partializable).MergePartial(
-							pg.states[i].(Partializable).PartialVals())
-					}
+				// Keys are immutable values: share the pane group's
+				// slice.
+				out.keys = pg.keys
+				tbl.insert(out, s.h)
+			}
+			for i := range g.aggs {
+				// In-process panes merge states directly (no
+				// serialization); the MergePartial wire form is for the
+				// replica path. States of the same Fn merge without
+				// error, but fall back through the partial encoding if
+				// one ever refuses.
+				if out.states[i].Merge(pg.states[i]) != nil {
+					_ = out.states[i].(Partializable).MergePartial(
+						pg.states[i].(Partializable).PartialVals())
 				}
 			}
 		}
@@ -774,6 +736,7 @@ func (g *GroupBy) ClonePartial() ops.Operator {
 	clone := &GroupBy{
 		name: g.name, groupBy: g.groupBy, groupName: g.groupName,
 		keyCols: g.keyCols, aggs: g.aggs, spec: g.spec,
+		wordKey: g.wordKey, groupSize: g.groupSize,
 		out:      g.PartialSchema(),
 		windows:  make(map[int64]*groupTable),
 		scratch:  make([]tuple.Value, 0, len(g.groupBy)),
@@ -784,7 +747,7 @@ func (g *GroupBy) ClonePartial() ops.Operator {
 		partial:  true,
 	}
 	if g.run != nil {
-		clone.run = newRunWindow()
+		clone.run = &runWindow{}
 	}
 	return clone
 }

@@ -2,7 +2,6 @@ package agg
 
 import (
 	"fmt"
-	"slices"
 
 	"streamdb/internal/ckpt"
 	"streamdb/internal/ops"
@@ -141,7 +140,9 @@ func (s *stddevState) MergePartial(vals []tuple.Value) error {
 // (Flush, Snapshot, Emitted, MaxGroups, ...) is the GroupBy's own.
 //
 // The directory is derived from the group tables and never snapshotted:
-// slot h % len(slots), with h the chain hash evalKeys computes, holds at
+// slot h % len(slots), with h the keys' FNV chain hash (chainHash, not
+// the tables' probe, so which keys share a slot does not depend on the
+// index), holds at
 // most one live group. Apart from an eviction, a group leaves a partial
 // replica's tables only as an emitted partial record (a window close in
 // advancePanes, a punctuation close in closeGroups, flushPanes), so the
@@ -243,16 +244,20 @@ func (b *BoundedReplica) pushRow(t *tuple.Tuple, emit ops.Emit) {
 	} else {
 		ws := g.paneAsn.Pane(t.Ts).Start
 		if tbl = g.windows[ws]; tbl == nil {
-			tbl = &groupTable{end: ws + g.spec.Range, groups: make(map[uint64][]*group)}
+			tbl = &groupTable{end: ws + g.spec.Range}
 			g.windows[ws] = tbl
 		}
 	}
-	keys, h := g.evalKeys(t)
+	keys := g.evalKeys(t)
+	h := chainHash(keys)
 	s := &b.slots[h%uint64(len(b.slots))]
 	if s.grp != nil && (s.tbl != tbl || !keysEqual(s.grp.keys, keys)) {
 		b.evict(s, emit)
 	}
 	if s.grp == nil {
+		if g.wordKey {
+			h = g.probe(keys)
+		}
 		s.tbl, s.grp = tbl, g.locateGroup(tbl, keys, h)
 	}
 	for i, a := range g.aggs {
@@ -271,17 +276,7 @@ func (b *BoundedReplica) evict(s *slotEntry, emit ops.Emit) {
 	g, tbl, grp := b.GroupBy, s.tbl, s.grp
 	g.trackGroups()
 	g.emitPartialGroups(tbl.end-g.spec.Range, tbl.end, []*group{grp}, emit)
-	h := chainHash(grp.keys)
-	chain := tbl.groups[h]
-	i := slices.Index(chain, grp)
-	chain[i] = chain[len(chain)-1]
-	chain[len(chain)-1] = nil
-	if chain = chain[:len(chain)-1]; len(chain) == 0 {
-		delete(tbl.groups, h)
-	} else {
-		tbl.groups[h] = chain
-	}
-	tbl.n--
+	tbl.removeAt(tbl.find(grp.keys, g.probe(grp.keys)))
 	if len(g.groupFree) < 1<<14 && resetStates(grp.states) {
 		g.groupFree = append(g.groupFree, grp)
 	}
@@ -295,9 +290,9 @@ func (b *BoundedReplica) syncSlots() {
 	clear(b.slots)
 	n := uint64(len(b.slots))
 	add := func(tbl *groupTable) {
-		for h, chain := range tbl.groups {
-			for _, grp := range chain {
-				b.slots[h%n] = slotEntry{tbl: tbl, grp: grp}
+		for _, s := range tbl.slots {
+			if s.grp != nil {
+				b.slots[chainHash(s.grp.keys)%n] = slotEntry{tbl: tbl, grp: s.grp}
 			}
 		}
 	}

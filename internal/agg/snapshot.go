@@ -2,8 +2,8 @@
 // A snapshot captures the complete logical state — group tables, pane
 // partial tables, watermarks, counters — in a deterministic order, so
 // identical runs produce identical checkpoint bytes. Restore rebuilds
-// the hash-chained tables by recomputing the fold hashes from the
-// decoded key values; the recycling freelists, scratch buffers, the
+// the tables' group indexes by recomputing the probes from the decoded
+// key values; the recycling freelists, scratch buffers, the
 // running window table and a bounded replica's slot directory are
 // deliberately not captured (they are derived state, not logical
 // state).
@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"streamdb/internal/ckpt"
-	"streamdb/internal/tuple"
 )
 
 // State payload tags. The tag commits the concrete representation so a
@@ -107,17 +106,6 @@ func decodeState(dec *ckpt.Decoder, st State) error {
 	return p.MergePartial(vals)
 }
 
-// chainHash recomputes the fold hash for a decoded key slice (the same
-// FNV fold evalKeys performs).
-func chainHash(keys []tuple.Value) uint64 {
-	h := uint64(1469598103934665603)
-	for _, v := range keys {
-		h ^= v.Hash()
-		h *= 1099511628211
-	}
-	return h
-}
-
 // encodeTable writes one group table (used for windows, panes, and the
 // unbounded table alike).
 func (g *GroupBy) encodeTable(enc *ckpt.Encoder, tbl *groupTable) error {
@@ -135,9 +123,9 @@ func (g *GroupBy) encodeTable(enc *ckpt.Encoder, tbl *groupTable) error {
 	return nil
 }
 
-// decodeTable reads one group table, rebuilding hash chains.
+// decodeTable reads one group table, rebuilding its index.
 func (g *GroupBy) decodeTable(dec *ckpt.Decoder) (*groupTable, error) {
-	tbl := &groupTable{end: dec.Varint(), groups: make(map[uint64][]*group)}
+	tbl := &groupTable{end: dec.Varint()}
 	n := dec.Uvarint()
 	for i := uint64(0); i < n && dec.Err() == nil; i++ {
 		keys := dec.Values()
@@ -148,10 +136,7 @@ func (g *GroupBy) decodeTable(dec *ckpt.Decoder) (*groupTable, error) {
 				return nil, err
 			}
 		}
-		grp := &group{keys: keys, states: states}
-		h := chainHash(keys)
-		tbl.groups[h] = append(tbl.groups[h], grp)
-		tbl.n++
+		tbl.insert(&group{keys: keys, states: states}, g.probe(keys))
 	}
 	return tbl, dec.Err()
 }

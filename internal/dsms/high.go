@@ -91,6 +91,12 @@ func (h *HighNode) Run(limit int64) error {
 	return h.Graph.Err()
 }
 
+// LateRows reports the rows the node's source handed to the engine at
+// or below progress already handed out (SessionSource.LateRows): rows
+// of a stream that broke its timestamp order, which the merge operator
+// sees as late. It is safe to call from any goroutine.
+func (h *HighNode) LateRows() int64 { return h.src.LateRows() }
+
 func (h *HighNode) durableSeq(id string) uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()

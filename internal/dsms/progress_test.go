@@ -10,8 +10,12 @@ package dsms
 import (
 	"bytes"
 	"net"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"streamdb/internal/expr"
+	"streamdb/internal/ops"
 	"streamdb/internal/stream"
 	"streamdb/internal/tuple"
 )
@@ -133,6 +137,73 @@ func TestSourceCountsLateRows(t *testing.T) {
 	}
 	if n := src.LateRows(); n != 2 {
 		t.Fatalf("%d late rows, want 2 (at 2 and 6)", n)
+	}
+}
+
+// TestHighNodeReportsLateRows: HighNode.LateRows reports the source's
+// count: one row sent behind progress the engine has already read is
+// one late row, and it still reaches the sink.
+func TestHighNodeReportsLateRows(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	pass, err := ops.NewSelect("pass", sch, expr.Constant(tuple.Bool(true)), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows atomic.Int64
+	h, err := NewHighNode(ln, sch, pass, func(e stream.Element) {
+		if !e.IsPunct() {
+			rows.Add(1)
+		}
+	}, HighConfig{Streams: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- h.Run(-1) }()
+	w, err := NewReconnectWriter(ReconnectConfig{
+		StreamID:      "a",
+		Dial:          func() (net.Conn, error) { return net.Dial("tcp", ln.Addr().String()) },
+		Schema:        sch,
+		FlushInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(ts int64) {
+		if err := w.Send(tuple.New(ts, tuple.Time(ts), tuple.Int(0), tuple.Float(0))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ts := int64(0); ts < 10; ts++ {
+		send(ts)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The engine has read the first ten rows, and so progress 9, once
+	// their sequence numbers count as consumed.
+	for deadline := time.Now().Add(10 * time.Second); h.src.ConsumedSeqs()["a"] < 10; {
+		if time.Now().After(deadline) {
+			t.Fatal("the engine never read the first frame")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	send(3)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := h.LateRows(); n != 1 {
+		t.Fatalf("%d late rows, want 1", n)
+	}
+	if n := rows.Load(); n != 11 {
+		t.Fatalf("%d rows reached the sink, want 11", n)
 	}
 }
 

@@ -10,9 +10,11 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 
+	"streamdb/internal/agg"
 	"streamdb/internal/expr"
 	"streamdb/internal/ops"
 	"streamdb/internal/stream"
@@ -191,6 +193,121 @@ func TestColumnarPaneEquivalence(t *testing.T) {
 			sameSeq(t, fmt.Sprintf("%s %+v", label, cfg), got, base)
 		}
 	}
+}
+
+// TestColumnarKeyShapes: the columnar fold against the serial engine on
+// the key shapes the group index must keep apart or together: IP keys
+// at and past 4096, with a burst of more than 4096 distinct keys in one
+// pane (the index grows mid-pane), negative INT keys, NULL keys, and
+// punctuations closing groups (closeGroups) on the columnar lane, at
+// batch sizes 1, 7 and 256 and, but for the group closes, on three
+// partial replicas. Group closes stay single-copy: replicated, the
+// combiner's output already differs from the serial engine's in row
+// count, run to run, with or without the columnar fold.
+func TestColumnarKeyShapes(t *testing.T) {
+	cases := []struct {
+		label      string
+		kind       tuple.Kind
+		key        func(rng *rand.Rand) tuple.Value
+		burst      int // distinct keys pushed at one timestamp mid-stream
+		closeEvery int // every closeEvery rows, a punctuation closes that row's key
+	}{
+		{"ip", tuple.KindIP, func(rng *rand.Rand) tuple.Value {
+			return tuple.IP(4090 + uint32(rng.Int63n(12))*1_000_003)
+		}, 5000, 0},
+		{"negative int", tuple.KindInt, func(rng *rand.Rand) tuple.Value {
+			return tuple.Int(rng.Int63n(9) - 6)
+		}, 0, 0},
+		{"null int", tuple.KindInt, func(rng *rand.Rand) tuple.Value {
+			if rng.Int63n(4) == 0 {
+				return tuple.Null
+			}
+			return tuple.Int(rng.Int63n(3))
+		}, 0, 0},
+		{"punct close", tuple.KindIP, func(rng *rand.Rand) tuple.Value {
+			return tuple.IP(70000 + uint32(rng.Int63n(6)))
+		}, 0, 37},
+	}
+	for _, c := range cases {
+		sc := tuple.NewSchema("K",
+			tuple.Field{Name: "time", Kind: tuple.KindTime, Ordering: true},
+			tuple.Field{Name: "g", Kind: c.kind},
+			tuple.Field{Name: "v", Kind: tuple.KindFloat},
+		)
+		elems := keyedStream(3000, c.key, c.burst, c.closeEvery)
+		gb := func() *agg.GroupBy {
+			var aggs []agg.Spec
+			for _, name := range []string{"sum", "count", "avg"} {
+				f, err := agg.Lookup(name, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := agg.Spec{Fn: f, Name: name}
+				if name != "count" {
+					s.Arg = expr.MustColumn(sc, "v")
+				}
+				aggs = append(aggs, s)
+			}
+			g, err := agg.NewGroupBy("q", sc, []expr.Expr{expr.MustColumn(sc, "g")}, []string{"g"},
+				aggs, window.Time(80, 20), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+		_, base := runPaneGraphOn(t, sc, gb(), elems, nil)
+		if len(base) == 0 {
+			t.Fatalf("%s: baseline produced nothing", c.label)
+		}
+		cfgs := []RunOptions{
+			{BatchSize: 1, Columnar: true},
+			{BatchSize: 7, Columnar: true},
+			{BatchSize: 256, Columnar: true},
+		}
+		if c.closeEvery == 0 {
+			cfgs = append(cfgs, RunOptions{BatchSize: 64, Parallelism: 3, ForceParallelism: true, Columnar: true})
+		}
+		for _, cfg := range cfgs {
+			st, got := runPaneGraphOn(t, sc, gb(), elems, &cfg)
+			sameSeq(t, fmt.Sprintf("%s %+v", c.label, cfg), got, base)
+			if cfg.Parallelism == 0 && (st.Batches == 0 || st.RowFallbacks != 0) {
+				t.Errorf("%s %+v: %d column batches, %d row fallbacks; want batches only",
+					c.label, cfg, st.Batches, st.RowFallbacks)
+			}
+		}
+	}
+}
+
+// keyedStream is paneStream's arrival pattern (mostly ordered,
+// stragglers within the current pane, a progress punctuation every 53
+// rows) with keys drawn by key, values dyadic. burst > 0 pushes that
+// many distinct IP keys at one timestamp halfway through; closeEvery > 0
+// follows every closeEvery-th row with a punctuation closing its key.
+func keyedStream(n int, key func(*rand.Rand) tuple.Value, burst, closeEvery int) []stream.Element {
+	rng := rand.New(rand.NewSource(4321))
+	row := func(ts int64, k tuple.Value) stream.Element {
+		return stream.Tup(tuple.New(ts, tuple.Time(ts), k, tuple.Float(float64(rng.Int63n(200))/4)))
+	}
+	var elems []stream.Element
+	ts, maxTs := int64(0), int64(0)
+	for i := 0; i < n; i++ {
+		ts = max(maxTs+rng.Int63n(5)-1, (maxTs/20)*20)
+		maxTs = max(maxTs, ts)
+		k := key(rng)
+		elems = append(elems, row(ts, k))
+		if i == n/2 {
+			for b := 0; b < burst; b++ {
+				elems = append(elems, row(maxTs, tuple.IP(uint32(4096+b*7))))
+			}
+		}
+		if closeEvery > 0 && i%closeEvery == closeEvery-1 {
+			elems = append(elems, stream.Punct(stream.EndGroupPunct(maxTs, 1, k)))
+		}
+		if i%53 == 52 {
+			elems = append(elems, stream.Punct(stream.ProgressPunct(maxTs, 0, tuple.Time(maxTs))))
+		}
+	}
+	return elems
 }
 
 // TestColumnarDeepStragglers: tuples far behind the watermark must take
