@@ -4,6 +4,10 @@
 // per-minute results; a low-level node generates (or would tap) raw
 // traffic, runs the decomposed filter + slot-bounded partial
 // aggregation (query.Decompose), and ships the reduced stream upward.
+// Both levels and -mode multi run on the batched columnar engine
+// (exec.RunWith): a low node executes Decomposition.Low's plan, the high
+// node is a dsms.HighNode, and multi drives a query.SharedPlan behind a
+// push source.
 //
 // The uplink is the fault-tolerant session transport (DESIGN.md
 // "Fault tolerance"): low-level nodes ride out connection loss by
@@ -26,6 +30,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -81,8 +86,9 @@ type lowConfig struct {
 // runLow runs one observation point: raw traffic through the
 // decomposed low-level plan, partials shipped over a ReconnectWriter.
 // Transient uplink errors are retried inside the writer; only
-// exhausting every attempt surfaces as an error here.
-func runLow(d *query.Decomposition, cfg lowConfig, n int, seed int64) (raw, partials int64, st dsms.ReconnectStats, err error) {
+// exhausting every attempt surfaces as an error here. st.Sent counts
+// the partials shipped.
+func runLow(d *query.Decomposition, cfg lowConfig, n int, seed int64) (raw int64, st dsms.ReconnectStats, err error) {
 	dials := 0
 	rcfg := dsms.ReconnectConfig{
 		StreamID: fmt.Sprintf("low-%d", seed),
@@ -107,23 +113,36 @@ func runLow(d *query.Decomposition, cfg lowConfig, n int, seed int64) (raw, part
 	}
 	w, err := dsms.NewReconnectWriter(rcfg)
 	if err != nil {
-		return 0, 0, st, err
+		return 0, st, err
 	}
-	src := stream.Limit(stream.NewTrafficStream(seed, 100000, 5000), n)
-	raw, partials, err = d.RunLow(src, w.Send)
-	if err != nil {
+	low := d.Low()
+	var sendErr error // the first; nothing is sent after it
+	err = low.Execute(map[string]stream.Source{
+		"Traffic": stream.Limit(stream.NewTrafficStream(seed, 100000, 5000), n),
+	}, func(t *tuple.Tuple) {
+		if sendErr == nil {
+			sendErr = w.Send(t)
+		}
+	}, -1)
+	if st := low.Stats(); len(st) > 0 {
+		raw = st[0].In
+	}
+	if err = cmp.Or(err, sendErr); err != nil {
 		w.Close()
-		return raw, partials, w.Stats(), fmt.Errorf("send: %w", err)
+		return raw, w.Stats(), fmt.Errorf("send: %w", err)
 	}
 	if err := w.Close(); err != nil {
-		return raw, partials, w.Stats(), fmt.Errorf("close: %w", err)
+		return raw, w.Stats(), fmt.Errorf("close: %w", err)
 	}
-	return raw, partials, w.Stats(), nil
+	return raw, w.Stats(), nil
 }
 
-func reportLow(seed int64, raw, partials int64, st dsms.ReconnectStats) {
-	fmt.Printf("low-level node %d: %d raw -> %d partials (%.1fx reduction)\n",
-		seed, raw, partials, float64(raw)/float64(partials))
+func reportLow(seed int64, raw int64, st dsms.ReconnectStats) {
+	fmt.Printf("low-level node %d: %d raw -> %d partials", seed, raw, st.Sent)
+	if st.Sent > 0 {
+		fmt.Printf(" (%.1fx reduction)", float64(raw)/float64(st.Sent))
+	}
+	fmt.Println()
 	if st.Reconnects > 0 {
 		fmt.Printf("low-level node %d: %d reconnects, %d tuples resent, mean recovery %.1fms\n",
 			seed, st.Reconnects, st.Resent,
@@ -210,11 +229,10 @@ func runMulti(nq, n int, seed int64) {
 
 	counts := make([]int64, nq)
 	register := func(q int) int {
-		qq := q
 		id, err := sp.Register(multiTemplates[q%len(multiTemplates)],
 			share.Sinks{Row: func(e stream.Element) {
 				if !e.IsPunct() {
-					counts[qq]++
+					counts[q]++
 				}
 			}})
 		if err != nil {
@@ -229,35 +247,44 @@ func runMulti(nq, n int, seed int64) {
 		ids = append(ids, register(q))
 	}
 
-	qu := stream.NewQueue(sch)
+	// The shared node runs on the batched engine behind a push source;
+	// a Flush before each register and drop lets every query see
+	// exactly the elements fed after it joined and before it left.
+	in := stream.NewPushSource(sch, 0)
 	g := exec.NewGraph(func(stream.Element) {})
-	if err := sp.Build(g, map[string]stream.Source{"Traffic": qu}); err != nil {
+	if err := sp.Build(g, map[string]stream.Source{"Traffic": in}); err != nil {
 		fatalf("%v", err)
 	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.RunWith(-1, exec.RunOptions{Columnar: true, BatchSize: 256})
+		in.Stop(g.Err())
+	}()
 	src := stream.Limit(stream.NewTrafficStream(seed, 100000, 5000), n)
 	fed := 0
-	pump := func(until int) {
-		for fed < until {
+	feed := func(until int) {
+		for ; fed < until; fed++ {
 			e, ok := src.Next()
 			if !ok {
 				break
 			}
-			qu.Feed(e)
-			fed++
-			if fed%1024 == 0 {
-				g.Pump(-1)
+			if in.Push(e) != nil {
+				break // the run failed; Flush reports it
 			}
 		}
-		g.Pump(-1)
+		if err := in.Flush(); err != nil {
+			fatalf("multi: %v", err)
+		}
 	}
 
-	pump(n / 3)
+	feed(n / 3)
 	// Runtime registration: the rest of the fleet joins the live graph.
 	for q := initial; q < nq; q++ {
 		ids = append(ids, register(q))
 	}
 	logf("multi: %d queries joined at element %d (no restart)", nq-initial, fed)
-	pump(2 * n / 3)
+	feed(2 * n / 3)
 	// Runtime drop: every fourth query leaves.
 	dropped := 0
 	for q := 0; q < nq; q += 4 {
@@ -267,8 +294,12 @@ func runMulti(nq, n int, seed int64) {
 		dropped++
 	}
 	logf("multi: %d queries dropped at element %d (co-resident queries undisturbed)", dropped, fed)
-	pump(n)
-	g.Finish()
+	feed(n)
+	in.End()
+	<-done
+	if err := g.Err(); err != nil {
+		fatalf("multi: %v", err)
+	}
 
 	node := sp.Node("Traffic")
 	shared, naive := node.Stats()
@@ -276,8 +307,11 @@ func runMulti(nq, n int, seed int64) {
 		fed, nq, sp.Queries())
 	fmt.Printf("  %d distinct predicates, %d kernel nodes after prefix factoring\n",
 		node.DistinctPredicates(), node.KernelNodes())
-	fmt.Printf("  predicate evaluations: %d shared vs %d per-query deployment (%.1fx saving)\n",
-		shared, naive, float64(naive)/float64(shared))
+	fmt.Printf("  predicate evaluations: %d shared vs %d per-query deployment", shared, naive)
+	if shared > 0 {
+		fmt.Printf(" (%.1fx saving)", float64(naive)/float64(shared))
+	}
+	fmt.Println()
 	show := nq
 	if show > 8 {
 		show = 8
@@ -306,6 +340,11 @@ func main() {
 	stats := flag.Duration("stats", 0, "high/demo: nonzero dumps per-node NodeStats (In/Out/MaxQueue/MaxMemory/Routed/Batches/RowFallbacks and the adaptive fields) as one JSON line on stderr when the merge run ends; 0 = disabled. Any duration enables it: the dump is not periodic")
 	queries := flag.Int("queries", 64, "multi: number of standing queries sharing one Traffic scan")
 	flag.Parse()
+	if *queries < 1 || *nodes < 1 || *n < 0 {
+		fmt.Fprintln(os.Stderr, "streamd: -queries and -nodes must be at least 1, -n at least 0")
+		flag.Usage()
+		os.Exit(2) // the flag package's status for a malformed flag
+	}
 
 	if *mode == "multi" {
 		runMulti(*queries, *n, *seed)
@@ -328,11 +367,11 @@ func main() {
 		runHigh(d, ln, hcfg, *ckptDir, *stats != 0)
 	case "low":
 		cfg := lowConfig{addr: *connect, retry: *retry, timeout: *timeout, wireBatch: *wireBatch}
-		raw, partials, st, err := runLow(d, cfg, *n, *seed)
+		raw, st, err := runLow(d, cfg, *n, *seed)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		reportLow(*seed, raw, partials, st)
+		reportLow(*seed, raw, st)
 	case "demo":
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -351,12 +390,12 @@ func main() {
 					faultRate: *faultRate,
 					wireBatch: *wireBatch,
 				}
-				raw, partials, st, err := runLow(d, cfg, *n, seed)
+				raw, st, err := runLow(d, cfg, *n, seed)
 				if err != nil {
 					logf("low-level node %d: %v", seed, err)
 					return
 				}
-				reportLow(seed, raw, partials, st)
+				reportLow(seed, raw, st)
 			}(int64(i + 1))
 		}
 		runHigh(d, ln, hcfg, *ckptDir, *stats != 0)

@@ -131,18 +131,20 @@ func TestDecompositionEndToEnd(t *testing.T) {
 	emitFinal := func(e stream.Element) { finals = append(finals, e.Tuple) }
 	for n, in := range inputs {
 		id := fmt.Sprintf("low-%d", n)
-		raw, partials, err := d.RunLow(stream.FromTuples(sch, in...), func(rec *tuple.Tuple) error {
+		low := d.Low()
+		var partials int64
+		err := low.Execute(map[string]stream.Source{"S": stream.FromTuples(sch, in...)}, func(rec *tuple.Tuple) {
+			partials++
 			high.Push(0, stream.Tup(rec), emitFinal)
 			prog.Observe(id, rec.Ts)
 			if pu := prog.Punct(); pu != nil {
 				high.Push(0, stream.Punct(pu), emitFinal)
 			}
-			return nil
-		})
+		}, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if raw <= partials {
+		if raw := low.Stats()[0].In; raw <= partials {
 			t.Errorf("no data reduction: %d raw -> %d partials", raw, partials)
 		}
 	}
@@ -207,12 +209,20 @@ func TestDecompositionOverTCP(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				in = append(in, row(int64(i), int64(i%7), 1).Tuple)
 			}
-			_, _, sendErr := d.RunLow(stream.FromTuples(sch, in...), w.Send)
-			if sendErr == nil {
-				sendErr = w.Close()
+			var sendErr error
+			err = d.Low().Execute(map[string]stream.Source{"S": stream.FromTuples(sch, in...)}, func(rec *tuple.Tuple) {
+				if sendErr == nil {
+					sendErr = w.Send(rec)
+				}
+			}, -1)
+			if err == nil {
+				err = sendErr
 			}
-			if sendErr != nil {
-				t.Error(sendErr)
+			if err == nil {
+				err = w.Close()
+			}
+			if err != nil {
+				t.Error(err)
 			}
 		}(n)
 	}

@@ -45,8 +45,12 @@ type HighNode struct {
 
 // NewHighNode builds a node that serves cfg.Streams sessions on ln, each
 // carrying tuples of schema, and merges them through op into sink.
-// Serving starts at once, the engine with Run.
+// Serving starts at once, the engine with Run. A node expects at least
+// one stream: with none, serving would never end.
 func NewHighNode(ln net.Listener, schema *tuple.Schema, op ops.Operator, sink func(stream.Element), cfg HighConfig) (*HighNode, error) {
+	if cfg.Streams < 1 {
+		return nil, fmt.Errorf("dsms: a high node needs at least one stream, got %d", cfg.Streams)
+	}
 	h := &HighNode{
 		Graph:   exec.NewGraph(sink),
 		opts:    exec.RunOptions{Columnar: true, BatchSize: 256},

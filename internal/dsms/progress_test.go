@@ -140,6 +140,25 @@ func TestSourceCountsLateRows(t *testing.T) {
 	}
 }
 
+// TestNewHighNodeRejectsNoStreams: a node that expects no stream would
+// serve forever, so building one is an error.
+func TestNewHighNodeRejectsNoStreams(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	pass, err := ops.NewSelect("pass", sch, expr.Constant(tuple.Bool(true)), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, streams := range []int{0, -1} {
+		if h, err := NewHighNode(ln, sch, pass, func(stream.Element) {}, HighConfig{Streams: streams}); err == nil {
+			t.Errorf("Streams %d: built a node (%v), want an error", streams, h)
+		}
+	}
+}
+
 // TestHighNodeReportsLateRows: HighNode.LateRows reports the source's
 // count: one row sent behind progress the engine has already read is
 // one late row, and it still reaches the sink.

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -409,6 +410,15 @@ func TestAdaptiveMatchesSerialAllLanes(t *testing.T) {
 	_, jGot := runPartJoin(t, pjJoin(t, ops.JoinHash, ops.JoinHash, true), left, right,
 		&RunOptions{BatchSize: 32, Parallelism: 2, ForceParallelism: true,
 			PartitionJoins: true, Adapt: adapt()})
+	if !slices.Equal(jGot, jBase) {
+		// Say whether only the order differs before the positional check
+		// fails: a re-split promises the serial order only for monotone
+		// per-key timestamps, and multiset equality otherwise.
+		got, base := slices.Clone(jGot), slices.Clone(jBase)
+		slices.Sort(got)
+		slices.Sort(base)
+		t.Logf("key-partition lane: outputs multiset-equal to the serial run: %v", slices.Equal(got, base))
+	}
 	sameSeq(t, "key-partition lane", jGot, jBase)
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"sort"
@@ -126,7 +127,13 @@ func runChaosSession(d *query.Decomposition, nodes, n int, dropRate float64, wir
 				panic(err)
 			}
 			src := stream.Limit(stream.NewTrafficStream(int64(node+1), 100000, 5000), n)
-			if _, _, err := d.RunLow(src, w.Send); err != nil {
+			var sendErr error
+			err = d.Low().Execute(map[string]stream.Source{"Traffic": src}, func(rec *tuple.Tuple) {
+				if sendErr == nil {
+					sendErr = w.Send(rec)
+				}
+			}, -1)
+			if err = cmp.Or(err, sendErr); err != nil {
 				panic(err)
 			}
 			if err := w.Close(); err != nil {

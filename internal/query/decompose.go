@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"streamdb/internal/agg"
+	"streamdb/internal/exec"
 	"streamdb/internal/expr"
 	"streamdb/internal/ops"
 	"streamdb/internal/stream"
@@ -18,6 +19,7 @@ import (
 // with that GroupBy's PaneCombiner. The wire between them carries
 // partial records of PartialSchema.
 type Decomposition struct {
+	q     *Query // its FROM item carries the window the levels use
 	in    *tuple.Schema
 	pred  expr.Expr    // WHERE; nil without one
 	gb    *agg.GroupBy // the query's aggregate, only ever cloned
@@ -52,21 +54,21 @@ func Decompose(text string, cat *Catalog, slots int) (*Decomposition, error) {
 	if !ok {
 		return nil, fmt.Errorf("query: unknown stream %q", q.From[0].Stream)
 	}
-	item := q.From[0]
+	item := &q.From[0]
 	switch w := item.Window; {
 	case w.Kind == window.KindNone:
 		item.Window = window.Tumbling(60 * stream.Second)
 	case w.Kind != window.KindTime || w.Landmark || w.Slide != w.Range:
 		return nil, fmt.Errorf("query: only tumbling windows decompose (got %s)", w)
 	}
-	pred, gb, _, _, err := bindAggregate(q, &boundStream{item: item, schema: sch})
+	pred, gb, _, _, err := bindAggregate(q, &boundStream{item: *item, schema: sch})
 	if err != nil {
 		return nil, err
 	}
 	if err := gb.CheckBound(slots); err != nil {
 		return nil, err
 	}
-	return &Decomposition{in: sch, pred: pred, gb: gb, slots: slots}, nil
+	return &Decomposition{q: q, in: sch, pred: pred, gb: gb, slots: slots}, nil
 }
 
 // PartialSchema is the wire schema between the levels: [wend, wstart,
@@ -80,65 +82,30 @@ func (d *Decomposition) PartialSchema() *tuple.Schema { return d.gb.PartialSchem
 // a dsms.SessionSource applies to the merged streams supplies them.
 func (d *Decomposition) NewHigh() ops.Operator { return d.gb.Combiner() }
 
-// RunLow drains src through one observation point's low level: column
-// batches through the WHERE filter's selection kernel into a fresh
-// slot-bounded partial replica. Every partial record goes to send; the
-// replica's progress punctuations stay behind, because the wire carries
-// tuples only. It returns the raw tuples read and the records sent, and
-// stops at the first send error.
-func (d *Decomposition) RunLow(src stream.Source, send func(*tuple.Tuple) error) (raw, partials int64, err error) {
-	low, err := d.gb.BoundedPartial(d.slots)
-	if err != nil {
-		return 0, 0, err
-	}
-	var filter *ops.Select
+// Low returns a fresh low-level plan for one observation point: the
+// WHERE filter, then a slot-bounded partial replica of the GroupBy,
+// then out. Its rows are partial records of PartialSchema; its
+// progress punctuations stay behind, because the wire carries tuples
+// only. Each Execute builds fresh operators, but a plan holds one run's
+// Stats, so give each concurrent node its own. The first node's In
+// counts the raw elements the node read.
+func (d *Decomposition) Low() *Plan {
+	p := &Plan{Q: d.q, OutSchema: d.PartialSchema(), Streamable: true, IsAgg: true,
+		Bounded: BoundedMemory{OK: true, Reasons: []string{fmt.Sprintf("at most %d partial groups", d.slots)}}}
 	if d.pred != nil {
-		if filter, err = ops.NewSelect("where", d.in, d.pred, -1, 1); err != nil {
-			return 0, 0, err
-		}
+		p.steps = append(p.steps, fmt.Sprintf("select %s", d.pred))
 	}
-	emit := func(e stream.Element) {
-		if e.IsPunct() || err != nil {
-			return
+	p.steps = append(p.steps, fmt.Sprintf("bounded partial group-by window %s, %d slots", d.q.From[0].Window, d.slots))
+	p.build = func(g *exec.Graph, sources map[string]stream.Source) error {
+		chain, err := whereOps(d.in, d.pred)
+		if err != nil {
+			return err
 		}
-		if err = send(e.Tuple); err == nil {
-			partials++
+		low, err := d.gb.BoundedPartial(d.slots)
+		if err != nil {
+			return err
 		}
+		return wireChain(g, sources, d.q.From[0].Stream, append(chain, low))
 	}
-	fold := func(b *stream.Batch) { low.ProcessBatch(0, b, nil, emit) }
-	pool := stream.NewColPool(src.Schema(), 256)
-	cur := pool.Get()
-	flush := func() {
-		if cur.Rows() == 0 {
-			return
-		}
-		raw += int64(cur.Rows())
-		if filter != nil {
-			filter.ProcessBatch(0, cur, fold, emit)
-		} else {
-			fold(cur)
-		}
-		cur = pool.Get()
-	}
-	for err == nil {
-		e, ok := src.Next()
-		if !ok {
-			break
-		}
-		if e.IsPunct() {
-			flush()
-			low.Push(0, e, emit)
-			continue
-		}
-		cur.AppendRow(e.Tuple)
-		if cur.Rows() >= pool.Size() {
-			flush()
-		}
-	}
-	flush()
-	cur.Release()
-	if err == nil {
-		low.Flush(emit)
-	}
-	return raw, partials, err
+	return p
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,15 +24,54 @@ func lowRecords(t *testing.T, d *Decomposition, inputs [][]*tuple.Tuple) [][]*tu
 	t.Helper()
 	recs := make([][]*tuple.Tuple, len(inputs))
 	for n, in := range inputs {
-		_, _, err := d.RunLow(stream.FromTuples(d.in, in...), func(rec *tuple.Tuple) error {
-			recs[n] = append(recs[n], rec)
-			return nil
-		})
+		err := d.Low().Execute(map[string]stream.Source{"Traffic": stream.FromTuples(d.in, in...)},
+			func(rec *tuple.Tuple) { recs[n] = append(recs[n], rec) }, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	return recs
+}
+
+// The low level is an ordinary plan: Explain names the filter and the
+// bounded partial with its slot count, and Execute runs every node on
+// the batched lane, the first node reading every raw row.
+func TestDecomposeLowPlan(t *testing.T) {
+	cat := testCatalog()
+	d, err := Decompose(`select srcIP, count(*) as c from Traffic [range 10]
+		where protocol = 6 group by srcIP`, cat, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	low := d.Low()
+	ex := low.Explain()
+	for _, want := range []string{"1. select ", "2. bounded partial group-by", "8 slots"} {
+		if !strings.Contains(ex, want) {
+			t.Errorf("Explain lacks %q:\n%s", want, ex)
+		}
+	}
+	in := trafficInputs(3, 1, 30*stream.Second, 20)[0]
+	var recs int
+	err = low.Execute(map[string]stream.Source{"Traffic": stream.FromTuples(d.in, in...)},
+		func(*tuple.Tuple) { recs++ }, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := low.Stats()
+	if len(st) != 2 {
+		t.Fatalf("low plan ran %d nodes, want 2: %+v", len(st), st)
+	}
+	for _, s := range st {
+		if s.Batches == 0 {
+			t.Errorf("node %s: Batches = 0, want the batched lane", s.Op)
+		}
+	}
+	if st[0].In != int64(len(in)) {
+		t.Errorf("first node read %d rows, want %d", st[0].In, len(in))
+	}
+	if recs == 0 || recs >= len(in) {
+		t.Errorf("%d raw rows -> %d partial records", len(in), recs)
+	}
 }
 
 // nodeID names low-level node n the way streamd's low nodes do.

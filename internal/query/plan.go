@@ -286,67 +286,71 @@ func compileSimple(q *Query, streams []*boundStream) (*Plan, error) {
 	}
 
 	plan.build = func(g *exec.Graph, sources map[string]stream.Source) error {
-		src, ok := sources[s.item.Stream]
-		if !ok {
-			return fmt.Errorf("query: no source for stream %q", s.item.Stream)
-		}
-		si := g.AddSource(src)
-		var last exec.NodeID = -1
-		connect := func(id exec.NodeID) error {
-			if last < 0 {
-				return g.ConnectSource(si, id, 0)
-			}
-			return g.Connect(last, id, 0)
-		}
-		if pred != nil {
-			op, err := ops.NewSelect("where", s.schema, pred, -1, 1)
-			if err != nil {
-				return err
-			}
-			id := g.AddOp(op)
-			if err := connect(id); err != nil {
-				return err
-			}
-			last = id
+		chain, err := whereOps(s.schema, pred)
+		if err != nil {
+			return err
 		}
 		if !star {
 			op, err := ops.NewProject("project", outSchema, exprs)
 			if err != nil {
 				return err
 			}
-			id := g.AddOp(op)
-			if err := connect(id); err != nil {
-				return err
-			}
-			last = id
+			chain = append(chain, op)
 		}
 		if q.Distinct {
 			keys := make([]int, outSchema.Arity())
 			for i := range keys {
 				keys[i] = i
 			}
-			id := g.AddOp(ops.NewDupElim("distinct", outSchema, keys, winLen))
-			if err := connect(id); err != nil {
-				return err
-			}
-			last = id
+			chain = append(chain, ops.NewDupElim("distinct", outSchema, keys, winLen))
 		}
-		if last < 0 {
+		if len(chain) == 0 {
 			// SELECT * FROM s with no predicates: pass through a no-op
 			// filter so the graph has a node to connect.
 			op, err := ops.NewSelect("pass", s.schema, expr.Constant(tuple.Bool(true)), 1, 1)
 			if err != nil {
 				return err
 			}
-			id := g.AddOp(op)
-			if err := g.ConnectSource(si, id, 0); err != nil {
-				return err
-			}
-			last = id
+			chain = append(chain, op)
 		}
-		return g.ConnectOut(last)
+		return wireChain(g, sources, s.item.Stream, chain)
 	}
 	return plan, nil
+}
+
+// whereOps returns the head of an operator chain: the WHERE filter, or
+// nothing without a predicate.
+func whereOps(sch *tuple.Schema, pred expr.Expr) ([]ops.Operator, error) {
+	if pred == nil {
+		return nil, nil
+	}
+	op, err := ops.NewSelect("where", sch, pred, -1, 1)
+	if err != nil {
+		return nil, err
+	}
+	return []ops.Operator{op}, nil
+}
+
+// wireChain adds the named stream's source to g and connects it through
+// each operator of chain, which must not be empty, in turn to the graph
+// output.
+func wireChain(g *exec.Graph, sources map[string]stream.Source, name string, chain []ops.Operator) error {
+	src, ok := sources[name]
+	if !ok {
+		return fmt.Errorf("query: no source for stream %q", name)
+	}
+	last := g.AddOp(chain[0])
+	if err := g.ConnectSource(g.AddSource(src), last, 0); err != nil {
+		return err
+	}
+	for _, op := range chain[1:] {
+		id := g.AddOp(op)
+		if err := g.Connect(last, id, 0); err != nil {
+			return err
+		}
+		last = id
+	}
+	return g.ConnectOut(last)
 }
 
 // groupItemName derives the output name of a GROUP BY item.
@@ -526,43 +530,15 @@ func compileAggregate(q *Query, streams []*boundStream) (*Plan, error) {
 		"project result columns")
 
 	plan.build = func(g *exec.Graph, sources map[string]stream.Source) error {
-		src, ok := sources[s.item.Stream]
-		if !ok {
-			return fmt.Errorf("query: no source for stream %q", s.item.Stream)
-		}
-		si := g.AddSource(src)
-		var last exec.NodeID = -1
-		connect := func(id exec.NodeID) error {
-			if last < 0 {
-				return g.ConnectSource(si, id, 0)
-			}
-			return g.Connect(last, id, 0)
-		}
-		if pred != nil {
-			op, err := ops.NewSelect("where", s.schema, pred, -1, 1)
-			if err != nil {
-				return err
-			}
-			id := g.AddOp(op)
-			if err := connect(id); err != nil {
-				return err
-			}
-			last = id
-		}
-		gbID := g.AddOp(gb)
-		if err := connect(gbID); err != nil {
+		chain, err := whereOps(s.schema, pred)
+		if err != nil {
 			return err
 		}
-		last = gbID
 		proj, err := ops.NewProject("project", outSchema, exprs)
 		if err != nil {
 			return err
 		}
-		pid := g.AddOp(proj)
-		if err := g.Connect(last, pid, 0); err != nil {
-			return err
-		}
-		return g.ConnectOut(pid)
+		return wireChain(g, sources, s.item.Stream, append(chain, gb, proj))
 	}
 	return plan, nil
 }

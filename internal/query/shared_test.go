@@ -88,55 +88,102 @@ func TestSharedPlanMergesAndMatchesStandalone(t *testing.T) {
 }
 
 // Register after Build attaches to the live node; Drop detaches without
-// disturbing co-resident queries.
+// disturbing co-resident queries. The schedule runs through two doors,
+// the serial loop pumped over a Queue and RunWith over a PushSource
+// with a Flush at each boundary, and each query gets the same rows from
+// both.
 func TestSharedPlanRuntimeRegisterDrop(t *testing.T) {
 	cat := testCatalog()
-	sp := NewSharedPlan(cat)
-	var resident []string
-	if _, err := sp.Register("select * from Traffic where length > 500", sharedRowSink(&resident)); err != nil {
-		t.Fatal(err)
-	}
-	q := stream.NewQueue(cat.schemas["Traffic"])
-	g := exec.NewGraph(func(stream.Element) {})
-	if err := sp.Build(g, map[string]stream.Source{"Traffic": q}); err != nil {
-		t.Fatal(err)
-	}
+	sch := cat.schemas["Traffic"]
 	elems := trafficElems(30)
-	feed := func(es []stream.Element) {
-		for _, e := range es {
-			q.Feed(e)
+	// A door wires sp into g and returns feed, which returns once what
+	// it was given has been processed, and end, which ends the run.
+	type door func(sp *SharedPlan, g *exec.Graph) (feed func([]stream.Element), end func())
+	pump := func(sp *SharedPlan, g *exec.Graph) (func([]stream.Element), func()) {
+		q := stream.NewQueue(sch)
+		if err := sp.Build(g, map[string]stream.Source{"Traffic": q}); err != nil {
+			t.Fatal(err)
 		}
-		g.Pump(-1)
+		return func(es []stream.Element) {
+			for _, e := range es {
+				q.Feed(e)
+			}
+			g.Pump(-1)
+		}, g.Finish
 	}
-	feed(elems[:10])
+	push := func(sp *SharedPlan, g *exec.Graph) (func([]stream.Element), func()) {
+		in := stream.NewPushSource(sch, 0)
+		if err := sp.Build(g, map[string]stream.Source{"Traffic": in}); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			g.RunWith(-1, exec.RunOptions{Columnar: true, BatchSize: 256})
+			in.Stop(g.Err())
+		}()
+		feed := func(es []stream.Element) {
+			for _, e := range es {
+				if err := in.Push(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := in.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return feed, func() {
+			in.End()
+			<-done
+		}
+	}
+	run := func(label string, through door) (resident, late []string) {
+		sp := NewSharedPlan(cat)
+		if _, err := sp.Register("select * from Traffic where length > 500", sharedRowSink(&resident)); err != nil {
+			t.Fatal(err)
+		}
+		g := exec.NewGraph(func(stream.Element) {})
+		feed, end := through(sp, g)
+		feed(elems[:10])
 
-	var late []string
-	lateID, err := sp.Register("select * from Traffic where length > 500", sharedRowSink(&late))
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(elems[10:20])
-	if len(late) != 10 {
-		t.Errorf("late query saw %d rows of its 10-row window", len(late))
-	}
-	if err := sp.Drop(lateID); err != nil {
-		t.Fatal(err)
-	}
-	feed(elems[20:])
-	if len(late) != 10 {
-		t.Errorf("dropped query kept receiving: %d rows", len(late))
-	}
-	if len(resident) != 24 { // length > 500 passes ts 6..29
-		t.Errorf("co-resident query saw %d rows, want 24", len(resident))
-	}
-	if sp.Queries() != 1 {
-		t.Errorf("live queries = %d, want 1", sp.Queries())
-	}
+		lateID, err := sp.Register("select * from Traffic where length > 500", sharedRowSink(&late))
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(elems[10:20])
+		if len(late) != 10 {
+			t.Errorf("%s: late query saw %d rows of its 10-row window", label, len(late))
+		}
+		if err := sp.Drop(lateID); err != nil {
+			t.Fatal(err)
+		}
+		feed(elems[20:])
+		end()
+		if err := g.Err(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if len(late) != 10 {
+			t.Errorf("%s: dropped query kept receiving: %d rows", label, len(late))
+		}
+		if len(resident) != 24 { // length > 500 passes ts 6..29
+			t.Errorf("%s: co-resident query saw %d rows, want 24", label, len(resident))
+		}
+		if sp.Queries() != 1 {
+			t.Errorf("%s: live queries = %d, want 1", label, sp.Queries())
+		}
 
-	// A stream never wired at Build time cannot join the running graph.
-	var none []string
-	if _, err := sp.Register("select * from S", sharedRowSink(&none)); err == nil {
-		t.Error("register on unwired stream after Build should fail")
+		// A stream never wired at Build time cannot join the running graph.
+		var none []string
+		if _, err := sp.Register("select * from S", sharedRowSink(&none)); err == nil {
+			t.Errorf("%s: register on unwired stream after Build should fail", label)
+		}
+		return resident, late
+	}
+	pumpResident, pumpLate := run("pump", pump)
+	pushResident, pushLate := run("push", push)
+	if fmt.Sprint(pushResident) != fmt.Sprint(pumpResident) || fmt.Sprint(pushLate) != fmt.Sprint(pumpLate) {
+		t.Errorf("push door diverges from pump\nresident: %v\nwant      %v\nlate: %v\nwant  %v",
+			pushResident, pumpResident, pushLate, pumpLate)
 	}
 }
 
